@@ -20,7 +20,9 @@ _HEADER = 'OPENQASM 2.0;\ninclude "qelib1.inc";'
 _QREG_RE = re.compile(r"^qreg\s+(\w+)\s*\[\s*(\d+)\s*\]$")
 _CREG_RE = re.compile(r"^creg\s+(\w+)\s*\[\s*(\d+)\s*\]$")
 _ARG_RE = re.compile(r"^(\w+)\s*\[\s*(\d+)\s*\]$")
-_GATE_RE = re.compile(r"^(\w+)\s*(?:\(([^)]*)\))?\s+(.+)$")
+# The parameter list runs to the last ")", so it may nest parentheses;
+# the arguments after it hold none.
+_GATE_RE = re.compile(r"^(\w+)\s*(?:\((.*)\))?\s+([^()]+)$", re.DOTALL)
 _MEASURE_RE = re.compile(r"^measure\s+(.+?)\s*->\s*(.+)$")
 
 
@@ -128,13 +130,102 @@ def _parse_gate(stmt: str, qreg_name: Optional[str]) -> Gate:
         raise QasmError(f"invalid gate {stmt!r}: {exc}") from exc
 
 
+#: Longest parameter expression accepted. It bounds the evaluator's
+#: time and its recursion depth (one level per character at most).
+_MAX_PARAM_CHARS = 256
+
+_PARAM_TOKEN_RE = re.compile(
+    r"\s*(?:(\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
+    r"|([A-Za-z_]\w*)|(\S))")
+_PARAM_CONSTANTS = {"pi": math.pi, "e": math.e}
+
+
 def _eval_param(text: str) -> float:
-    """Evaluate a rotation-angle expression like ``pi/4`` or ``-0.5*pi``."""
-    allowed = re.compile(r"^[\d\s.+\-*/()epi]*$")
-    if not allowed.match(text):
-        raise QasmError(f"unsupported parameter expression {text!r}")
-    try:
-        return float(eval(text, {"__builtins__": {}},  # noqa: S307
-                          {"pi": math.pi, "e": math.e}))
-    except Exception as exc:
-        raise QasmError(f"cannot evaluate parameter {text!r}") from exc
+    """Evaluate a rotation-angle expression like ``pi/4`` or ``-0.5*pi``.
+
+    A recursive-descent evaluator over numbers, ``pi``, ``e``,
+    ``+ - * /``, unary signs and parentheses. Anything else, text over
+    :data:`_MAX_PARAM_CHARS` characters, or a non-finite value raises
+    :class:`QasmError`; nothing reaches ``eval``.
+    """
+    if len(text) > _MAX_PARAM_CHARS:
+        raise QasmError(f"parameter expression longer than "
+                        f"{_MAX_PARAM_CHARS} characters")
+    tokens: List[object] = []
+    for number, name, symbol in _PARAM_TOKEN_RE.findall(text):
+        if number:
+            tokens.append(float(number))
+        elif name in _PARAM_CONSTANTS:
+            tokens.append(_PARAM_CONSTANTS[name])
+        elif symbol and symbol in "+-*/()":
+            tokens.append(symbol)
+        elif name or symbol:
+            raise QasmError(f"unsupported parameter expression {text!r}")
+    parser = _ParamParser(tokens, text)
+    value = parser.expression()
+    if parser.pos != len(tokens):
+        raise parser.error()
+    if not math.isfinite(value):
+        raise QasmError(f"parameter {text!r} is not finite")
+    return value
+
+
+class _ParamParser:
+    """Grammar: ``expression := term (('+' | '-') term)*``,
+    ``term := factor (('*' | '/') factor)*``,
+    ``factor := ('+' | '-') factor | number | '(' expression ')'``."""
+
+    def __init__(self, tokens: List[object], text: str) -> None:
+        self.tokens = tokens
+        self.text = text
+        self.pos = 0
+
+    def error(self) -> QasmError:
+        return QasmError(f"cannot evaluate parameter {self.text!r}")
+
+    def _take(self, *symbols: str) -> Optional[str]:
+        """Consume and return the next token if it is one of *symbols*."""
+        if self.pos < len(self.tokens) and self.tokens[self.pos] in symbols:
+            self.pos += 1
+            return self.tokens[self.pos - 1]
+        return None
+
+    def expression(self) -> float:
+        value = self.term()
+        while True:
+            op = self._take("+", "-")
+            if op is None:
+                return value
+            rhs = self.term()
+            value = value + rhs if op == "+" else value - rhs
+
+    def term(self) -> float:
+        value = self.factor()
+        while True:
+            op = self._take("*", "/")
+            if op is None:
+                return value
+            rhs = self.factor()
+            if op == "*":
+                value *= rhs
+            elif rhs == 0.0:
+                raise QasmError(f"division by zero in parameter "
+                                f"{self.text!r}")
+            else:
+                value /= rhs
+
+    def factor(self) -> float:
+        sign = self._take("+", "-")
+        if sign is not None:
+            value = self.factor()
+            return -value if sign == "-" else value
+        if self._take("("):
+            value = self.expression()
+            if self._take(")") is None:
+                raise self.error()
+            return value
+        if self.pos < len(self.tokens) and \
+                isinstance(self.tokens[self.pos], float):
+            self.pos += 1
+            return self.tokens[self.pos - 1]
+        raise self.error()

@@ -7,14 +7,22 @@ of a per-trial Python loop:
    one RNG call against the trace's per-site firing probabilities;
 2. every error-free trial is routed through a **single** vectorized
    draw from the ideal output distribution;
-3. the noisy trials' Pauli choices are drawn in one batch and the
-   trials are grouped by identical error plans, so each *distinct*
-   noisy trajectory is simulated exactly once and the group's outcomes
-   are drawn from its cached distribution in one call. The distinct
-   trajectories themselves are simulated **batched**: every plan shares
-   the same gate sequence, so each gate is applied to a
-   ``(plans, 2, ..., 2)`` state tensor in one tensordot, with the
-   sampled Pauli insertions scattered onto the affected rows;
+3. the noisy trials' Pauli choices are drawn in one batch, and the
+   trials are deduplicated into distinct error plans by one
+   ``np.unique`` over their padded (site, choice) codes, in order of
+   first occurrence. Each distinct trajectory is simulated once, all of
+   them **batched**: every plan shares the program's gate sequence, so
+   each gate is one contraction (``ArrayBackend.apply_matrix``) over a
+   ``(plans, 2, ..., 2)`` state tensor. A Pauli injection is an exact
+   signed basis permutation (a bit flip for X and Y, a ±1/±i phase for
+   Z and Y), applied with one backend call per (gate, event position
+   within that gate) to every plan injecting there, each plan keeping
+   its own event order. All
+   noisy trials' outcomes then come from one ``rng.random`` draw taken
+   in plan order and counted against each plan's CDF — the stream and
+   the results of one ``rng.choice`` per plan. The numpy call count
+   grows with the program's gates, not with the plans or their
+   distinct event tuples;
 4. readout bit flips are applied as one vectorized operation over the
    whole ``(trials, measures)`` outcome array.
 
@@ -37,17 +45,24 @@ statevector runs with one batched run over the distinct noisy plans.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Iterator, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.simulator.statevector import cached_unitary
-from repro.simulator.trace import DenseEvent, ProgramTrace
+from repro.exceptions import SimulationError
+from repro.simulator.trace import CHOICE_STRIDE, PAULI_CODES, ProgramTrace
 from repro.simulator.xp import ArrayBackend, resolve_array_backend
 
 #: What run_batched/batch_plan_probabilities accept as a backend
 #: selector: a registered name, an instance, or None (process default).
 ArrayBackendLike = Union[str, ArrayBackend, None]
+
+#: ``Generator.choice``'s tolerance on the sum of a probability vector.
+_SUM_TOLERANCE = float(np.sqrt(np.finfo(np.float64).eps))
+
+#: CDF entries compared at once while drawing noisy outcomes (bounds
+#: the gathered ``(trials, 2**n_measures)`` temporaries).
+_DRAW_BUDGET = 1 << 20
 
 
 def run_batched(trace: ProgramTrace, trials: int,
@@ -102,55 +117,96 @@ def _sample_noisy(trace: ProgramTrace, occurred: np.ndarray,
     uniforms = rng.random(trial_idx.size)
     choices = (uniforms[:, np.newaxis]
                >= trace.site_cum[site_idx, :]).sum(axis=1).astype(np.int64)
-    # Each noisy trial occupies a contiguous run of events; dedup trials
-    # with identical (site, choice) plans.
-    starts = np.searchsorted(trial_idx, np.arange(occurred.shape[0] + 1))
-    plan_index: Dict[bytes, int] = {}
-    plans: List[Dict[int, List[DenseEvent]]] = []
-    plan_rows: List[List[int]] = []
-    for row in range(occurred.shape[0]):
-        lo, hi = starts[row], starts[row + 1]
-        key = site_idx[lo:hi].tobytes() + b"|" + choices[lo:hi].tobytes()
-        index = plan_index.get(key)
-        if index is None:
-            index = plan_index[key] = len(plans)
-            plans.append(plan_events(trace, site_idx[lo:hi], choices[lo:hi]))
-            plan_rows.append([])
-        plan_rows[index].append(row)
+    plans, plan_of_row = _distinct_plans(
+        trial_idx, site_idx * CHOICE_STRIDE + choices, occurred.shape[0])
     patterns = batch_plan_probabilities(trace, plans, array_backend=xb)
     # One vectorized row-normalize instead of a per-plan divide: each
     # row's sum is the same contiguous pairwise reduction the per-plan
     # `probs / probs.sum()` performed, so the draws are bit-identical.
     patterns /= patterns.sum(axis=1, keepdims=True)
-    for index, rows in enumerate(plan_rows):
-        drawn = rng.choice(patterns.shape[1], size=len(rows),
-                           p=patterns[index])
-        codes[noisy_rows[np.asarray(rows)]] = drawn
+    codes[noisy_rows] = _draw_outcomes(patterns, plan_of_row, rng)
 
 
-def plan_events(trace: ProgramTrace, sites: np.ndarray,
-                choices: np.ndarray) -> Dict[int, List[DenseEvent]]:
-    """Expand (site, choice) pairs into per-gate Pauli event lists."""
-    by_gate: Dict[int, List[DenseEvent]] = {}
-    for s, c in zip(sites, choices):
-        gate = int(trace.site_gate[s])
-        by_gate.setdefault(gate, []).extend(trace.site_events[s][int(c)])
-    return by_gate
+def _distinct_plans(trial_idx: np.ndarray, events: np.ndarray,
+                    n_rows: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Deduplicate the noisy trials' error plans.
+
+    Args:
+        trial_idx: Sorted trial of each event.
+        events: (site, choice) code of each event, in site order
+            within a trial.
+        n_rows: Noisy trials; each has at least one event.
+
+    Returns:
+        ``(plans, plan_of_row)``: the distinct plans as a -1-padded
+        code matrix in order of first occurrence, and each trial's
+        row in it.
+    """
+    starts = np.searchsorted(trial_idx, np.arange(n_rows))
+    position = np.arange(trial_idx.size) - starts[trial_idx]
+    padded = np.full((n_rows, int(position.max()) + 1), -1, dtype=np.int64)
+    padded[trial_idx, position] = events
+    # Each padded row as one opaque byte key: equal bytes <=> equal
+    # plans, and sorting bytes beats ``np.unique(axis=0)``'s per-field
+    # comparisons several times over.
+    keys = padded.view(np.dtype((np.void, padded.strides[0]))).reshape(-1)
+    _, first, inverse = np.unique(keys, return_index=True,
+                                  return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return padded[first[order]], rank[inverse]
 
 
-def batch_plan_probabilities(trace: ProgramTrace,
-                             plans: List[Dict[int, List[DenseEvent]]],
+def _draw_outcomes(patterns: np.ndarray, plan_of_row: np.ndarray,
+                   rng: np.random.Generator) -> np.ndarray:
+    """One pattern code per noisy trial, from its plan's distribution.
+
+    Consumes the RNG exactly as one ``rng.choice(width, size=n,
+    p=patterns[plan])`` call per plan, in plan order, would: the same
+    uniforms in the same order, counted against the same CDFs
+    (``searchsorted(side="right")`` counts the entries ``<= u``).
+
+    Raises:
+        SimulationError: A row that is not a probability vector — the
+            checks ``rng.choice`` made, so a broken contraction fails
+            loudly instead of drawing garbage.
+    """
+    if not (np.isfinite(patterns).all() and (patterns >= 0.0).all()
+            and (np.abs(patterns.sum(axis=1) - 1.0)
+                 <= _SUM_TOLERANCE).all()):
+        raise SimulationError(
+            "a noisy trajectory's outcome distribution is not a "
+            "probability vector (non-finite, negative, or not summing "
+            "to 1)")
+    cdf = np.cumsum(patterns, axis=1)
+    cdf /= cdf[:, -1:]
+    by_plan = np.argsort(plan_of_row, kind="stable")
+    uniforms = rng.random(by_plan.size)
+    drawn = np.empty(by_plan.size, dtype=np.int64)
+    step = max(1, _DRAW_BUDGET // cdf.shape[1])
+    for lo in range(0, by_plan.size, step):
+        rows = by_plan[lo:lo + step]
+        drawn[rows] = (cdf[plan_of_row[rows]]
+                       <= uniforms[lo:lo + step, np.newaxis]).sum(axis=1)
+    return drawn
+
+
+def batch_plan_probabilities(trace: ProgramTrace, plans: np.ndarray,
                              array_backend: ArrayBackendLike = None,
                              chunk: Optional[int] = None) -> np.ndarray:
     """Measured-pattern distributions of many error plans, batched.
 
     Returns a ``(len(plans), 2**n_measures)`` matrix; row *p* is the
     outcome distribution of the trajectory with error plan ``plans[p]``
-    (identical to :meth:`ProgramTrace.plan_probabilities` on that plan).
+    (what :meth:`ProgramTrace.plan_probabilities` gives for the same
+    events, up to float rounding).
 
     Args:
         trace: The lowered program.
-        plans: Per-plan gate-index -> Pauli-event maps.
+        plans: ``(P, K)`` integer matrix, one error plan per row: the
+            codes ``site * CHOICE_STRIDE + choice`` of its events in
+            site order, padded with -1.
         array_backend: Backend for the contraction (name, instance, or
             ``None`` for the process default).
         chunk: Plans per simulation chunk. Defaults to the backend's
@@ -160,6 +216,7 @@ def batch_plan_probabilities(trace: ProgramTrace,
             suite pins at chunk sizes 1, 3, and default.
     """
     xb = resolve_array_backend(array_backend)
+    plans = np.asarray(plans, dtype=np.int64)
     total = len(plans)
     width = 1 << trace.n_measures
     out = np.empty((total, width), dtype=np.float64)
@@ -173,37 +230,23 @@ def batch_plan_probabilities(trace: ProgramTrace,
     return out
 
 
-def _simulate_plans(trace: ProgramTrace,
-                    plans: List[Dict[int, List[DenseEvent]]],
+def _simulate_plans(trace: ProgramTrace, plans: np.ndarray,
                     xb: ArrayBackend) -> np.ndarray:
     """One batched statevector pass over all *plans* trajectories."""
     batch = len(plans)
     n = trace.n_qubits
     state = xb.zeros((batch,) + (2,) * n)
     state[(slice(None),) + (0,) * n] = 1.0
-    # Invert the plans: gate index -> {event tuple -> plan rows}.
-    per_gate: Dict[int, Dict[Tuple[DenseEvent, ...], List[int]]] = {}
-    for row, plan in enumerate(plans):
-        for gate, events in plan.items():
-            per_gate.setdefault(gate, {}).setdefault(
-                tuple(events), []).append(row)
+    injections = _injection_groups(trace, plans)
+    pending = next(injections, None)
     for i, op in enumerate(trace.ops):
         if op is not None:
             matrix, dense = op
-            if len(dense) == 1:
-                state = _apply_1q(xb, state, xb.stage(matrix), dense[0])
-            else:
-                state = _apply_2q(xb, state, xb.stage(matrix), dense)
-        injections = per_gate.get(i)
-        if injections:
-            for events, rows in injections.items():
-                idx = np.asarray(rows)
-                sub = xb.take_rows(state, idx)
-                for dense_q, pauli in events:
-                    sub = _apply_1q(xb, sub,
-                                    xb.stage(cached_unitary(pauli)),
-                                    dense_q)
-                xb.put_rows(state, idx, sub)
+            state = xb.apply_matrix(state, xb.stage(matrix),
+                                    tuple(q + 1 for q in dense))
+        while pending is not None and pending[0] == i:
+            xb.apply_paulis(state, *pending[1:])
+            pending = next(injections, None)
     # Measured qubits are distinct, so after ordering the basis by
     # pattern code every code owns an equal contiguous block: collapse
     # to pattern distributions with one reshape+sum (the chunk's single
@@ -212,18 +255,45 @@ def _simulate_plans(trace: ProgramTrace,
                              1 << trace.n_measures)
 
 
-def _apply_1q(xb: ArrayBackend, state, matrix, q: int):
-    """Apply a 2x2 unitary to qubit *q* of a batched state tensor."""
-    out = xb.tensordot(matrix, state, axes=([1], [q + 1]))
-    return xb.moveaxis(out, 0, q + 1)
+def _injection_groups(trace: ProgramTrace, plans: np.ndarray
+                      ) -> Iterator[Tuple[int, np.ndarray, np.ndarray,
+                                          np.ndarray, np.ndarray]]:
+    """The Pauli events of *plans*, batched for ``apply_paulis``.
 
+    Yields ``(gate, rows, flips, signs, phases)`` per (gate, position)
+    pair, where an event's position counts the events its plan injects
+    before it after the same gate. Groups come in gate order, then
+    position order, so each plan applies its events in its own order.
+    """
+    plan_row, column = np.nonzero(plans >= 0)  # by plan, then event
+    codes = plans[plan_row, column]
+    sites = codes // CHOICE_STRIDE
+    slots = trace.choice_paulis(codes).reshape(-1)
+    present = slots != 0
+    pauli = slots[present]
+    qubit = trace.site_pair[sites].reshape(-1)[present]
+    row = np.repeat(plan_row, 2)[present]
+    gate = np.repeat(trace.site_gate[sites], 2)[present]
+    if not row.size:
+        return
 
-def _apply_2q(xb: ArrayBackend, state, matrix, qs: Tuple[int, int]):
-    """Apply a 4x4 unitary to qubits *qs* of a batched state tensor."""
-    gate = xb.reshape(matrix, (2, 2, 2, 2))
-    out = xb.tensordot(gate, state,
-                       axes=([2, 3], [qs[0] + 1, qs[1] + 1]))
-    return xb.moveaxis(out, (0, 1), (qs[0] + 1, qs[1] + 1))
+    index = np.arange(row.size)
+    run_start = np.ones(row.size, dtype=bool)
+    run_start[1:] = (row[1:] != row[:-1]) | (gate[1:] != gate[:-1])
+    position = index - np.maximum.accumulate(np.where(run_start, index, 0))
+    order = np.lexsort((position, gate))  # stable: rows stay ascending
+    gate, position, row, qubit, pauli = (
+        a[order] for a in (gate, position, row, qubit, pauli))
+
+    bit = np.left_shift(1, trace.n_qubits - 1 - qubit)
+    flips = np.where(pauli != PAULI_CODES["z"], bit, 0)
+    signs = np.where(pauli != PAULI_CODES["x"], bit, 0)
+    phases = np.where(pauli == PAULI_CODES["y"], -1j, 1.0 + 0j)
+    cuts = (np.flatnonzero((gate[1:] != gate[:-1])
+                           | (position[1:] != position[:-1])) + 1).tolist()
+    for lo, hi in zip([0] + cuts, cuts + [row.size]):
+        yield (int(gate[lo]), row[lo:hi], flips[lo:hi], signs[lo:hi],
+               phases[lo:hi])
 
 
 def render_readout_bits(trace: ProgramTrace, bits: np.ndarray,

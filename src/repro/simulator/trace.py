@@ -44,6 +44,24 @@ _PROB_CUTOFF = 1e-12
 #: One Pauli event: (dense qubit, pauli name).
 DenseEvent = Tuple[int, str]
 
+#: Size of the per-site choice space: the two-qubit channel's 15
+#: non-identity Pauli pairs. An error plan names each event it
+#: injects by the code ``site * CHOICE_STRIDE + choice``.
+CHOICE_STRIDE = len(_PAULIS_2Q)
+
+#: Pauli codes of :meth:`ProgramTrace.choice_paulis`; 0 is no event.
+PAULI_CODES = {"x": 1, "y": 2, "z": 3}
+
+#: Pauli codes of each choice's two event slots (first qubit, second
+#: qubit), for single- and two-qubit channels. Single-qubit rows past
+#: the third are never drawn: their cumulative bounds are padded to 1.
+_SINGLE_CHOICE_PAULIS = np.zeros((CHOICE_STRIDE, 2), dtype=np.int8)
+_SINGLE_CHOICE_PAULIS[:len(_PAULIS_1Q), 0] = [PAULI_CODES[p]
+                                              for p in _PAULIS_1Q]
+_PAIR_CHOICE_PAULIS = np.array(
+    [[PAULI_CODES.get(a, 0), PAULI_CODES.get(b, 0)] for a, b in _PAULIS_2Q],
+    dtype=np.int8)
+
 
 class CompactProgram:
     """Physical program restricted to the hardware qubits it touches."""
@@ -252,16 +270,6 @@ class ProgramTrace:
         gate_qubits = np.full((len(gates), arity), -1, dtype=np.int64)
         for i, g in enumerate(gates):
             gate_qubits[i, :len(g.qubits)] = g.qubits
-        site_pair = np.full((self.n_sites, 2), -1, dtype=np.int64)
-        for s, choices in enumerate(self.site_events):
-            # Single-qubit sites carry 3 one-event choices on one dense
-            # qubit; two-qubit sites the 15 non-identity Pauli pairs,
-            # the last of which is (da, "z"), (db, "z").
-            if len(choices) == len(_PAULIS_1Q):
-                site_pair[s, 0] = choices[0][0][0]
-            else:
-                site_pair[s, 0] = choices[-1][0][0]
-                site_pair[s, 1] = choices[-1][1][0]
         # The physical register size is not retained by CompactProgram
         # (it keeps only used qubits); any size covering the gate
         # indices rebuilds an equivalent compact program.
@@ -284,7 +292,7 @@ class ProgramTrace:
             "site_gate": self.site_gate,
             "site_prob": self.site_prob,
             "site_cum": self.site_cum,
-            "site_pair": site_pair,
+            "site_pair": self.site_pair,
             "readout_p0": self.readout_p0,
             "readout_p1": self.readout_p1,
         }
@@ -403,6 +411,35 @@ class ProgramTrace:
         distributions with one reshape+sum instead of per-row
         bincounts."""
         return np.argsort(self.basis_codes, kind="stable")
+
+    @cached_property
+    def site_pair(self) -> np.ndarray:
+        """``(S, 2)`` dense qubits of each site's channel: ``(q, -1)``
+        for a single-qubit channel, ``(a, b)`` for a two-qubit one."""
+        pairs = np.full((self.n_sites, 2), -1, dtype=np.int64)
+        for s, choices in enumerate(self.site_events):
+            # Single-qubit sites carry 3 one-event choices on one dense
+            # qubit; two-qubit sites the 15 non-identity Pauli pairs,
+            # the last of which is (a, "z"), (b, "z").
+            if len(choices) == len(_PAULIS_1Q):
+                pairs[s, 0] = choices[0][0][0]
+            else:
+                pairs[s] = choices[-1][0][0], choices[-1][1][0]
+        return pairs
+
+    def choice_paulis(self, codes: np.ndarray) -> np.ndarray:
+        """``site_events`` in array form, for (site, choice) *codes*.
+
+        Returns a ``(len(codes), 2)`` matrix of :data:`PAULI_CODES`
+        values (0 for none): code ``s * CHOICE_STRIDE + c`` injects
+        column 0 on qubit ``site_pair[s, 0]``, then column 1 on
+        ``site_pair[s, 1]`` — the events of ``site_events[s][c]``, in
+        order.
+        """
+        site, choice = np.divmod(codes, CHOICE_STRIDE)
+        return np.where(self.site_pair[site, 1:] >= 0,
+                        _PAIR_CHOICE_PAULIS[choice],
+                        _SINGLE_CHOICE_PAULIS[choice])
 
     @cached_property
     def _ideal(self) -> Tuple[np.ndarray, np.ndarray, Dict[str, float]]:

@@ -6,9 +6,10 @@ This module turns "which array library runs the contraction" into a
 registry value, mirroring the engine/backend registries:
 
 * :class:`ArrayBackend` exposes exactly the small op surface the
-  batched pass uses — ``zeros``, ``tensordot``, ``reshape``/
-  ``moveaxis``, row/column gather-scatter, the |amplitude|^2 reduce,
-  and host transfer (``asarray``/``to_numpy``) — plus a
+  batched pass uses — ``zeros``, the gate contraction
+  ``apply_matrix``, the batched Pauli injection ``apply_paulis``, the
+  |amplitude|^2 reduce, and host transfer (``asarray``/``to_numpy``)
+  — plus a
   *device-memory-aware* :meth:`~ArrayBackend.amplitude_budget` that
   replaces the fixed chunk constant (64 MiB of complex128 on host
   backends, a fraction of free device memory on CUDA ones, with a
@@ -140,21 +141,30 @@ class ArrayBackend:
         on host backends)."""
         raise NotImplementedError
 
-    def tensordot(self, a, b, axes):
+    def apply_matrix(self, state, matrix, axes: Tuple[int, ...]):
+        """*state* with the ``2**k x 2**k`` *matrix* applied to its
+        *axes* (k of them, most significant first).
+
+        Computed the way ``np.tensordot`` computes the same
+        contraction — *axes* moved to the front, flattened to
+        ``2**k`` rows, one matrix product, axes moved back — so the
+        numpy backend's amplitudes are bit-identical to it. May
+        return a view.
+        """
         raise NotImplementedError
 
-    def moveaxis(self, a, source, destination):
-        raise NotImplementedError
+    def apply_paulis(self, state, rows: np.ndarray, flips: np.ndarray,
+                     signs: np.ndarray, phases: np.ndarray) -> None:
+        """Apply one single-qubit Pauli to each of *rows*, in place.
 
-    def reshape(self, a, shape):
-        raise NotImplementedError
-
-    def take_rows(self, a, rows: np.ndarray):
-        """Gather ``a[rows]`` (rows is a host int64 index array)."""
-        raise NotImplementedError
-
-    def put_rows(self, a, rows: np.ndarray, values) -> None:
-        """Scatter ``a[rows] = values``."""
+        Indexing a row's basis states as the flattened ``(2, ..., 2)``
+        tensor does, row ``rows[k]`` maps amplitude *j* to
+        ``phases[k] * (-1 if j & signs[k] else 1) * amp[j ^ flips[k]]``
+        — X flips the qubit's bit, Z signs it, Y does both under a
+        ``-1j`` phase. The products are with 0, ±1 and ±i, so they are
+        exact. *rows* are distinct; every argument is a host array
+        (int64 masks, complex128 phases).
+        """
         raise NotImplementedError
 
     def pattern_reduce(self, state, order: np.ndarray,
@@ -393,20 +403,24 @@ class NumpyBackend(ArrayBackend):
     def to_numpy(self, array):
         return array
 
-    def tensordot(self, a, b, axes):
-        return np.tensordot(a, b, axes=axes)
+    def apply_matrix(self, state, matrix, axes):
+        # np.tensordot's transpose, reshape and dot on the same
+        # operands, without its argument handling: the same BLAS call.
+        order = list(axes) + [a for a in range(state.ndim) if a not in axes]
+        moved = state.transpose(order)
+        out = np.dot(matrix, moved.reshape(matrix.shape[1], -1))
+        return out.reshape(moved.shape).transpose(np.argsort(order))
 
-    def moveaxis(self, a, source, destination):
-        return np.moveaxis(a, source, destination)
-
-    def reshape(self, a, shape):
-        return a.reshape(shape)
-
-    def take_rows(self, a, rows):
-        return a[rows]
-
-    def put_rows(self, a, rows, values):
-        a[rows] = values
+    def apply_paulis(self, state, rows, flips, signs, phases):
+        count = rows.size
+        sub = state[rows].reshape(count, -1)
+        basis = np.arange(sub.shape[1])
+        moved = sub[np.arange(count)[:, np.newaxis],
+                    basis ^ flips[:, np.newaxis]]
+        moved *= phases[:, np.newaxis]
+        np.negative(moved, out=moved,
+                    where=(basis & signs[:, np.newaxis]) != 0)
+        state[rows] = moved.reshape((count,) + state.shape[1:])
 
     def pattern_reduce(self, state, order, n_patterns):
         probs = np.abs(state.reshape(state.shape[0], -1)) ** 2
@@ -459,20 +473,26 @@ class TorchBackend(ArrayBackend):
     def to_numpy(self, array):
         return array.cpu().numpy()
 
-    def tensordot(self, a, b, axes):
-        return self._torch.tensordot(a, b, dims=axes)
+    def apply_matrix(self, state, matrix, axes):
+        order = list(axes) + [a for a in range(state.dim()) if a not in axes]
+        moved = state.permute(order)
+        out = self._torch.matmul(matrix,
+                                 moved.reshape(matrix.shape[1], -1))
+        return out.reshape(moved.shape).permute(
+            np.argsort(order).tolist())
 
-    def moveaxis(self, a, source, destination):
-        return self._torch.movedim(a, source, destination)
-
-    def reshape(self, a, shape):
-        return a.reshape(shape)
-
-    def take_rows(self, a, rows):
-        return a[self._torch.from_numpy(rows).to(self._device)]
-
-    def put_rows(self, a, rows, values):
-        a[self._torch.from_numpy(rows).to(self._device)] = values
+    def apply_paulis(self, state, rows, flips, signs, phases):
+        torch, device = self._torch, self._device
+        rows_t = torch.from_numpy(rows).to(device)
+        flips_t, signs_t, phases_t = (
+            torch.from_numpy(a).to(device)[:, None]
+            for a in (flips, signs, phases))
+        count = rows.size
+        sub = state[rows_t].reshape(count, -1)
+        basis = torch.arange(sub.shape[1], device=device)
+        moved = torch.gather(sub, 1, basis ^ flips_t)
+        moved *= torch.where((basis & signs_t) != 0, -phases_t, phases_t)
+        state[rows_t] = moved.reshape((count,) + tuple(state.shape[1:]))
 
     def pattern_reduce(self, state, order, n_patterns):
         probs = self._torch.abs(state.reshape(state.shape[0], -1)) ** 2
@@ -514,20 +534,25 @@ class CupyBackend(ArrayBackend):
     def to_numpy(self, array):
         return self._cp.asnumpy(array)
 
-    def tensordot(self, a, b, axes):
-        return self._cp.tensordot(a, b, axes=axes)
+    def apply_matrix(self, state, matrix, axes):
+        order = list(axes) + [a for a in range(state.ndim) if a not in axes]
+        moved = state.transpose(order)
+        out = self._cp.dot(matrix, moved.reshape(matrix.shape[1], -1))
+        return out.reshape(moved.shape).transpose(
+            np.argsort(order).tolist())
 
-    def moveaxis(self, a, source, destination):
-        return self._cp.moveaxis(a, source, destination)
-
-    def reshape(self, a, shape):
-        return a.reshape(shape)
-
-    def take_rows(self, a, rows):
-        return a[self._cp.asarray(rows)]
-
-    def put_rows(self, a, rows, values):
-        a[self._cp.asarray(rows)] = values
+    def apply_paulis(self, state, rows, flips, signs, phases):
+        cp = self._cp
+        rows_d = cp.asarray(rows)
+        count = rows.size
+        sub = state[rows_d].reshape(count, -1)
+        basis = cp.arange(sub.shape[1])
+        moved = cp.take_along_axis(sub, basis ^ cp.asarray(flips)[:, None],
+                                   axis=1)
+        phases_d = cp.asarray(phases)[:, None]
+        moved *= cp.where((basis & cp.asarray(signs)[:, None]) != 0,
+                          -phases_d, phases_d)
+        state[rows_d] = moved.reshape((count,) + state.shape[1:])
 
     def pattern_reduce(self, state, order, n_patterns):
         probs = self._cp.abs(state.reshape(state.shape[0], -1)) ** 2

@@ -24,11 +24,7 @@ from repro.simulator import (
     ProgramTrace,
     execute,
 )
-from repro.simulator.batch import (
-    batch_plan_probabilities,
-    plan_events,
-    run_batched,
-)
+from repro.simulator.batch import batch_plan_probabilities, run_batched
 from repro.simulator import xp
 from repro.simulator.xp import (
     ArrayBackend,
@@ -43,6 +39,8 @@ from repro.simulator.xp import (
     resolve_array_backend,
     set_default_array_backend,
 )
+
+from batch_reference import plan_matrix
 
 TRIALS = 2048
 BENCHMARKS = ["BV4", "Toffoli", "HS2"]
@@ -77,11 +75,11 @@ def sample_plans(trace, n_plans=10, seed=9):
     for row in np.nonzero(occurred.any(axis=1))[0]:
         sites = np.nonzero(occurred[row])[0]
         choices = np.zeros(sites.size, dtype=np.int64)
-        plans.append(plan_events(trace, sites, choices))
+        plans.append((sites, choices))
         if len(plans) == n_plans:
             break
     assert len(plans) == n_plans
-    return plans
+    return plan_matrix(plans)
 
 
 class TestRegistry:

@@ -1,6 +1,7 @@
 """Tests for OpenQASM and ScaffIR emit/parse round-trips."""
 
 import math
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -52,9 +53,14 @@ class TestQasmParsing:
         text = "qreg q[1];\nh q[0]; // comment\n"
         assert len(qasm_to_circuit(text)) == 1
 
-    def test_pi_expression_parsed(self):
-        c = qasm_to_circuit("qreg q[1]; rz(pi/2) q[0];")
-        assert c[0].param == pytest.approx(math.pi / 2)
+    @pytest.mark.parametrize("expr,value", [
+        ("pi/2", math.pi / 2), ("pi/4", math.pi / 4),
+        ("-0.5*pi", -0.5 * math.pi), ("(pi)/2", math.pi / 2),
+        ("2*(e - 1) + .5", 2 * (math.e - 1) + 0.5), ("1e-05", 1e-05),
+        ("-(-3)/4", 0.75), ("1.5E+2", 150.0)])
+    def test_pi_expression_parsed(self, expr, value):
+        c = qasm_to_circuit(f"qreg q[1]; rz({expr}) q[0];")
+        assert c[0].param == pytest.approx(value)
 
     def test_missing_qreg_rejected(self):
         with pytest.raises(QasmError):
@@ -68,9 +74,20 @@ class TestQasmParsing:
         with pytest.raises(QasmError):
             qasm_to_circuit('OPENQASM 2.0; h q[0]; qreg q[1];')
 
-    def test_evil_parameter_rejected(self):
+    @pytest.mark.parametrize("expr", [
+        '__import__("os"', "9**9**9", "pi//2", "(pi", "pi)", "",
+        "2pi", "1/0", "1e308*10", "x", "pi e", "-" * 300 + "1"])
+    def test_evil_parameter_rejected(self, expr):
         with pytest.raises(QasmError):
-            qasm_to_circuit('qreg q[1]; rz(__import__("os")) q[0];')
+            qasm_to_circuit(f"qreg q[1]; rz({expr}) q[0];")
+
+    def test_power_tower_rejected_quickly(self):
+        text = ('OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\n'
+                'rz(9**9**9) q[0];\n')
+        start = time.perf_counter()
+        with pytest.raises(QasmError):
+            qasm_to_circuit(text)
+        assert time.perf_counter() - start < 1.0
 
     def test_multiple_qregs_rejected(self):
         with pytest.raises(QasmError):
