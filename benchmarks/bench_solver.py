@@ -1,15 +1,13 @@
-"""Bench: the noise-adaptive mapping solver fast path on the fig11 ladder.
+"""Bench: the noise-adaptive mapping solvers on the fig11 ladder and Table 2.
 
-Compares three solver configurations on the Figure-11 random-program
-ladder (the paper's compile-time scalability sweep):
+Compares three R-SMT* solver configurations on the Figure-11
+random-program ladder (the paper's compile-time scalability sweep):
 
 * **seed** — the pre-fast-path configuration: the generic per-value
-  probing engine with an identity warm start (no symmetry breaking, no
-  dominance, no greedy warm start);
-* **cold** — the vectorized engine with topology-automorphism symmetry
-  breaking and dominance pruning, started cold;
-* **warm** — the compile fast path: vectorized engine + symmetries +
-  dominance + greedy warm start (what ``ReliabilitySmtMapper`` runs).
+  probing engine with an identity warm start;
+* **cold** — the vectorized engine, started cold;
+* **warm** — the compile fast path: vectorized engine + greedy warm
+  start (what ``ReliabilitySmtMapper`` runs).
 
 Node counts are bit-deterministic and pinned exactly against
 ``solver_baseline.json``; wall clock is machine-dependent and asserted
@@ -20,6 +18,12 @@ per node in the scaling regime. Optimality is asserted unchanged on
 every uncapped point, and the 2-worker portfolio is asserted
 bit-identical to the serial proof (its merge rule reconstructs the
 serial answer regardless of worker count or core count).
+
+The T-SMT* rung solves each Table-2 program on the default IBMQ16
+snapshot exactly as ``TimeSmtMapper`` does in a compile (generic
+engine, critical-path bound compiled against the snapshot's Delta
+table, greedy warm start), pins every node count and objective
+exactly, and prints the cost per node.
 """
 
 import json
@@ -28,7 +32,9 @@ import time
 
 from conftest import SMOKE, record
 
+from repro.compiler import CompilerOptions
 from repro.compiler.mapping.smt import (
+    TimeSmtMapper,
     _greedy_warm_start,
     _identity_warm_start,
     reliability_model,
@@ -36,9 +42,10 @@ from repro.compiler.mapping.smt import (
 from repro.hardware import (
     CalibrationGenerator,
     ReliabilityTables,
+    default_ibmq16_calibration,
     square_topology,
 )
-from repro.programs import random_circuit
+from repro.programs import benchmark_names, get_benchmark, random_circuit
 from repro.solver import BranchAndBoundSolver
 from repro.solver.portfolio import PortfolioSolver
 
@@ -53,10 +60,9 @@ def _instance(n_qubits: int, n_gates: int):
     tables = ReliabilityTables(calibration)
     model, search_qubits = reliability_model(circuit, calibration,
                                              tables, 0.5)
-    symmetries = calibration.topology.automorphisms()
     warm = _greedy_warm_start(circuit, calibration, tables, search_qubits)
     identity = _identity_warm_start(search_qubits)
-    return model, symmetries, warm, identity
+    return model, warm, identity
 
 
 def _timed(solver, model, **kwargs):
@@ -69,17 +75,15 @@ def _run_ladder(points):
     rows = []
     for spec in points:
         cap = spec["node_cap"]
-        model, syms, warm, identity = _instance(spec["qubits"],
-                                                spec["gates"])
+        model, warm, identity = _instance(spec["qubits"], spec["gates"])
         seed, t_seed = _timed(
             BranchAndBoundSolver(engine="generic", node_limit=cap),
             model, initial=identity)
         cold, t_cold = _timed(
-            BranchAndBoundSolver(engine="vector", node_limit=cap),
-            model, symmetries=syms)
+            BranchAndBoundSolver(engine="vector", node_limit=cap), model)
         fast, t_warm = _timed(
             BranchAndBoundSolver(engine="vector", node_limit=cap),
-            model, initial=warm, symmetries=syms)
+            model, initial=warm)
         rows.append({"spec": spec, "seed": seed, "cold": cold,
                      "warm": fast, "t_seed": t_seed, "t_cold": t_cold,
                      "t_warm": t_warm})
@@ -144,14 +148,12 @@ def test_portfolio_bit_identity(benchmark):
         baseline = json.load(fh)
     tier = "smoke" if SMOKE else "full"
     spec = baseline[tier][1]  # first non-trivial point of the ladder
-    model, syms, warm, _ = _instance(spec["qubits"], spec["gates"])
+    model, warm, _ = _instance(spec["qubits"], spec["gates"])
 
-    serial = BranchAndBoundSolver(engine="vector").solve(
-        model, initial=warm, symmetries=syms)
+    serial = BranchAndBoundSolver(engine="vector").solve(model, initial=warm)
 
     def solve_portfolio():
-        return PortfolioSolver(workers=2).solve(
-            model, initial=warm, symmetries=syms)
+        return PortfolioSolver(workers=2).solve(model, initial=warm)
 
     portfolio = benchmark.pedantic(solve_portfolio, rounds=1,
                                    iterations=1)
@@ -165,3 +167,40 @@ def test_portfolio_bit_identity(benchmark):
            f"{portfolio.stats.subtrees} subtrees) == serial: "
            f"objective {serial.objective:.6f}, "
            f"{portfolio.nodes} vs {serial.nodes} nodes")
+
+
+def _run_tsmt_rung():
+    calibration = default_ibmq16_calibration()
+    tables = ReliabilityTables(calibration)
+    mapper = TimeSmtMapper(CompilerOptions.t_smt_star(routing="1bp"))
+    return [(name, mapper.run(get_benchmark(name).build(), calibration,
+                              tables))
+            for name in benchmark_names()]
+
+
+def test_tsmt_star_rung(benchmark):
+    """T-SMT* on Table 2: node counts and objectives pinned exactly."""
+    with open(_BASELINE) as fh:
+        pins = json.load(fh)["tsmt_star"]
+    rows = benchmark.pedantic(_run_tsmt_rung, rounds=1, iterations=1)
+    assert [name for name, _ in rows] == list(pins)
+
+    lines = ["T-SMT* on Table 2 (default IBMQ16 snapshot, generic engine)",
+             f"{'program':>10} {'nodes':>6} {'objective':>12} "
+             f"{'solve':>10} {'us/node':>8}"]
+    total_s = total_nodes = 0
+    for name, result in rows:
+        pin = pins[name]
+        assert result.optimal, name
+        assert result.nodes == pin["nodes"], name
+        assert result.objective == pin["objective"], name
+        total_s += result.solve_time
+        total_nodes += result.nodes
+        lines.append(f"{name:>10} {result.nodes:>6} "
+                     f"{result.objective:>12.4f} "
+                     f"{result.solve_time * 1e3:>8.1f}ms "
+                     f"{result.solve_time * 1e6 / result.nodes:>8.1f}")
+    lines.append(f"{'total':>10} {total_nodes:>6} {'':>12} "
+                 f"{total_s * 1e3:>8.1f}ms "
+                 f"{total_s * 1e6 / total_nodes:>8.1f}")
+    record(benchmark, "\n".join(lines))

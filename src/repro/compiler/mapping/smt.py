@@ -19,7 +19,7 @@ import dataclasses
 import math
 import time
 from collections import Counter
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -156,20 +156,14 @@ def reliability_model(circuit: Circuit, calibration: Calibration,
     # Dense score tables, computed once per run and shared by every
     # term: the vector engine compiles them straight into its cost
     # matrices instead of probing Python closures H^2 times per pair.
-    hw = list(calibration.topology.iter_qubits())
-    hw_set = set(hw)
-    n_hw = max(hw) + 1
+    # The CNOT table reads the snapshot's shared reliability table (its
+    # zero diagonal lands on the log floor).
     readout_logrel = np.array(
         [math.log(max(calibration.readout_reliability(h), _LOG_FLOOR))
-         if h in hw_set else math.log(_LOG_FLOOR)
-         for h in range(n_hw)])
-    cnot_logrel = np.full((n_hw, n_hw), math.log(_LOG_FLOOR))
-    for hc in hw:
-        for ht in hw:
-            if hc != ht:
-                cnot_logrel[hc, ht] = math.log(
-                    max(tables.best_one_bend(hc, ht).reliability,
-                        _LOG_FLOOR))
+         for h in calibration.topology.iter_qubits()])
+    cnot_rows = [[math.log(max(rel, _LOG_FLOOR)) for rel in row]
+                 for row in tables.reliability_table().tolist()]
+    cnot_logrel = np.array(cnot_rows)
 
     terms: List = []
     # Readout terms: one per measurement (Constraint 10). Readouts on
@@ -191,9 +185,7 @@ def reliability_model(circuit: Circuit, calibration: Calibration,
         def score(hc: int, ht: int, _count: int = count) -> float:
             if hc == ht:
                 return _count * math.log(_LOG_FLOOR)
-            rel = max(tables.best_one_bend(hc, ht).reliability,
-                      _LOG_FLOOR)
-            return (1.0 - omega) * _count * math.log(rel)
+            return (1.0 - omega) * _count * cnot_rows[hc][ht]
         matrix = (1.0 - omega) * count * cnot_logrel
         np.fill_diagonal(matrix, count * math.log(_LOG_FLOOR))
         terms.append(PairTerm(_var(qc), _var(qt), score, matrix=matrix))
@@ -228,8 +220,7 @@ class ReliabilitySmtMapper(Mapper):
         result = solver.solve(
             model,
             initial=_greedy_warm_start(circuit, calibration, tables,
-                                       search_qubits),
-            symmetries=calibration.topology.automorphisms())
+                                       search_qubits))
         elapsed = time.perf_counter() - start
         if result.assignment is None:
             raise MappingError("R-SMT* found no feasible placement")
@@ -266,24 +257,8 @@ class TimeSmtMapper(Mapper):
         model = _base_model(search_qubits, calibration)
         dag = DependencyDAG.from_circuit(circuit)
         uniform = self.options.variant == "t-smt"
-        min_cnot_slots = (self.options.uniform_cnot_slots if uniform
-                          else min(e.cnot_duration_slots
-                                   for e in calibration.edges.values()))
         if uniform:
             self._break_symmetry(model, search_qubits, calibration)
-
-        # Per-location best-case routed-CNOT duration: tightens the
-        # critical-path bound for CNOTs with one placed endpoint.
-        if uniform:
-            min_from = {h: self.options.uniform_cnot_slots
-                        for h in calibration.topology.iter_qubits()}
-        else:
-            min_from = {
-                h: min(tables.delta(h, h2)
-                       for h2 in calibration.topology.iter_qubits()
-                       if h2 != h)
-                for h in calibration.topology.iter_qubits()
-            }
 
         all_hw = list(calibration.topology.iter_qubits())
         rest_qubits = [q for q in range(circuit.n_qubits)
@@ -300,11 +275,10 @@ class TimeSmtMapper(Mapper):
             return -makespan_of(circuit, placement, calibration, tables,
                                 self.options, dag=dag)
 
+        durations = self._optimistic_durations(circuit, calibration, tables)
+
         def bound_fn(assignment: Dict[str, int], domains) -> float:
-            weights = self._optimistic_durations(
-                circuit, assignment, calibration, tables, min_cnot_slots,
-                min_from)
-            return -dag.longest_path_length(weights)
+            return -dag.longest_path_length(durations(assignment))
 
         model.objective = CallableObjective(value_fn, bound_fn)
         solver = BranchAndBoundSolver(
@@ -378,38 +352,64 @@ class TimeSmtMapper(Mapper):
                 return mapped
         return initial
 
-    def _optimistic_durations(self, circuit: Circuit,
-                              assignment: Dict[str, int],
-                              calibration: Calibration,
-                              tables: ReliabilityTables,
-                              min_cnot_slots: float,
-                              min_from: Dict[int, float]) -> List[float]:
-        """Admissible per-gate durations for the critical-path bound.
+    def _optimistic_durations(
+            self, circuit: Circuit, calibration: Calibration,
+            tables: ReliabilityTables
+    ) -> Callable[[Dict[str, int]], List[float]]:
+        """Compile the admissible per-gate durations of the bound.
 
         CNOTs with both endpoints placed get their true routed duration;
         one placed endpoint gets that location's best-case routed time;
         none gets the global best-case adjacent-CNOT time.
+
+        Everything the assignment cannot change is computed here, once
+        per solve: the static weights of every other gate, one
+        ``(gate, control var, target var)`` slot per CNOT, the duration
+        table the slots read (the snapshot's Delta table, or the
+        uniform-duration table for ``t-smt``) and its row minima. The
+        returned function then only fills the CNOT slots of a copy of
+        the static weights, so each value probe costs one dict lookup
+        per CNOT endpoint.
         """
-        uniform = self.options.variant == "t-smt"
-        weights: List[float] = []
-        for gate in circuit.gates:
+        n_hw = calibration.topology.n_qubits
+        if self.options.variant == "t-smt":
+            tau = self.options.uniform_cnot_slots
+            duration = [[tables.uniform_duration(hc, ht, tau_cnot=tau)
+                         if hc != ht else math.inf for ht in range(n_hw)]
+                        for hc in range(n_hw)]
+            min_cnot = tau
+            min_from = [tau] * n_hw
+        else:
+            duration = tables.delta_table().tolist()
+            min_cnot = min(e.cnot_duration_slots
+                           for e in calibration.edges.values())
+            min_from = [min(row) for row in duration]
+
+        static: List[float] = []
+        slots: List[Tuple[int, str, str]] = []
+        for i, gate in enumerate(circuit.gates):
             if gate.name == "barrier":
-                weights.append(0.0)
+                static.append(0.0)
             elif gate.is_measure:
-                weights.append(float(READOUT_SLOTS))
+                static.append(float(READOUT_SLOTS))
             elif gate.is_two_qubit:
-                hc = assignment.get(_var(gate.qubits[0]))
-                ht = assignment.get(_var(gate.qubits[1]))
-                if hc is None and ht is None:
-                    weights.append(min_cnot_slots)
-                elif hc is None or ht is None or hc == ht:
-                    placed = ht if hc is None else hc
-                    weights.append(min_from[placed])
-                elif uniform:
-                    weights.append(tables.uniform_duration(
-                        hc, ht, tau_cnot=self.options.uniform_cnot_slots))
-                else:
-                    weights.append(tables.delta(hc, ht))
+                static.append(min_cnot)
+                slots.append((i, _var(gate.qubits[0]), _var(gate.qubits[1])))
             else:
-                weights.append(float(SINGLE_QUBIT_SLOTS))
+                static.append(float(SINGLE_QUBIT_SLOTS))
+
+        def weights(assignment: Dict[str, int]) -> List[float]:
+            out = static[:]
+            get = assignment.get
+            for i, control, target in slots:
+                hc = get(control)
+                ht = get(target)
+                if hc is None:
+                    if ht is not None:
+                        out[i] = min_from[ht]
+                elif ht is None or hc == ht:
+                    out[i] = min_from[hc]
+                else:
+                    out[i] = duration[hc][ht]
+            return out
         return weights

@@ -8,6 +8,11 @@ Implements the precomputations of §4.4 and §5 of the paper:
 * most-reliable paths between all pairs via Dijkstra with edge weights
   ``-log(swap reliability)`` — the "Best Path" policy of the heuristics.
 
+The optimal mappers read ``Delta`` and the best one-bend reliabilities
+as dense ``H x H`` arrays (:meth:`ReliabilityTables.delta_table`,
+:meth:`ReliabilityTables.reliability_table`), built on first use and
+shared by every compile of the snapshot.
+
 Routing model (paper §2, §4.2): a CNOT between qubits at grid distance d
 needs d-1 SWAPs to bring the states adjacent, each SWAP being 3 CNOTs;
 the state is swapped back afterwards, so the *duration* counts
@@ -22,6 +27,8 @@ import heapq
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
+
+import numpy as np
 
 from repro.exceptions import TopologyError
 from repro.hardware.calibration import Calibration
@@ -96,6 +103,10 @@ class ReliabilityTables:
         self._one_bend: Dict[Tuple[int, int, int], RoutedCnot] = {}
         self._best_paths: Dict[int, Dict[int, RoutedCnot]] = {}
         self._swap_weights: Optional[Dict[Edge, float]] = None
+        # Dense (delta, reliability) tables; filled on first use only,
+        # since most snapshots (e.g. large grids compiled greedily)
+        # never need all H^2 routes.
+        self._dense: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     # ------------------------------------------------------------------
     # One-bend (1BP) tables: the EC and Delta matrices of §4.4
@@ -109,25 +120,50 @@ class ReliabilityTables:
             self._one_bend[key] = route_cost(self.calibration, path)
         return self._one_bend[key]
 
-    def best_one_bend(self, control: int, target: int) -> RoutedCnot:
-        """Most reliable of the (at most) two one-bend routes."""
+    def _one_bend_options(self, control: int,
+                          target: int) -> List[RoutedCnot]:
+        """The (at most) two one-bend routes of a pair."""
         if control == target:
             raise TopologyError("control and target coincide")
         options = [self.one_bend(control, target, 0)]
         j0, j1 = self.topology.one_bend_junctions(control, target)
         if j0 != j1:
             options.append(self.one_bend(control, target, 1))
-        return max(options, key=lambda r: r.reliability)
+        return options
+
+    def best_one_bend(self, control: int, target: int) -> RoutedCnot:
+        """Most reliable of the (at most) two one-bend routes."""
+        return max(self._one_bend_options(control, target),
+                   key=lambda r: r.reliability)
 
     def delta(self, control: int, target: int) -> float:
         """Delta matrix entry: minimum routed-CNOT duration (1BP)."""
-        if control == target:
-            raise TopologyError("control and target coincide")
-        options = [self.one_bend(control, target, 0)]
-        j0, j1 = self.topology.one_bend_junctions(control, target)
-        if j0 != j1:
-            options.append(self.one_bend(control, target, 1))
-        return min(r.duration for r in options)
+        return min(r.duration
+                   for r in self._one_bend_options(control, target))
+
+    def delta_table(self) -> np.ndarray:
+        """Dense Delta matrix: ``[c, t]`` equals :meth:`delta`, and the
+        diagonal is ``inf`` (so row minima range over real partners)."""
+        return self._dense_tables()[0]
+
+    def reliability_table(self) -> np.ndarray:
+        """Dense best-1BP reliabilities: ``[c, t]`` equals
+        ``best_one_bend(c, t).reliability``, and the diagonal is 0."""
+        return self._dense_tables()[1]
+
+    def _dense_tables(self) -> Tuple[np.ndarray, np.ndarray]:
+        if self._dense is None:
+            n = self.topology.n_qubits
+            delta = np.full((n, n), math.inf)
+            reliability = np.zeros((n, n))
+            for c in range(n):
+                for t in range(n):
+                    if c != t:
+                        delta[c, t] = self.delta(c, t)
+                        reliability[c, t] = self.best_one_bend(
+                            c, t).reliability
+            self._dense = (delta, reliability)
+        return self._dense
 
     def log_reliability(self, control: int, target: int) -> float:
         """log of the best 1BP reliability — an objective term of Eq. 12."""

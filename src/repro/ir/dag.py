@@ -8,6 +8,7 @@ gate on that qubit. This module materializes that relation.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Set, Tuple
 
@@ -70,8 +71,16 @@ class DependencyDAG:
         return all(pos[p] < pos[i]
                    for i, ps in enumerate(self.preds) for p in ps)
 
+    @functools.cached_property
+    def _pred_tuples(self) -> List[Tuple[int, ...]]:
+        return [tuple(sorted(ps)) for ps in self.preds]
+
     def longest_path_length(self, weights: Sequence[float]) -> float:
         """Weighted critical-path length through the DAG.
+
+        The T-SMT bound calls this once per value probe, so the walk
+        reads cached predecessor tuples and special-cases the one- and
+        two-predecessor gates that make up nearly every circuit.
 
         Args:
             weights: Per-gate duration (same indexing as the circuit).
@@ -80,12 +89,23 @@ class DependencyDAG:
             The maximum, over all dependency chains, of the sum of
             weights — a lower bound on any legal schedule's makespan.
         """
-        if len(weights) != len(self.preds):
+        preds = self._pred_tuples
+        if len(weights) != len(preds):
             raise CircuitError("weights length must equal gate count")
-        finish = [0.0] * len(self.preds)
-        for i in range(len(self.preds)):
-            start = max((finish[p] for p in self.preds[i]), default=0.0)
-            finish[i] = start + weights[i]
+        finish: List[float] = []
+        append = finish.append
+        for ps, w in zip(preds, weights):
+            k = len(ps)
+            if k == 1:
+                append(finish[ps[0]] + w)
+            elif k == 2:
+                a = finish[ps[0]]
+                b = finish[ps[1]]
+                append((a if a >= b else b) + w)
+            elif k:
+                append(max([finish[p] for p in ps]) + w)
+            else:
+                append(0.0 + w)
         return max(finish, default=0.0)
 
     def dependency_pairs(self) -> List[Tuple[int, int]]:

@@ -3,19 +3,32 @@
 The compiler's final deliverable, as in the paper, is OpenQASM 2.0 text
 targeting the IBM machines. Only the subset the IR can represent is
 supported (one quantum and one classical register, the IR gate set).
+
+Parsing is an input boundary: every malformed, oversized or
+out-of-range program raises :class:`~repro.exceptions.QasmError`, and
+no register may exceed :data:`MAX_REGISTER_SIZE` nor a program
+:data:`MAX_STATEMENTS` statements. The ScaffIR parser shares both caps.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from typing import List, Optional
+from typing import List, Optional, Type
 
-from repro.exceptions import QasmError
+from repro.exceptions import CircuitError, QasmError, ReproError
 from repro.ir.circuit import Circuit
 from repro.ir.gates import PARAMETRIC_GATES, Gate
 
 _HEADER = 'OPENQASM 2.0;\ninclude "qelib1.inc";'
+
+#: Largest register size either parser accepts: the paper's NISQ
+#: ceiling of 1,000 qubits, above every in-tree device (the largest,
+#: ``grid144``, has 144 qubits). Register indices are bounded by it too.
+MAX_REGISTER_SIZE = 1000
+#: Most statements (QASM) or non-empty lines (ScaffIR) a program may
+#: hold, so parsing time and memory stay bounded.
+MAX_STATEMENTS = 100_000
 
 _QREG_RE = re.compile(r"^qreg\s+(\w+)\s*\[\s*(\d+)\s*\]$")
 _CREG_RE = re.compile(r"^creg\s+(\w+)\s*\[\s*(\d+)\s*\]$")
@@ -56,9 +69,12 @@ def qasm_to_circuit(text: str, name: str = "qasm") -> Circuit:
     """Parse an OpenQASM 2.0 program (supported subset) into a circuit.
 
     Raises:
-        QasmError: On malformed input or unsupported constructs.
+        QasmError: On malformed input, unsupported constructs, indices
+            outside their register, or input over the size caps.
     """
     statements = _split_statements(text)
+    if len(statements) > MAX_STATEMENTS:
+        raise QasmError(f"more than {MAX_STATEMENTS} statements")
     n_qubits: Optional[int] = None
     n_cbits = 0
     qreg_name = creg_name = None
@@ -71,13 +87,15 @@ def qasm_to_circuit(text: str, name: str = "qasm") -> Circuit:
         if m:
             if qreg_name is not None:
                 raise QasmError("multiple quantum registers not supported")
-            qreg_name, n_qubits = m.group(1), int(m.group(2))
+            qreg_name = m.group(1)
+            n_qubits = _register_int(m.group(2), "qreg size", QasmError)
             continue
         m = _CREG_RE.match(stmt)
         if m:
             if creg_name is not None:
                 raise QasmError("multiple classical registers not supported")
-            creg_name, n_cbits = m.group(1), int(m.group(2))
+            creg_name = m.group(1)
+            n_cbits = _register_int(m.group(2), "creg size", QasmError)
             continue
         if n_qubits is None:
             raise QasmError(f"gate before qreg declaration: {stmt!r}")
@@ -91,9 +109,34 @@ def qasm_to_circuit(text: str, name: str = "qasm") -> Circuit:
 
     if n_qubits is None:
         raise QasmError("no qreg declaration found")
-    circuit = Circuit(n_qubits, n_cbits, name=name)
-    for gate in gates:
-        circuit.append(gate)
+    return _build_circuit(n_qubits, n_cbits, gates, name, QasmError)
+
+
+def _register_int(digits: str, what: str,
+                  error: Type[ReproError]) -> int:
+    """A register size or index, at most :data:`MAX_REGISTER_SIZE`.
+
+    Long digit strings are rejected before ``int`` sees them, so no
+    input reaches Python's integer-string conversion limit.
+    """
+    limit = MAX_REGISTER_SIZE
+    if len(digits) > len(str(limit)) or int(digits) > limit:
+        shown = digits if len(digits) <= 12 else digits[:12] + "..."
+        raise error(f"{what} {shown} exceeds the register limit {limit}")
+    return int(digits)
+
+
+def _build_circuit(n_qubits: int, n_cbits: Optional[int],
+                   gates: List[Gate], name: str,
+                   error: Type[ReproError]) -> Circuit:
+    """Assemble a parsed program, raising its parser's *error* type for
+    an empty register or an index outside its register."""
+    try:
+        circuit = Circuit(n_qubits, n_cbits, name=name)
+        for gate in gates:
+            circuit.append(gate)
+    except CircuitError as exc:
+        raise error(str(exc)) from exc
     return circuit
 
 
@@ -108,7 +151,7 @@ def _parse_arg(token: str, reg_name: Optional[str], kind: str) -> int:
         raise QasmError(f"cannot parse {kind} argument {token!r}")
     if reg_name is not None and m.group(1) != reg_name:
         raise QasmError(f"unknown {kind} register {m.group(1)!r}")
-    return int(m.group(2))
+    return _register_int(m.group(2), f"{kind} index", QasmError)
 
 
 def _parse_gate(stmt: str, qreg_name: Optional[str]) -> Gate:

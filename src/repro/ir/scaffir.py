@@ -15,7 +15,8 @@ minimal, human-writable format carrying the same information:
     measure q0 -> c0
 
 Lines are ``<op> [ (param) ] q<i>[, q<j>]`` plus ``measure qi -> cj``,
-``qubits N``, ``cbits N``, ``barrier``, and ``//`` comments.
+``qubits N``, ``cbits N``, ``barrier``, and ``//`` comments. Register
+sizes, indices and the line count share the QASM parser's caps.
 """
 
 from __future__ import annotations
@@ -26,7 +27,12 @@ from typing import List, Optional
 from repro.exceptions import ScaffIRError
 from repro.ir.circuit import Circuit
 from repro.ir.gates import PARAMETRIC_GATES, Gate
-from repro.ir.qasm import _eval_param
+from repro.ir.qasm import (
+    MAX_STATEMENTS,
+    _build_circuit,
+    _eval_param,
+    _register_int,
+)
 
 _QUBITS_RE = re.compile(r"^qubits\s+(\d+)$")
 _CBITS_RE = re.compile(r"^cbits\s+(\d+)$")
@@ -39,44 +45,48 @@ def parse_scaffir(text: str, name: str = "scaffir") -> Circuit:
     """Parse ScaffIR text into a :class:`Circuit`.
 
     Raises:
-        ScaffIRError: On malformed input.
+        ScaffIRError: On malformed input, indices outside their
+            register, or input over the shared size caps.
     """
     n_qubits: Optional[int] = None
     n_cbits: Optional[int] = None
     gates: List[Gate] = []
+    statements = 0
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = re.sub(r"//.*$", "", raw).strip()
         if not line:
             continue
+        statements += 1
+        if statements > MAX_STATEMENTS:
+            raise ScaffIRError(f"more than {MAX_STATEMENTS} statements")
         m = _QUBITS_RE.match(line)
         if m:
             if n_qubits is not None:
                 raise ScaffIRError(f"line {lineno}: duplicate qubits decl")
-            n_qubits = int(m.group(1))
+            n_qubits = _int(m.group(1), "qubits", lineno)
             continue
         m = _CBITS_RE.match(line)
         if m:
-            n_cbits = int(m.group(1))
+            n_cbits = _int(m.group(1), "cbits", lineno)
             continue
         if n_qubits is None:
             raise ScaffIRError(f"line {lineno}: gate before 'qubits N'")
         m = _MEASURE_RE.match(line)
         if m:
-            gates.append(Gate("measure", (int(m.group(1)),),
-                              cbit=int(m.group(2))))
+            gates.append(Gate("measure",
+                              (_int(m.group(1), "qubit index", lineno),),
+                              cbit=_int(m.group(2), "cbit index", lineno)))
             continue
         gates.append(_parse_gate_line(line, lineno))
 
     if n_qubits is None:
         raise ScaffIRError("missing 'qubits N' declaration")
-    circuit = Circuit(n_qubits, n_cbits, name=name)
-    try:
-        for gate in gates:
-            circuit.append(gate)
-    except Exception as exc:
-        raise ScaffIRError(str(exc)) from exc
-    return circuit
+    return _build_circuit(n_qubits, n_cbits, gates, name, ScaffIRError)
+
+
+def _int(digits: str, what: str, lineno: int) -> int:
+    return _register_int(digits, f"line {lineno}: {what}", ScaffIRError)
 
 
 def _parse_gate_line(line: str, lineno: int) -> Gate:
@@ -91,7 +101,7 @@ def _parse_gate_line(line: str, lineno: int) -> Gate:
             if not qm:
                 raise ScaffIRError(
                     f"line {lineno}: bad qubit token {token.strip()!r}")
-            qubits.append(int(qm.group(1)))
+            qubits.append(_int(qm.group(1), "qubit index", lineno))
     param = None
     if param_text is not None:
         if op not in PARAMETRIC_GATES:

@@ -4,11 +4,10 @@ Depth-first search with forward checking and admissible objective
 pruning. Assignment-shaped models (one AllDifferent over every variable
 plus a decomposable sum objective — the paper's R-SMT* formulation)
 are compiled to numpy cost matrices and solved by the vectorized kernel
-in :mod:`repro.solver.bounds`, with topology-automorphism symmetry
-breaking at the root and dominance pruning below it. Everything else
-(callable objectives, exotic constraints, satisfaction problems) runs
-on the generic per-value probing engine, which remains the semantic
-reference. Both engines prove optimality; on paper-scale mapping
+in :mod:`repro.solver.bounds`. Everything else (callable objectives
+such as the T-SMT makespan, exotic constraints, satisfaction problems)
+runs on the generic per-value probing engine, which remains the
+semantic reference. Both engines prove optimality; on paper-scale mapping
 problems they finish in well under a second, and like the paper's Z3
 runs they blow up super-polynomially as programs grow, which is exactly
 the Fig.-11 behavior — the vector kernel just moves the wall.
@@ -17,8 +16,8 @@ the Fig.-11 behavior — the vector kernel just moves the wall.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -39,8 +38,6 @@ class SolverStats:
             start counts as the first).
         workers: Processes that searched (1 for serial).
         subtrees: Root subtrees explored (portfolio bookkeeping).
-        symmetries: Cost-invariant value permutations applied for root
-            symmetry breaking (0 = no reduction).
     """
 
     engine: str = "generic"
@@ -49,7 +46,6 @@ class SolverStats:
     incumbents: int = 0
     workers: int = 1
     subtrees: int = 0
-    symmetries: int = 0
 
 
 @dataclass
@@ -102,21 +98,13 @@ class BranchAndBoundSolver:
     engine: str = "auto"
 
     def solve(self, model: Model,
-              initial: Optional[Assignment] = None,
-              symmetries: Optional[Sequence[Sequence[int]]] = None
-              ) -> SolveResult:
+              initial: Optional[Assignment] = None) -> SolveResult:
         """Maximize the model's objective (or find any solution).
 
         Args:
             model: The problem to solve.
             initial: Optional warm-start assignment; if feasible it seeds
                 the incumbent so pruning starts immediately.
-            symmetries: Candidate value permutations (e.g. the
-                topology's automorphisms). The vectorized kernel keeps
-                only exact cost invariances among them and restricts
-                the root variable to orbit representatives; the generic
-                engine ignores them (it cannot verify invariance of an
-                opaque objective).
         """
         if not model.variables:
             raise SolverError("model has no variables")
@@ -131,19 +119,15 @@ class BranchAndBoundSolver:
                     "model is not assignment-shaped; vector engine "
                     "cannot run it")
         if mats is not None:
-            return self._solve_vector(model, mats, initial, symmetries,
-                                      start)
+            return self._solve_vector(model, mats, initial, start)
         return self._solve_generic(model, initial, start)
 
     # ------------------------------------------------------------------
-    def _solve_vector(self, model: Model, mats, initial, symmetries,
+    def _solve_vector(self, model: Model, mats, initial,
                       start: float) -> SolveResult:
         search = VectorSearch(
             mats, time_limit=self.time_limit, node_limit=self.node_limit,
             first_solution_only=self.first_solution_only, start=start)
-        if symmetries:
-            search.enable_symmetry(symmetries)
-        search.enable_dominance()
         seed_assignment_columns(search, model, mats, initial)
         completed = search.run()
         elapsed = time.perf_counter() - start
@@ -183,21 +167,15 @@ def seed_assignment_columns(search: VectorSearch, model: Model, mats,
     """Validate and seed a warm start into a vector search.
 
     Invalid warm starts are silently dropped (the search starts cold —
-    the contract the mappers rely on). Valid ones are canonicalized
-    through the active symmetry group so they live inside the
-    symmetry-broken cone, then seeded with their exact objective value.
+    the contract the mappers rely on). Valid ones are seeded with their
+    exact objective value.
     """
     if initial is None or not model.validate(initial):
         return
     col_of = {int(v): c for c, v in enumerate(mats.values)}
     cols = np.array([col_of[initial[name]] for name in mats.var_names],
                     dtype=np.intp)
-    if search.symmetry_cols:
-        cols = mats.canonicalize(cols, search.symmetry_cols,
-                                 search.root_var())
-    seeded = {name: int(mats.values[c])
-              for name, c in zip(mats.var_names, cols)}
-    search.seed(cols, model.objective.value(seeded))
+    search.seed(cols, model.objective.value(initial))
 
 
 def vector_result(search: VectorSearch, mats, completed: bool,
@@ -213,8 +191,7 @@ def vector_result(search: VectorSearch, mats, completed: bool,
     stats = SolverStats(engine="vector", nodes=search.nodes,
                         prunes=search.prunes,
                         incumbents=search.incumbents,
-                        workers=workers, subtrees=subtrees,
-                        symmetries=len(search.symmetry_cols))
+                        workers=workers, subtrees=subtrees)
     return SolveResult(
         assignment=assignment,
         objective=objective,

@@ -12,15 +12,9 @@ wipeouts — becomes a handful of masked numpy reductions.
 :func:`compile_assignment` detects the shape (returning ``None`` for
 anything else, which keeps the generic engine authoritative), and
 :class:`VectorSearch` runs the depth-first search over column indices.
-The search also hosts the two structural prunes this layer enables:
-
-* **root symmetry breaking** — candidate value permutations (typically
-  the topology's automorphisms) are filtered down to exact invariances
-  of the compiled matrices, and the root branching variable is
-  restricted to one representative per orbit;
-* **dominance pruning** — below the root, a candidate value is skipped
-  when a cheaper *interchangeable* value (identical row/column in every
-  cost matrix) is still free.
+It breaks no value symmetries: calibrated noise makes every hardware
+qubit distinct, so no topology automorphism and no pair of columns is
+an exact invariance of a calibrated model.
 
 All comparisons are exact (no epsilon): the returned assignment is the
 first leaf in canonical exploration order attaining the float maximum,
@@ -32,7 +26,7 @@ processes and still merge to the bit-identical serial answer.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -101,146 +95,6 @@ class AssignmentMatrices:
     @property
     def n_cols(self) -> int:
         return int(self.values.shape[0])
-
-    # ------------------------------------------------------------------
-    def column_permutations(
-            self, perms: Sequence[Sequence[int]]) -> List[np.ndarray]:
-        """Convert raw-value permutations to exact invariances.
-
-        Each candidate permutation (over raw values, e.g. a topology
-        automorphism over hardware-qubit ids) is translated to column
-        space and kept only if permuting every cost matrix by it leaves
-        them bit-for-bit unchanged. The result is therefore a subgroup
-        of the candidates — safe for orbit-based symmetry breaking even
-        if the caller guessed wrong.
-        """
-        col_of = {int(v): c for c, v in enumerate(self.values)}
-        out: List[np.ndarray] = []
-        for perm in perms:
-            table = list(perm)
-            cols = np.empty(self.n_cols, dtype=np.intp)
-            ok = True
-            for c, value in enumerate(self.values):
-                v = int(value)
-                if v >= len(table) or v < 0:
-                    ok = False
-                    break
-                image = table[v]
-                if image not in col_of:
-                    ok = False
-                    break
-                cols[c] = col_of[image]
-            if not ok:
-                continue
-            if not np.array_equal(self.domain_mask[:, cols],
-                                  self.domain_mask):
-                continue
-            if not np.array_equal(self.unary[:, cols], self.unary):
-                continue
-            permuted = self.pair_tensor[:, cols][:, :, cols]
-            if not np.array_equal(permuted, self.pair_tensor):
-                continue
-            out.append(cols)
-        return out
-
-    def orbit_minima(self, col_perms: Sequence[np.ndarray]) -> np.ndarray:
-        """``(H,)`` bool — columns minimal in their orbit under the
-        group *generated* by ``col_perms``.
-
-        Permutation cycles make forward reachability symmetric, so
-        sweeping ``minima[c] = min(minima[c], minima[perm[c]])`` to a
-        fixpoint propagates each orbit's minimum everywhere.
-        """
-        minima = np.arange(self.n_cols)
-        changed = True
-        while changed:
-            changed = False
-            for cols in col_perms:
-                merged = np.minimum(minima, minima[cols])
-                if not np.array_equal(merged, minima):
-                    minima = merged
-                    changed = True
-        return minima == np.arange(self.n_cols)
-
-    def group_closure(self, col_perms: Sequence[np.ndarray],
-                      cap: int = 64) -> List[np.ndarray]:
-        """Close a generator set under composition (capped for safety)."""
-        identity = tuple(range(self.n_cols))
-        group = {identity}
-        frontier = [tuple(int(x) for x in p) for p in col_perms]
-        while frontier and len(group) < cap:
-            p = frontier.pop()
-            if p in group:
-                continue
-            group.add(p)
-            arr = np.array(p, dtype=np.intp)
-            for q in list(group):
-                qarr = np.array(q, dtype=np.intp)
-                frontier.append(tuple(int(x) for x in arr[qarr]))
-                frontier.append(tuple(int(x) for x in qarr[arr]))
-        return [np.array(p, dtype=np.intp) for p in sorted(group)]
-
-    def canonicalize(self, cols: np.ndarray,
-                     col_perms: Sequence[np.ndarray],
-                     root_var: int) -> np.ndarray:
-        """Map an assignment into the symmetry-broken fundamental domain.
-
-        Applies the group element that sends ``cols[root_var]`` to its
-        orbit minimum; the permuted assignment has the identical
-        objective value (the permutations are exact invariances). If
-        the generated group overflows the safety cap the assignment is
-        returned unchanged — the root restriction stays sound either
-        way, the warm start just seeds from outside the canonical cone.
-        """
-        if not col_perms:
-            return cols
-        best = cols
-        best_root = int(cols[root_var])
-        for arr in self.group_closure(col_perms):
-            mapped = arr[cols]
-            root = int(mapped[root_var])
-            if root < best_root:
-                best_root = root
-                best = mapped
-        return best
-
-    def interchangeable_minima(self) -> np.ndarray:
-        """``class_min[c]`` — smallest column fully interchangeable with
-        ``c`` (identical unary column, domain column, and pair
-        rows/columns up to the ``c1<->c2`` swap)."""
-        H = self.n_cols
-        class_min = np.arange(H)
-        # Cheap signature first: columns can only match if their unary
-        # and domain columns agree exactly.
-        sig: Dict[bytes, List[int]] = {}
-        for c in range(H):
-            key = (self.unary[:, c].tobytes()
-                   + self.domain_mask[:, c].tobytes())
-            sig.setdefault(key, []).append(c)
-        PT = self.pair_tensor
-        for cols in sig.values():
-            for idx, c2 in enumerate(cols):
-                for c1 in cols[:idx]:
-                    if class_min[c1] != c1:
-                        continue
-                    if self._interchangeable(PT, c1, c2):
-                        class_min[c2] = c1
-                        break
-        return class_min
-
-    @staticmethod
-    def _interchangeable(PT: np.ndarray, c1: int, c2: int) -> bool:
-        if PT.shape[0] == 0:
-            return True
-        others = np.ones(PT.shape[1], dtype=bool)
-        others[[c1, c2]] = False
-        if not np.array_equal(PT[:, c1, :][:, others],
-                              PT[:, c2, :][:, others]):
-            return False
-        if not np.array_equal(PT[:, :, c1][:, others],
-                              PT[:, :, c2][:, others]):
-            return False
-        return np.array_equal(PT[:, c1, c2], PT[:, c2, c1])
 
 
 def compile_assignment(model: Model) -> Optional[AssignmentMatrices]:
@@ -451,9 +305,6 @@ class VectorSearch:
         self.prunes = 0
         self.incumbents = 0
         self.truncated = False
-        self.symmetry_cols: List[np.ndarray] = []
-        self.root_minima: Optional[np.ndarray] = None
-        self.class_min: Optional[np.ndarray] = None
         self._pair_i = np.array([i for i, _ in mats.pair_vars], dtype=np.intp)
         self._pair_j = np.array([j for _, j in mats.pair_vars], dtype=np.intp)
         self._buf: Optional[np.ndarray] = None  # dense-path scratch
@@ -497,17 +348,8 @@ class VectorSearch:
             self._sf = float(mats.pair_slack.sum())
 
     # ------------------------------------------------------------------
-    def enable_symmetry(self, perms: Sequence[Sequence[int]]) -> None:
-        """Install root orbit restriction from candidate value perms."""
-        self.symmetry_cols = self.m.column_permutations(perms)
-        if self.symmetry_cols:
-            self.root_minima = self.m.orbit_minima(self.symmetry_cols)
-
-    def enable_dominance(self) -> None:
-        self.class_min = self.m.interchangeable_minima()
-
     def seed(self, cols: np.ndarray, value: float) -> None:
-        """Warm-start incumbent (already canonicalized by the caller)."""
+        """Warm-start incumbent (validated by the caller)."""
         self.best_cols = np.asarray(cols, dtype=np.intp).copy()
         self.best_value = float(value)
         self.incumbents += 1
@@ -520,17 +362,14 @@ class VectorSearch:
     def root_candidates(self) -> np.ndarray:
         """Root candidate columns in canonical exploration order.
 
-        Applies the symmetry orbit restriction, then orders by child
-        bound descending with column-ascending tie-break — the shared
-        plan both the serial search and the portfolio partition use.
+        Ordered by child bound descending with column-ascending
+        tie-break — the shared plan both the serial search and the
+        portfolio partition use.
         """
         assigned = np.full(self.m.n_vars, -1, dtype=np.intp)
         free = np.ones(self.m.n_cols, dtype=bool)
         sel = self.root_var()
-        root_avail = self.m.domain_mask[sel] & free
-        if self.root_minima is not None:
-            root_avail = root_avail & self.root_minima
-        cand = np.where(root_avail)[0]
+        cand = np.where(self.m.domain_mask[sel])[0]
         if len(cand) <= 1:
             return cand
         if self._fact:
@@ -552,7 +391,7 @@ class VectorSearch:
 
         Depth-1 prefixes are the root candidates; depth-2 expands each
         root candidate into its second-level candidates — computed with
-        the same branching, dominance, and bound-ordering rules the
+        the same branching and bound-ordering rules the
         search itself applies, all of which are incumbent-independent,
         so the lexicographic prefix order equals the serial search's
         first-visit order. The finer grain is what lets the portfolio
@@ -598,9 +437,6 @@ class VectorSearch:
                 bounds = self._child_bounds(sel, assigned, free, 0.0,
                                             RM, CM)
             cand = np.where(avail[sel_pos])[0]
-            if self.class_min is not None and len(cand) > 1:
-                twin = self.class_min[cand]
-                cand = cand[(twin == cand) | ~free[twin]]
             order = np.argsort(-bounds[cand], kind="stable")
             return [int(c) for c in cand[order]]
         finally:
@@ -791,11 +627,6 @@ class VectorSearch:
                 return
             bounds = self._child_bounds(sel, assigned, free, fixed, RM, CM)
         cand = np.where(avail[sel_pos])[0]
-        if self.class_min is not None and len(cand) > 1:
-            # Dominance: skip a value whose smaller interchangeable
-            # twin is still free (swapping them preserves the value).
-            twin = self.class_min[cand]
-            cand = cand[(twin == cand) | ~free[twin]]
         cb = bounds[cand]
         live = cb >= self.floor
         if self.best_cols is not None:

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -50,7 +50,7 @@ from repro.solver.model import Assignment, Model
 _POLL_SECONDS = 0.05
 
 
-def _worker_main(conn, mats, class_min, tasks, warm_cols, warm_value,
+def _worker_main(conn, mats, tasks, warm_cols, warm_value,
                  time_limit, node_limit, start) -> None:
     """Solve the assigned root subtrees, streaming incumbent progress.
 
@@ -58,7 +58,7 @@ def _worker_main(conn, mats, class_min, tasks, warm_cols, warm_value,
         tasks: ``(global_rank, prefix)`` pairs, rank-ascending —
             each prefix a depth-1 or depth-2 column tuple from
             :meth:`~repro.solver.bounds.VectorSearch.prefix_tasks`.
-        warm_cols: Canonicalized warm-start columns (or ``None``).
+        warm_cols: Validated warm-start columns (or ``None``).
         start: Parent's ``perf_counter`` origin so the wall budget is
             shared, not per-process.
     """
@@ -73,7 +73,6 @@ def _worker_main(conn, mats, class_min, tasks, warm_cols, warm_value,
     search = VectorSearch(mats, time_limit=time_limit,
                           node_limit=node_limit, start=start,
                           floor_poll=poll_floor)
-    search.class_min = class_min
     if warm_cols is not None:
         search.seed(np.asarray(warm_cols, dtype=np.intp), warm_value)
     completed = True
@@ -124,27 +123,22 @@ class PortfolioSolver:
     node_limit: Optional[int] = None
 
     def solve(self, model: Model,
-              initial: Optional[Assignment] = None,
-              symmetries: Optional[Sequence[Sequence[int]]] = None
-              ) -> SolveResult:
+              initial: Optional[Assignment] = None) -> SolveResult:
         serial = BranchAndBoundSolver(time_limit=self.time_limit,
                                       node_limit=self.node_limit)
         if self.workers < 2:
-            return serial.solve(model, initial, symmetries)
+            return serial.solve(model, initial)
         mats = compile_assignment(model)
         if mats is None:
-            return serial.solve(model, initial, symmetries)
+            return serial.solve(model, initial)
 
         start = time.perf_counter()
         plan = VectorSearch(mats, start=start)
-        if symmetries:
-            plan.enable_symmetry(symmetries)
-        plan.enable_dominance()
         seed_assignment_columns(plan, model, mats, initial)
         prefixes = plan.prefix_tasks()
         n_workers = min(self.workers, len(prefixes))
         if n_workers < 2:
-            return serial.solve(model, initial, symmetries)
+            return serial.solve(model, initial)
 
         try:
             outcome = self._run_pool(mats, plan, prefixes, n_workers,
@@ -152,7 +146,7 @@ class PortfolioSolver:
         except Exception:
             outcome = None
         if outcome is None:  # pool failure: the serial proof is the answer
-            return serial.solve(model, initial, symmetries)
+            return serial.solve(model, initial)
         return self._merge(model, mats, plan, prefixes, outcome, start)
 
     # ------------------------------------------------------------------
@@ -174,9 +168,9 @@ class PortfolioSolver:
             parent_conn, child_conn = ctx.Pipe(duplex=True)
             proc = ctx.Process(
                 target=_worker_main,
-                args=(child_conn, mats, plan.class_min, tasks[w],
-                      warm_cols, plan.best_value, self.time_limit,
-                      self.node_limit, start),
+                args=(child_conn, mats, tasks[w], warm_cols,
+                      plan.best_value, self.time_limit, self.node_limit,
+                      start),
                 daemon=True)
             proc.start()
             child_conn.close()
@@ -271,8 +265,7 @@ class PortfolioSolver:
             objective = best_value
         stats = SolverStats(engine="portfolio", nodes=nodes, prunes=prunes,
                             incumbents=incumbents, workers=len(done),
-                            subtrees=len(prefixes),
-                            symmetries=len(plan.symmetry_cols))
+                            subtrees=len(prefixes))
         return SolveResult(
             assignment=assignment,
             objective=objective,

@@ -9,7 +9,12 @@ from hypothesis import strategies as st
 
 from repro.exceptions import QasmError, ScaffIRError
 from repro.ir.circuit import Circuit
-from repro.ir.qasm import circuit_to_qasm, qasm_to_circuit
+from repro.ir.qasm import (
+    MAX_REGISTER_SIZE,
+    MAX_STATEMENTS,
+    circuit_to_qasm,
+    qasm_to_circuit,
+)
 from repro.ir.scaffir import emit_scaffir, parse_scaffir
 from repro.programs import build_benchmark, random_circuit
 
@@ -107,6 +112,88 @@ class TestQasmParsing:
             original = build_benchmark(name)
             back = qasm_to_circuit(circuit_to_qasm(original))
             assert len(back) == len(original)
+
+
+#: Tokens of the supported QASM subset plus near misses, for the fuzz
+#: test below.
+_QASM_TOKENS = [
+    "OPENQASM 2.0", 'include "qelib1.inc"', "qreg", "creg", "q", "c",
+    "r", "[", "]", "(", ")", ";", ",", "->", "//", "\n", "0", "1", "2",
+    "7", "999", "1000", "1001", "100000000", "9" * 5000, "-1", "h", "x",
+    "cx", "rz", "u3", "swap", "measure", "barrier", "reset", "pi", "/",
+    "*", "+", "-", "e", "1e999", "q[0]", "q[1]", "q[5]", "c[0]", "c[7]",
+]
+
+
+class TestParserBoundaries:
+    """Oversized or out-of-range input raises the parser's own error."""
+
+    @pytest.mark.parametrize("text", [
+        "qreg q[2]; h q[5];",
+        "qreg q[1]; creg c[1]; measure q[0] -> c[7];",
+        "qreg q[0];",
+    ], ids=["qubit-index", "cbit-index", "empty-qreg"])
+    def test_out_of_range_is_qasm_error(self, text):
+        with pytest.raises(QasmError):
+            qasm_to_circuit(text)
+
+    @pytest.mark.parametrize("text", [
+        "qreg q[" + "9" * 5000 + "];",
+        "qreg q[2]; h q[" + "1" * 5000 + "];",
+    ], ids=["size", "index"])
+    def test_huge_digit_strings_are_qasm_errors(self, text):
+        with pytest.raises(QasmError):
+            qasm_to_circuit(text)
+
+    @pytest.mark.parametrize("text", [
+        "qreg q[100000000];",
+        "qreg q[1]; creg c[100000000];",
+        f"qreg q[{MAX_REGISTER_SIZE + 1}];",
+    ], ids=["qreg", "creg", "just-over"])
+    def test_register_cap_qasm(self, text):
+        with pytest.raises(QasmError, match="register limit"):
+            qasm_to_circuit(text)
+
+    def test_register_cap_admits_the_limit(self):
+        circuit = qasm_to_circuit(f"qreg q[{MAX_REGISTER_SIZE}]; "
+                                  f"h q[{MAX_REGISTER_SIZE - 1}];")
+        assert circuit.n_qubits == MAX_REGISTER_SIZE
+
+    def test_statement_cap_qasm(self):
+        text = "qreg q[1];" + "h q[0];" * MAX_STATEMENTS
+        with pytest.raises(QasmError, match="statements"):
+            qasm_to_circuit(text)
+
+    @pytest.mark.parametrize("text", [
+        "qubits 100000000",
+        "qubits 2\ncbits 100000000",
+        "qubits " + "9" * 5000,
+        "qubits 2\nh q" + "1" * 5000,
+        "qubits 2\nmeasure q0 -> c" + "7" * 5000,
+        "qubits 0",
+    ], ids=["qubits", "cbits", "size-digits", "index-digits",
+            "cbit-digits", "empty"])
+    def test_scaffir_boundaries(self, text):
+        with pytest.raises(ScaffIRError):
+            parse_scaffir(text)
+
+    def test_statement_cap_scaffir(self):
+        text = "qubits 1\n" + "h q0\n" * MAX_STATEMENTS
+        with pytest.raises(ScaffIRError, match="statements"):
+            parse_scaffir(text)
+
+    @given(prefix=st.sampled_from(["", "qreg q[3];",
+                                   "qreg q[3]; creg c[3];"]),
+           tokens=st.lists(st.sampled_from(_QASM_TOKENS), max_size=40),
+           sep=st.sampled_from([" ", "", ";"]))
+    @settings(max_examples=300, deadline=1000)
+    def test_token_soup_yields_circuit_or_qasm_error(self, prefix, tokens,
+                                                     sep):
+        try:
+            circuit = qasm_to_circuit(prefix + sep.join(tokens))
+        except QasmError:
+            return
+        assert isinstance(circuit, Circuit)
 
 
 class TestScaffIR:

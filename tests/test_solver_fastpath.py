@@ -80,11 +80,9 @@ class TestEngineParity:
         assert result.stats is not None and result.stats.engine == "vector"
 
     def test_vector_matches_generic_on_mapping_model(self):
-        _, cal, _, model, _ = _mapping_instance()
-        syms = cal.topology.automorphisms()
+        _, _, _, model, _ = _mapping_instance()
         generic = BranchAndBoundSolver(engine="generic").solve(model)
-        vector = BranchAndBoundSolver(engine="vector").solve(
-            model, symmetries=syms)
+        vector = BranchAndBoundSolver(engine="vector").solve(model)
         assert generic.optimal and vector.optimal
         assert vector.objective == pytest.approx(generic.objective,
                                                  abs=1e-9)
@@ -129,12 +127,10 @@ class TestPortfolioIdentity:
     def test_bit_identical_to_serial(self, seed):
         circ, cal, tables, model, sq = _mapping_instance(
             n=6, gates=64, seed=seed)
-        syms = cal.topology.automorphisms()
         warm = smt_mod._greedy_warm_start(circ, cal, tables, sq)
         serial = BranchAndBoundSolver(engine="vector").solve(
-            model, initial=warm, symmetries=syms)
-        portfolio = PortfolioSolver(workers=2).solve(
-            model, initial=warm, symmetries=syms)
+            model, initial=warm)
+        portfolio = PortfolioSolver(workers=2).solve(model, initial=warm)
         assert serial.optimal and portfolio.optimal
         assert portfolio.objective == serial.objective  # bit-identical
         assert portfolio.assignment == serial.assignment
@@ -142,11 +138,9 @@ class TestPortfolioIdentity:
     def test_prefix_tasks_cover_root_plan(self):
         from repro.solver.bounds import VectorSearch
 
-        _, cal, _, model, _ = _mapping_instance()
+        _, _, _, model, _ = _mapping_instance()
         mats = compile_assignment(model)
         plan = VectorSearch(mats)
-        plan.enable_symmetry(cal.topology.automorphisms())
-        plan.enable_dominance()
         prefixes = plan.prefix_tasks()
         roots = [p[0] for p in prefixes]
         # Depth-2 prefixes stay grouped under their root candidate, in
