@@ -156,14 +156,12 @@ def reliability_model(circuit: Circuit, calibration: Calibration,
     # Dense score tables, computed once per run and shared by every
     # term: the vector engine compiles them straight into its cost
     # matrices instead of probing Python closures H^2 times per pair.
-    # The CNOT table reads the snapshot's shared reliability table (its
-    # zero diagonal lands on the log floor).
+    # The CNOT table is the snapshot's shared log-reliability table.
     readout_logrel = np.array(
         [math.log(max(calibration.readout_reliability(h), _LOG_FLOOR))
          for h in calibration.topology.iter_qubits()])
-    cnot_rows = [[math.log(max(rel, _LOG_FLOOR)) for rel in row]
-                 for row in tables.reliability_table().tolist()]
-    cnot_logrel = np.array(cnot_rows)
+    cnot_logrel = tables.log_reliability_table()
+    cnot_rows = cnot_logrel.tolist()
 
     terms: List = []
     # Readout terms: one per measurement (Constraint 10). Readouts on

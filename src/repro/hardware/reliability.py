@@ -10,7 +10,7 @@ Implements the precomputations of §4.4 and §5 of the paper:
 
 The optimal mappers read ``Delta`` and the best one-bend reliabilities
 as dense ``H x H`` arrays (:meth:`ReliabilityTables.delta_table`,
-:meth:`ReliabilityTables.reliability_table`), built on first use and
+:meth:`ReliabilityTables.log_reliability_table`), built on first use and
 shared by every compile of the snapshot.
 
 Routing model (paper §2, §4.2): a CNOT between qubits at grid distance d
@@ -103,7 +103,7 @@ class ReliabilityTables:
         self._one_bend: Dict[Tuple[int, int, int], RoutedCnot] = {}
         self._best_paths: Dict[int, Dict[int, RoutedCnot]] = {}
         self._swap_weights: Optional[Dict[Edge, float]] = None
-        # Dense (delta, reliability) tables; filled on first use only,
+        # Dense (delta, log reliability) tables; filled on first use only,
         # since most snapshots (e.g. large grids compiled greedily)
         # never need all H^2 routes.
         self._dense: Optional[Tuple[np.ndarray, np.ndarray]] = None
@@ -146,29 +146,29 @@ class ReliabilityTables:
         diagonal is ``inf`` (so row minima range over real partners)."""
         return self._dense_tables()[0]
 
-    def reliability_table(self) -> np.ndarray:
-        """Dense best-1BP reliabilities: ``[c, t]`` equals
-        ``best_one_bend(c, t).reliability``, and the diagonal is 0."""
+    def log_reliability_table(self) -> np.ndarray:
+        """Dense log best-1BP reliabilities, the CNOT terms of Eq. 12:
+        ``[c, t]`` is ``log(max(best_one_bend(c, t).reliability, 1e-12))``,
+        and the diagonal is the floor ``log(1e-12)``."""
         return self._dense_tables()[1]
 
     def _dense_tables(self) -> Tuple[np.ndarray, np.ndarray]:
         if self._dense is None:
             n = self.topology.n_qubits
             delta = np.full((n, n), math.inf)
-            reliability = np.zeros((n, n))
+            log_rel = np.full((n, n), math.log(1e-12))
             for c in range(n):
                 for t in range(n):
                     if c != t:
-                        delta[c, t] = self.delta(c, t)
-                        reliability[c, t] = self.best_one_bend(
-                            c, t).reliability
-            self._dense = (delta, reliability)
+                        options = self._one_bend_options(c, t)
+                        delta[c, t] = min(r.duration for r in options)
+                        log_rel[c, t] = math.log(max(
+                            max(r.reliability for r in options), 1e-12))
+            # Shared by every compile of the snapshot: read-only.
+            delta.setflags(write=False)
+            log_rel.setflags(write=False)
+            self._dense = (delta, log_rel)
         return self._dense
-
-    def log_reliability(self, control: int, target: int) -> float:
-        """log of the best 1BP reliability — an objective term of Eq. 12."""
-        return math.log(max(self.best_one_bend(control, target).reliability,
-                            1e-12))
 
     # ------------------------------------------------------------------
     # Most-reliable paths (heuristics' "Best Path" policy, §5)

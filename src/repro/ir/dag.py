@@ -79,8 +79,9 @@ class DependencyDAG:
         """Weighted critical-path length through the DAG.
 
         The T-SMT bound calls this once per value probe, so the walk
-        reads cached predecessor tuples and special-cases the one- and
-        two-predecessor gates that make up nearly every circuit.
+        reads cached predecessor tuples and special-cases gates with
+        zero, one or two predecessors, nearly every gate: a ``max``
+        call per gate made T-SMT* search nodes ~3x slower.
 
         Args:
             weights: Per-gate duration (same indexing as the circuit).

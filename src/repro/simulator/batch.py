@@ -211,12 +211,13 @@ def batch_plan_probabilities(trace: ProgramTrace, plans: np.ndarray,
             ``None`` for the process default).
         chunk: Plans per simulation chunk. Defaults to the backend's
             :meth:`~repro.simulator.xp.ArrayBackend.amplitude_budget`
-            divided by the state size. Chunks only bound peak memory.
-            On a trace of a few qubits a gate leaves each plan a narrow
-            block of columns, and the BLAS product may round a last bit
-            differently when a chunk holds a different number of plans;
-            wider traces come out bit-identical at every chunk size
-            (the test suite pins BV4 at 1, 3, and default).
+            divided by the state size. Chunks only bound peak memory:
+            on traces of three or more qubits the result is
+            bit-identical at every chunk size (the test suite pins BV4,
+            Toffoli and random traces at chunk sizes 1, 3, and
+            default). On a two-qubit trace a two-qubit gate leaves each
+            plan one column of its BLAS product, and a chunk holding an
+            odd number of plans may round a last bit differently.
     """
     xb = resolve_array_backend(array_backend)
     plans = np.asarray(plans, dtype=np.int64)

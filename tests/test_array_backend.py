@@ -3,7 +3,8 @@
 The contract under test is the one the ``"gpu"`` engine rests on:
 whatever array backend runs the statevector contraction, every RNG
 draw happens in host numpy, so counts are **bit-identical** across
-backends, chunk sizes, and memory budgets — only throughput differs.
+backends, and across chunk sizes and memory budgets on programs of
+three or more qubits (BV4 here) — only throughput differs.
 """
 
 import io

@@ -81,7 +81,7 @@ class TestOneBendTables:
             tables.delta(3, 3)
 
     def test_log_reliability_negative(self, tables):
-        assert tables.log_reliability(0, 10) < 0.0
+        assert tables.log_reliability_table()[0, 10] < 0.0
 
     @given(a=st.integers(0, 15), b=st.integers(0, 15))
     @settings(max_examples=50, deadline=None)

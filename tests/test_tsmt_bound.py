@@ -5,7 +5,8 @@
   circuits and random partial assignments, for ``t-smt`` and
   ``t-smt*``, on IBMQ16 and on a square grid.
 * The dense tables of :class:`ReliabilityTables` equal the per-pair
-  accessors they replace.
+  accessors they replace (the reliability table in the floored log
+  form R-SMT* reads).
 * T-SMT* placements, objectives and node counts on the 12 Table-2
   programs over fig6's 7 daily snapshots, and T-SMT's on snapshot 0,
   equal the values pinned in ``tsmt_golden.json``.
@@ -13,6 +14,7 @@
 
 import functools
 import json
+import math
 import os
 
 import pytest
@@ -99,24 +101,26 @@ class TestCompiledBound:
     def test_dense_tables_equal_pair_accessors(self, topology):
         _, tables = _machine(topology, 0)
         delta = tables.delta_table()
-        reliability = tables.reliability_table()
+        log_rel = tables.log_reliability_table()
         n = tables.topology.n_qubits
         for c in range(n):
             for t in range(n):
                 if c == t:
                     assert delta[c, t] == float("inf")
-                    assert reliability[c, t] == 0.0
+                    assert log_rel[c, t] == math.log(1e-12)
                 else:
                     assert delta[c, t] == tables.delta(c, t)
-                    assert (reliability[c, t]
-                            == tables.best_one_bend(c, t).reliability)
+                    assert log_rel[c, t] == math.log(max(
+                        tables.best_one_bend(c, t).reliability, 1e-12))
 
     def test_dense_tables_are_built_lazily_once(self):
         calibration, _ = _machine("ibmq16", 0)
         tables = ReliabilityTables(calibration)
         assert tables._dense is None
         assert tables.delta_table() is tables.delta_table()
-        assert tables.reliability_table() is tables.reliability_table()
+        assert (tables.log_reliability_table()
+                is tables.log_reliability_table())
+        assert not tables.delta_table().flags.writeable
 
 
 def _solve_all(options, calibration, tables):
