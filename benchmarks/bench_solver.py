@@ -11,7 +11,8 @@ random-program ladder (the paper's compile-time scalability sweep):
 
 Node counts are bit-deterministic and pinned exactly against
 ``solver_baseline.json``; wall clock is machine-dependent and asserted
-only as an aggregate seed/warm ratio (skipped in smoke mode). Points
+only as an aggregate seed/warm ratio (skipped in smoke mode). The table
+also prints the cold and warm vector engine's cost per node. Points
 past 8 qubits are node-capped: the seed engine cannot finish them (the
 paper reports hours at 32 qubits), so equal node budgets compare cost
 per node in the scaling regime. Optimality is asserted unchanged on
@@ -100,7 +101,7 @@ def test_solver_ladder(benchmark):
 
     lines = ["fig11 solver ladder (seed vs vectorized fast path)",
              f"{'point':>14} {'seed':>12} {'cold':>12} {'warm':>12} "
-             f"{'speedup':>8}"]
+             f"{'speedup':>8} {'cold us/node':>12} {'warm us/node':>12}"]
     total_seed = total_warm = 0.0
     for row in rows:
         spec = row["spec"]
@@ -129,7 +130,9 @@ def test_solver_ladder(benchmark):
             f"{label:>14} {row['t_seed'] * 1e3:>10.1f}ms "
             f"{row['t_cold'] * 1e3:>10.1f}ms "
             f"{row['t_warm'] * 1e3:>10.1f}ms "
-            f"{row['t_seed'] / row['t_warm']:>7.2f}x")
+            f"{row['t_seed'] / row['t_warm']:>7.2f}x "
+            f"{row['t_cold'] * 1e6 / cold.nodes:>12.1f} "
+            f"{row['t_warm'] * 1e6 / warm.nodes:>12.1f}")
     speedup = total_seed / total_warm
     lines.append(f"{'aggregate':>14} {total_seed * 1e3:>10.1f}ms "
                  f"{'':>12} {total_warm * 1e3:>10.1f}ms "

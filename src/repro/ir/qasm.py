@@ -34,8 +34,11 @@ _QREG_RE = re.compile(r"^qreg\s+(\w+)\s*\[\s*(\d+)\s*\]$")
 _CREG_RE = re.compile(r"^creg\s+(\w+)\s*\[\s*(\d+)\s*\]$")
 _ARG_RE = re.compile(r"^(\w+)\s*\[\s*(\d+)\s*\]$")
 # The parameter list runs to the last ")", so it may nest parentheses;
-# the arguments after it hold none.
-_GATE_RE = re.compile(r"^(\w+)\s*(?:\((.*)\))?\s+([^()]+)$", re.DOTALL)
+# the arguments after it hold none. The word boundary and the arguments'
+# non-space first character leave one way to split a statement, so a
+# match takes time linear in its length.
+_GATE_RE = re.compile(r"^(\w+)\b(?:\s*\((.*)\))?\s+([^()\s][^()]*)$",
+                      re.DOTALL)
 _MEASURE_RE = re.compile(r"^measure\s+(.+?)\s*->\s*(.+)$")
 
 

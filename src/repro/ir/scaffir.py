@@ -37,7 +37,11 @@ from repro.ir.qasm import (
 _QUBITS_RE = re.compile(r"^qubits\s+(\d+)$")
 _CBITS_RE = re.compile(r"^cbits\s+(\d+)$")
 _MEASURE_RE = re.compile(r"^measure\s+q(\d+)\s*->\s*c(\d+)$")
-_GATE_RE = re.compile(r"^(\w+)\s*(?:\(([^)]*)\))?\s*(.*)$")
+# The parameter list runs to the last ")", so it may nest parentheses
+# (as in repro.ir.qasm); the qubit list after it holds none. The word
+# boundary and the single whitespace run before "(" leave one way to
+# split a line, so a match takes time linear in its length.
+_GATE_RE = re.compile(r"^(\w+)\b(?:\s*\((.*)\))?([^()]*)$")
 _QUBIT_RE = re.compile(r"^q(\d+)$")
 
 

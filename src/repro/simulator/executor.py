@@ -51,9 +51,6 @@ from repro.simulator.success import distribution_overlap
 from repro.simulator.trace import CompactProgram, ProgramTrace
 from repro.simulator.xp import resolve_array_backend
 
-#: Backward-compatible alias (the class moved to repro.simulator.trace).
-_CompactProgram = CompactProgram
-
 
 @dataclass
 class ExecutionResult:

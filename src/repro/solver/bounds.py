@@ -7,7 +7,11 @@ shape the branch-and-bound engine does not need per-value Python probes:
 the whole objective compiles into an ``(n, H)`` unary matrix and a
 ``(T, H, H)`` pair tensor, and every admissible bound the search needs —
 node bounds, all child bounds of the branching variable, forward-check
-wipeouts — becomes a handful of masked numpy reductions.
+wipeouts — comes from masked reductions of those arrays. On the
+factored (Eq.-12) path the reductions depend only on which columns are
+still free and which variables are still unassigned, so they run once
+per such pair of sets and the rest of each node is Python float
+arithmetic over the branching variable's candidates.
 
 :func:`compile_assignment` detects the shape (returning ``None`` for
 anything else, which keeps the generic engine authoritative), and
@@ -27,6 +31,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import repeat
+from operator import add, itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -43,6 +49,11 @@ _BIG_NEG = -1e300
 
 #: How often (in nodes) a portfolio worker polls for a foreign incumbent.
 FLOOR_POLL_NODES = 1024
+
+#: Entry cap of a factored search's free-set memo (see
+#: :meth:`VectorSearch._terms`). A full memo is cleared; an evicted
+#: entry recomputes to the same floats.
+MEMO_ENTRIES = 1024
 
 
 @dataclass
@@ -178,7 +189,7 @@ def _factor_pair_tensor(PT: np.ndarray) -> Optional[Tuple[
     ``(qc, qt)`` is ``count_fwd * L + count_rev * L.T`` (ordered-pair
     counts of the two CNOT directions). The whole tensor therefore
     lives in the two-dimensional span of any one asymmetric slice and
-    its transpose. Detecting that lets :meth:`VectorSearch._edge_maxima`
+    its transpose. Detecting that lets :meth:`VectorSearch._terms`
     compute the free-set maxima of all ``T`` slices from ``H x H``
     masked reductions of the base instead of ``T x H x H`` ones.
 
@@ -274,6 +285,14 @@ class _TimeUp(Exception):
     """Internal: the time or node budget interrupted the search."""
 
 
+def _by_bound(cols: List[int], bounds: List[float]) -> List[int]:
+    """``cols`` by descending bound, ties in column order: the order of
+    ``np.argsort(-bounds, kind="stable")`` (a reversed Python sort stays
+    stable)."""
+    order = sorted(range(len(cols)), key=bounds.__getitem__, reverse=True)
+    return [cols[k] for k in order]
+
+
 class VectorSearch:
     """Depth-first branch-and-bound over compiled assignment matrices.
 
@@ -313,8 +332,8 @@ class VectorSearch:
             # Factored fast path: per-pair bookkeeping lives in plain
             # Python containers — at mapping sizes (H <= 36, T <= ~60)
             # scalar loops over a variable's incident pairs beat numpy's
-            # per-call overhead by an order of magnitude, and numpy is
-            # kept for the H-sized vector arithmetic only.
+            # per-call overhead by an order of magnitude. numpy runs
+            # only on a memo miss (see _terms).
             T = len(self._pair_i)
             self._stl = [0] * T  # bit 0: var i assigned; bit 1: var j
             self._incl_i = [np.where(self._pair_i == v)[0].tolist()
@@ -346,6 +365,17 @@ class VectorSearch:
             self._xf = float(mats.pair_x.sum())
             self._yf = float(mats.pair_y.sum())
             self._sf = float(mats.pair_slack.sum())
+            # The node's sets as one int: bit ``v`` marks an unassigned
+            # variable, bit ``n_vars + c`` a free column. It keys the
+            # memo of everything a node computes from those two sets.
+            self._nv = mats.n_vars
+            self._open = (1 << mats.n_vars) - 1
+            self._key = ((1 << mats.n_cols) - 1) << mats.n_vars | self._open
+            self._memo: Dict[int, tuple] = {}
+            # Every clamped base maximum is a base entry or the clamp
+            # value: memo entries share these float objects.
+            self._pool = {v: v for v in mats.pair_base.ravel().tolist()}
+            self._pool[_BIG_NEG] = _BIG_NEG
 
     # ------------------------------------------------------------------
     def seed(self, cols: np.ndarray, value: float) -> None:
@@ -373,16 +403,12 @@ class VectorSearch:
         if len(cand) <= 1:
             return cand
         if self._fact:
-            # Same bound arithmetic as _node, so the plan's candidate
-            # order is bit-identical to the serial first-visit order.
-            unassigned = np.where(assigned < 0)[0]
-            avail = self.m.domain_mask[unassigned] & free
-            sel_pos = int(np.where(unassigned == sel)[0][0])
-            bounds = self._child_bounds_factored(
-                sel, sel_pos, unassigned, avail, assigned, free, 0.0)
-        else:
-            RM, CM = self._edge_maxima(free)
-            bounds = self._child_bounds(sel, assigned, free, 0.0, RM, CM)
+            # Same routine as _node, so the plan's candidate order is
+            # bit-identical to the serial first-visit order.
+            _, cols, bounds = self._child_plan(0.0)
+            return np.array(_by_bound(cols, bounds), dtype=np.intp)
+        RM, CM = self._edge_maxima(free)
+        bounds = self._child_bounds(sel, assigned, free, 0.0, RM, CM)
         order = np.argsort(-bounds[cand], kind="stable")
         return cand[order]
 
@@ -422,6 +448,9 @@ class VectorSearch:
         assigned[var] = col
         free[col] = False
         try:
+            if self._fact:
+                plan = self._child_plan(0.0)
+                return [] if plan is None else _by_bound(plan[1], plan[2])
             unassigned = np.where(assigned < 0)[0]
             avail = self.m.domain_mask[unassigned] & free
             counts = avail.sum(axis=1)
@@ -429,13 +458,8 @@ class VectorSearch:
                 return []
             sel_pos = int(np.argmin(counts))
             sel = int(unassigned[sel_pos])
-            if self._fact:
-                bounds = self._child_bounds_factored(
-                    sel, sel_pos, unassigned, avail, assigned, free, 0.0)
-            else:
-                RM, CM = self._edge_maxima(free)
-                bounds = self._child_bounds(sel, assigned, free, 0.0,
-                                            RM, CM)
+            RM, CM = self._edge_maxima(free)
+            bounds = self._child_bounds(sel, assigned, free, 0.0, RM, CM)
             cand = np.where(avail[sel_pos])[0]
             order = np.argsort(-bounds[cand], kind="stable")
             return [int(c) for c in cand[order]]
@@ -478,6 +502,9 @@ class VectorSearch:
                     free: np.ndarray) -> Optional[int]:
         """The node's branching variable (``None`` on leaf/wipeout) —
         the same rule :meth:`_node` applies."""
+        if self._fact:
+            terms = self._terms() if self._key & self._open else None
+            return terms[0] if terms else None
         unassigned = np.where(assigned < 0)[0]
         if len(unassigned) == 0:
             return None
@@ -493,26 +520,26 @@ class VectorSearch:
 
         Returns the objective delta of the assignment plus an opaque
         token for :meth:`_fact_pop`. Aggregate restoration is by saved
-        value, not inverse arithmetic — floating-point ``(w + a) - a``
-        need not equal ``w``, and the portfolio's bit-identity with the
-        serial engine requires the state at a node to depend only on
-        the assignment path, never on sibling subtrees explored before
-        it.
+        value (the column weight lists are copied on write), not inverse
+        arithmetic — floating-point ``(w + a) - a`` need not equal
+        ``w``, and the portfolio's bit-identity with the serial engine
+        requires the state at a node to depend only on the assignment
+        path, never on sibling subtrees explored before it.
         """
         stl, asg = self._stl, self._asg
         xl, yl, sl = self._xl, self._yl, self._sl
         pil, pjl, PTl = self._pil, self._pjl, self._PTl
-        wp, wq = self._wp, self._wq
-        saved = (self._xf, self._yf, self._sf, self._s_half)
-        xf, yf, sf, s_half = saved
-        touched: List[Tuple[int, float, float]] = []
+        saved = (self._xf, self._yf, self._sf, self._s_half,
+                 self._wp, self._wq)
+        xf, yf, sf, s_half = saved[:4]
+        wp = self._wp = self._wp[:]
+        wq = self._wq = self._wq[:]
         delta = self._unary_l[var][col]
         for t in self._incl_i[var]:
             s0 = stl[t]
             if s0 == 2:  # completing: partner j already placed
                 b = asg[pjl[t]]
                 delta += PTl[t][col][b]
-                touched.append((b, wp[b], wq[b]))
                 wp[b] -= yl[t]
                 wq[b] -= xl[t]
                 s_half -= sl[t]
@@ -520,7 +547,6 @@ class VectorSearch:
                 xf -= xl[t]
                 yf -= yl[t]
                 sf -= sl[t]
-                touched.append((col, wp[col], wq[col]))
                 wp[col] += xl[t]
                 wq[col] += yl[t]
                 s_half += sl[t]
@@ -530,7 +556,6 @@ class VectorSearch:
             if s0 == 1:
                 a = asg[pil[t]]
                 delta += PTl[t][a][col]
-                touched.append((a, wp[a], wq[a]))
                 wp[a] -= xl[t]
                 wq[a] -= yl[t]
                 s_half -= sl[t]
@@ -538,27 +563,25 @@ class VectorSearch:
                 xf -= xl[t]
                 yf -= yl[t]
                 sf -= sl[t]
-                touched.append((col, wp[col], wq[col]))
                 wp[col] += yl[t]
                 wq[col] += xl[t]
                 s_half += sl[t]
             stl[t] = s0 | 2
         self._xf, self._yf, self._sf, self._s_half = xf, yf, sf, s_half
         asg[var] = col
-        return delta, (saved, touched)
+        self._key ^= 1 << var | 1 << (self._nv + col)
+        return delta, saved
 
     def _fact_pop(self, var: int, token: tuple) -> None:
         """Exact-restore the factored bookkeeping of one assignment."""
-        saved, touched = token
-        stl, wp, wq = self._stl, self._wp, self._wq
+        stl = self._stl
         for t in self._incl_i[var]:
             stl[t] &= ~1
         for t in self._incl_j[var]:
             stl[t] &= ~2
-        for idx, old_wp, old_wq in reversed(touched):
-            wp[idx] = old_wp
-            wq[idx] = old_wq
-        self._xf, self._yf, self._sf, self._s_half = saved
+        (self._xf, self._yf, self._sf, self._s_half,
+         self._wp, self._wq) = token
+        self._key ^= 1 << var | 1 << (self._nv + self._asg[var])
         self._asg[var] = -1
 
     def _descend(self, var: int, col: int, assigned: np.ndarray,
@@ -596,13 +619,29 @@ class VectorSearch:
     def _node(self, assigned: np.ndarray, free: np.ndarray,
               fixed: float) -> None:
         self._tick()
+        if self._fact:
+            if not self._key & self._open:
+                self._leaf(assigned, fixed)
+                return
+            # Per-candidate bounds via aggregated base maxima; the
+            # child-level prune below subsumes the node-level one (the
+            # node bound dominates every child bound, so a prunable node
+            # has no live candidates).
+            plan = self._child_plan(fixed)
+            if plan is None:
+                return
+            sel, cand, bounds = plan
+            floor, best = self.floor, self.best_value
+            unseeded = self.best_cols is None
+            live = [(b, c) for c, b in zip(cand, bounds)
+                    if b >= floor and (unseeded or b > best)]
+            self.prunes += len(cand) - len(live)
+            live.sort(key=itemgetter(0), reverse=True)
+            self._expand(sel, live, assigned, free, fixed)
+            return
         unassigned = np.where(assigned < 0)[0]
         if len(unassigned) == 0:
-            if fixed >= self.floor and fixed > self.best_value:
-                self.best_value = fixed
-                self.best_cols = assigned.copy()
-                self.best_rank = self.current_rank
-                self.incumbents += 1
+            self._leaf(assigned, fixed)
             return
         avail = self.m.domain_mask[unassigned] & free
         counts = avail.sum(axis=1)
@@ -610,22 +649,14 @@ class VectorSearch:
             return
         sel_pos = int(np.argmin(counts))
         sel = int(unassigned[sel_pos])
-        if self._fact:
-            # Factored fast path: per-candidate bounds via aggregated
-            # base maxima; the child-level prune below subsumes the
-            # node-level one (the node bound dominates every child
-            # bound, so a prunable node has no live candidates).
-            bounds = self._child_bounds_factored(
-                sel, sel_pos, unassigned, avail, assigned, free, fixed)
-        else:
-            RM, CM = self._edge_maxima(free)
-            bound = self._node_bound(assigned, free, fixed, unassigned,
-                                     avail, RM, CM)
-            if bound < self.floor or (self.best_cols is not None
-                                      and bound <= self.best_value):
-                self.prunes += 1
-                return
-            bounds = self._child_bounds(sel, assigned, free, fixed, RM, CM)
+        RM, CM = self._edge_maxima(free)
+        bound = self._node_bound(assigned, free, fixed, unassigned,
+                                 avail, RM, CM)
+        if bound < self.floor or (self.best_cols is not None
+                                  and bound <= self.best_value):
+            self.prunes += 1
+            return
+        bounds = self._child_bounds(sel, assigned, free, fixed, RM, CM)
         cand = np.where(avail[sel_pos])[0]
         cb = bounds[cand]
         live = cb >= self.floor
@@ -634,10 +665,23 @@ class VectorSearch:
         self.prunes += int(len(cand) - int(live.sum()))
         cand, cb = cand[live], cb[live]
         order = np.argsort(-cb, kind="stable")
-        for k in order:
-            col = int(cand[k])
-            if cb[k] < self.floor or (self.best_cols is not None
-                                      and cb[k] <= self.best_value):
+        self._expand(sel, zip(cb[order].tolist(), cand[order].tolist()),
+                     assigned, free, fixed)
+
+    def _leaf(self, assigned: np.ndarray, fixed: float) -> None:
+        if fixed >= self.floor and fixed > self.best_value:
+            self.best_value = fixed
+            self.best_cols = assigned.copy()
+            self.best_rank = self.current_rank
+            self.incumbents += 1
+
+    def _expand(self, sel: int, children, assigned: np.ndarray,
+                free: np.ndarray, fixed: float) -> None:
+        """Descend into ``(bound, col)`` children in the given order,
+        re-checking each bound against the incumbent as it improves."""
+        for bound, col in children:
+            if bound < self.floor or (self.best_cols is not None
+                                      and bound <= self.best_value):
                 self.prunes += 1
                 continue
             self._descend(sel, col, assigned, free, fixed)
@@ -651,37 +695,14 @@ class VectorSearch:
 
         ``RM[t, a]`` bounds pair ``t`` when var *i* sits at column *a*
         and var *j* is anywhere free (the -inf diagonal excludes the
-        collision); ``CM[t, b]`` is the mirror for a fixed *j*.
-
-        With a factored tensor (``pair_base`` set) both come from two
-        ``H x H`` masked reductions of the base instead of two
-        ``T x H x H`` ones: for slice ``t <= x*B + y*B.T + s``,
-        ``max_j(B[a, j])`` over free *j* is ``P[a]`` and
-        ``max_j(B.T[a, j]) = max_j(B[j, a])`` over free *j* is ``Q[a]``,
-        so ``RM[t] <= x*P + y*Q + s`` (and ``CM[t] <= x*Q + y*P + s``
-        by the mirror argument) — still admissible, and exact whenever
-        the factorization slack is zero.
+        collision); ``CM[t, b]`` is the mirror for a fixed *j*. Only the
+        dense path calls this; a factored model with pairs never does.
         """
         m = self.m
         PT = m.pair_tensor
         if PT.shape[0] == 0:
             empty = np.empty((0, m.n_cols))
             return empty, empty
-        if m.pair_base is not None:
-            P = np.where(free, m.pair_base, _NEG_INF).max(axis=1)
-            Q = np.where(free[:, None], m.pair_base, _NEG_INF).max(axis=0)
-            xs, ys, s = m.pair_x, m.pair_y, m.pair_slack
-            with np.errstate(invalid="ignore"):
-                RM = xs[:, None] * P + ys[:, None] * Q + s[:, None]
-                CM = xs[:, None] * Q + ys[:, None] * P + s[:, None]
-            # 0 * -inf is NaN; it only arises where P (equivalently Q —
-            # the feasibility pattern is symmetric) is -inf, i.e. no
-            # feasible free partner at all: the true maxima are -inf.
-            dead = np.isneginf(P)
-            if dead.any():
-                RM[:, dead] = _NEG_INF
-                CM[:, dead] = _NEG_INF
-            return RM, CM
         if self._buf is None:
             self._buf = np.empty_like(PT)
         buf = self._buf
@@ -762,59 +783,101 @@ class VectorSearch:
                             .max(axis=1).sum())
         return bounds
 
-    def _child_bounds_factored(self, sel: int, sel_pos: int,
-                               unassigned: np.ndarray, avail: np.ndarray,
-                               assigned: np.ndarray, free: np.ndarray,
-                               fixed: float) -> np.ndarray:
-        """Per-candidate bounds from the factored pair tensor.
+    def _terms(self) -> tuple:
+        """Everything the node computes from its two sets, memoized.
 
-        Replaces the dense ``T x H`` edge-maxima materialization with
-        two ``H x H`` masked reductions of the base plus dot products
-        against the per-pair coefficients, grouped by the incremental
-        assignment-status array ``_st`` (see :meth:`_descend`):
+        The branching variable, its candidate columns, the clamped base
+        maxima ``P``/``Q`` over all columns and their maxima over free
+        columns, and the numpy sum ``S`` of the unassigned rows' unary
+        maxima with the branching row's own maximum ``r`` (kept apart,
+        so that ``(fixed + S) - r`` rounds as in the numpy formulation).
+        Empty on a wipeout (some unassigned variable has no free column
+        left). Nothing here depends on the assignment's columns, the
+        incumbent or the floor, so an entry holds for every node with
+        the same key.
+        """
+        key = self._key
+        terms = self._memo.get(key)
+        if terms is not None:
+            return terms
+        m = self.m
+        n = m.n_vars
+        unassigned = np.array([v for v in range(n) if key >> v & 1],
+                              dtype=np.intp)
+        free = np.array([key >> (n + c) & 1 for c in range(m.n_cols)],
+                        dtype=bool)
+        avail = m.domain_mask[unassigned] & free
+        counts = avail.sum(axis=1)
+        if counts.min() == 0:
+            terms = ()
+        else:
+            sel_pos = int(np.argmin(counts))
+            sel = int(unassigned[sel_pos])
+            cand = np.where(avail[sel_pos])[0]
+            B = m.pair_base
+            P = np.where(free, B, _NEG_INF).max(axis=1)
+            Q = np.where(free[:, None], B, _NEG_INF).max(axis=0)
+            # Clamp impossible rows to a huge finite negative: 0 * -inf
+            # is NaN, while 0 * -1e300 is the correct zero contribution
+            # of a pair whose coefficient on that base component is zero.
+            np.maximum(P, _BIG_NEG, out=P)
+            np.maximum(Q, _BIG_NEG, out=Q)
+            # Every row max is finite: counts.min() > 0.
+            rowmax = np.where(avail, m.unary[unassigned],
+                              _NEG_INF).max(axis=1)
+            pool = self._pool
+            terms = (sel, cand.tolist(),
+                     [pool[v] for v in P.tolist()],
+                     [pool[v] for v in Q.tolist()],
+                     float(rowmax.sum()), float(rowmax[sel_pos]),
+                     pool[float(P[free].max())], pool[float(Q[free].max())])
+        if len(self._memo) >= MEMO_ENTRIES:
+            self._memo.clear()
+        self._memo[key] = terms
+        return terms
+
+    def _child_plan(self, fixed: float
+                    ) -> Optional[Tuple[int, List[int], List[float]]]:
+        """Branching variable, candidate columns and their bounds.
+
+        ``None`` on a wipeout; the node must not be a leaf. Bounds come
+        from the factored pair tensor in Python floats, with the memoized
+        free-set terms of :meth:`_terms`, grouped by the incremental
+        assignment status ``_stl`` (see :meth:`_fact_push`):
 
         * pairs touching ``sel`` with an assigned partner contribute
           their exact tensor column/row;
         * pairs touching ``sel`` with a free partner contribute
-          ``sum(x)*P + sum(y)*Q`` (per-candidate vectors);
+          ``sum(x)*P + sum(y)*Q`` (per candidate);
         * half-assigned pairs elsewhere contribute the scalar
           ``x*P[a] + y*Q[a]`` at their fixed endpoint;
         * fully-free pairs elsewhere contribute the decoupled scalar
           ``x*max(P) + y*max(Q)`` over free columns — the one place
           this path is (admissibly) looser than the dense maxima.
+
+        Every operation runs in the order of the numpy formulation in
+        ``tests/vector_reference.py``, so every bound is the same float
+        as there.
         """
-        m = self.m
-        B = m.pair_base
-        P = np.where(free, B, _NEG_INF).max(axis=1)
-        Q = np.where(free[:, None], B, _NEG_INF).max(axis=0)
-        # Clamp impossible rows to a huge finite negative: 0 * -inf is
-        # NaN, while 0 * -1e300 is the correct zero contribution of a
-        # pair whose coefficient on that base component is zero.
-        np.maximum(P, _BIG_NEG, out=P)
-        np.maximum(Q, _BIG_NEG, out=Q)
-        # Unary part, reusing the node's avail rows (every row max is
-        # finite — the caller checked counts.min() > 0).
-        rowmax = np.where(avail, m.unary[unassigned], _NEG_INF).max(axis=1)
-        const = fixed + float(rowmax.sum()) - float(rowmax[sel_pos])
-        Pl, Ql = P.tolist(), Q.tolist()
+        terms = self._terms()
+        if not terms:
+            return None
+        sel, cand, Pl, Ql, S, r, pmax, qmax = terms
         stl, asg = self._stl, self._asg
         xl, yl, sl = self._xl, self._yl, self._sl
-        pil, pjl = self._pil, self._pjl
+        pil, pjl, PTl = self._pil, self._pjl, self._PTl
         # One scalar pass over sel's incident pairs: exact categories
         # collect tensor rows, free-partner categories accumulate
         # coefficient sums, and ``sub`` removes sel's own pairs from
         # the node-level half-assigned aggregates below.
-        exact_i: List[int] = []
-        exact_i_at: List[int] = []
-        exact_j: List[int] = []
-        exact_j_at: List[int] = []
+        exact_i: List[Tuple[int, int]] = []
+        exact_j: List[Tuple[int, int]] = []
         cxi = cyi = csi = cxj = cyj = csj = 0.0
         sub = 0.0
         for t in self._incl_i[sel]:
             if stl[t] == 2:
                 b = asg[pjl[t]]
-                exact_i.append(t)
-                exact_i_at.append(b)
+                exact_i.append((t, b))
                 sub += yl[t] * Pl[b] + xl[t] * Ql[b] + sl[t]
             else:
                 cxi += xl[t]
@@ -823,8 +886,7 @@ class VectorSearch:
         for t in self._incl_j[sel]:
             if stl[t] == 1:
                 a = asg[pil[t]]
-                exact_j.append(t)
-                exact_j_at.append(a)
+                exact_j.append((t, a))
                 sub += xl[t] * Pl[a] + yl[t] * Ql[a] + sl[t]
             else:
                 cxj += xl[t]
@@ -839,31 +901,36 @@ class VectorSearch:
         for w, q in zip(self._wq, Ql):
             if w:
                 half += w * q
-        # Fully-free pairs elsewhere: decoupled maxima over free
-        # columns — the one place this path is (admissibly) looser
-        # than the dense edge maxima.
         rxf = self._xf - cxi - cxj
         ryf = self._yf - cyi - cyj
         rsf = self._sf - csi - csj
         if rxf or ryf:
-            rest = (half + rxf * float(P[free].max())
-                    + ryf * float(Q[free].max()) + rsf)
+            rest = half + rxf * pmax + ryf * qmax + rsf
         else:
             rest = half + rsf
-        base_c = const + rest + csi + csj
+        base_c = fixed + S - r + rest + csi + csj
         coef_p = cxi + cyj
         coef_q = cyi + cxj
+        ul = self._unary_l[sel]
         if coef_p or coef_q:
-            bounds = m.unary[sel] + (coef_p * P + coef_q * Q + base_c)
+            bounds = [ul[c] + ((coef_p * Pl[c] + coef_q * Ql[c]) + base_c)
+                      for c in cand]
         else:
-            bounds = m.unary[sel] + base_c
+            bounds = [ul[c] + base_c for c in cand]
+        # Each exact group is summed from zero, row by row, then added
+        # (numpy's axis-0 sum of the gathered rows).
         if exact_i:
-            bounds = bounds + m.pair_tensor[exact_i, :, exact_i_at] \
-                .sum(axis=0)
+            acc = repeat(0.0)
+            for t, b in exact_i:
+                rows = PTl[t]
+                acc = map(add, acc, [rows[c][b] for c in cand])
+            bounds = list(map(add, bounds, acc))
         if exact_j:
-            bounds = bounds + m.pair_tensor[exact_j, exact_j_at, :] \
-                .sum(axis=0)
-        return bounds
+            acc = repeat(0.0)
+            for t, a in exact_j:
+                acc = map(add, acc, map(PTl[t][a].__getitem__, cand))
+            bounds = list(map(add, bounds, acc))
+        return sel, cand, bounds
 
     def _tick(self) -> None:
         self.nodes += 1

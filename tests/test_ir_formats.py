@@ -124,6 +124,14 @@ _QASM_TOKENS = [
     "*", "+", "-", "e", "1e999", "q[0]", "q[1]", "q[5]", "c[0]", "c[7]",
 ]
 
+#: ScaffIR tokens plus near misses, for the ScaffIR fuzz test.
+_SCAFFIR_TOKENS = [
+    "qubits", "cbits", "q0", "q1", "q2", "q9", "c0", "c7", "q", "c",
+    "qubit0", "(", ")", ",", "->", "//", "\n", "0", "2", "1000", "1001",
+    "9" * 5000, "-1", "h", "x", "cx", "rz", "u3", "swap", "measure",
+    "barrier", "pi", "/", "*", "+", "-", "1e999", "(pi)", "((pi)/2)",
+]
+
 
 class TestParserBoundaries:
     """Oversized or out-of-range input raises the parser's own error."""
@@ -177,10 +185,35 @@ class TestParserBoundaries:
         with pytest.raises(ScaffIRError):
             parse_scaffir(text)
 
+    @pytest.mark.parametrize("line", [
+        "h" + " " * 20000 + "(",
+        "h" * 20000 + "(",
+        "h(" + ") " * 10000 + "(",
+        "h(" + ")" + " " * 20000 + "(",
+    ], ids=["spaces", "word", "closers", "tail"])
+    def test_long_gate_lines_rejected_quickly(self, line):
+        start = time.perf_counter()
+        with pytest.raises(QasmError):
+            qasm_to_circuit(f"qreg q[1]; {line};")
+        with pytest.raises(ScaffIRError):
+            parse_scaffir(f"qubits 1\n{line}\n")
+        assert time.perf_counter() - start < 1.0
+
     def test_statement_cap_scaffir(self):
         text = "qubits 1\n" + "h q0\n" * MAX_STATEMENTS
         with pytest.raises(ScaffIRError, match="statements"):
             parse_scaffir(text)
+
+    @given(tokens=st.lists(st.sampled_from(_SCAFFIR_TOKENS), max_size=40),
+           sep=st.sampled_from([" ", "", "\n"]))
+    @settings(max_examples=300, deadline=1000)
+    def test_token_soup_yields_circuit_or_scaffir_error(self, tokens, sep):
+        try:
+            circuit = parse_scaffir("qubits 3\ncbits 3\n"
+                                    + sep.join(tokens))
+        except ScaffIRError:
+            return
+        assert isinstance(circuit, Circuit)
 
     @given(prefix=st.sampled_from(["", "qreg q[3];",
                                    "qreg q[3]; creg c[3];"]),
@@ -237,6 +270,19 @@ class TestScaffIR:
     def test_parametric_gate(self):
         c = parse_scaffir("qubits 1\nrz(pi/4) q0")
         assert c[0].param == pytest.approx(math.pi / 4)
+
+    def test_parameter_may_nest_parentheses(self):
+        c = parse_scaffir("qubits 1\nrz((pi)/2) q0\n")
+        assert c[0].param == math.pi / 2
+        assert c[0] == qasm_to_circuit("qreg q[1]; rz((pi)/2) q[0];")[0]
+
+    def test_nested_parameter_roundtrip(self):
+        original = parse_scaffir("qubits 2\ncbits 2\nrz(-((pi)/4)) q1\n"
+                                 "rx(((pi))*2/3) q0\ncx q0, q1\n")
+        assert [g.param for g in original][:2] == [-(math.pi / 4),
+                                                   math.pi * 2 / 3]
+        back = parse_scaffir(emit_scaffir(original))
+        assert [g for g in back] == [g for g in original]
 
     @given(seed=st.integers(0, 5000))
     @settings(max_examples=20, deadline=None)

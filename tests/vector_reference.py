@@ -1,0 +1,149 @@
+"""Reference numpy bounds for the factored vector kernel (test oracle).
+
+``VectorSearch`` computes each node's per-candidate bounds in Python
+floats from terms memoized per (free columns, unassigned variables)
+set. The functions here are the numpy formulation it replaced: two
+masked ``H x H`` reductions of the pair base per node, the unary
+row-max sum, and vector arithmetic over all ``H`` columns. They read
+the search's incremental bookkeeping (``_stl``, ``_asg``, the column
+weights and the free-pair aggregates) exactly as the kernel did, so a
+test can push an assignment through ``_fact_push`` and compare the two
+bound by bound. ``root_candidates`` and ``prefix_tasks`` rebuild the
+portfolio's subtree plan on top of them.
+"""
+
+from typing import List, Tuple
+
+import numpy as np
+
+_NEG_INF = -np.inf
+_BIG_NEG = -1e300
+
+
+def child_bounds_factored(search, sel: int, sel_pos: int,
+                          unassigned: np.ndarray, avail: np.ndarray,
+                          assigned: np.ndarray, free: np.ndarray,
+                          fixed: float) -> np.ndarray:
+    """Per-column bounds of ``sel``'s children (all ``H`` columns)."""
+    m = search.m
+    B = m.pair_base
+    P = np.where(free, B, _NEG_INF).max(axis=1)
+    Q = np.where(free[:, None], B, _NEG_INF).max(axis=0)
+    np.maximum(P, _BIG_NEG, out=P)
+    np.maximum(Q, _BIG_NEG, out=Q)
+    rowmax = np.where(avail, m.unary[unassigned], _NEG_INF).max(axis=1)
+    const = fixed + float(rowmax.sum()) - float(rowmax[sel_pos])
+    Pl, Ql = P.tolist(), Q.tolist()
+    stl, asg = search._stl, search._asg
+    xl, yl, sl = search._xl, search._yl, search._sl
+    pil, pjl = search._pil, search._pjl
+    exact_i: List[int] = []
+    exact_i_at: List[int] = []
+    exact_j: List[int] = []
+    exact_j_at: List[int] = []
+    cxi = cyi = csi = cxj = cyj = csj = 0.0
+    sub = 0.0
+    for t in search._incl_i[sel]:
+        if stl[t] == 2:
+            b = asg[pjl[t]]
+            exact_i.append(t)
+            exact_i_at.append(b)
+            sub += yl[t] * Pl[b] + xl[t] * Ql[b] + sl[t]
+        else:
+            cxi += xl[t]
+            cyi += yl[t]
+            csi += sl[t]
+    for t in search._incl_j[sel]:
+        if stl[t] == 1:
+            a = asg[pil[t]]
+            exact_j.append(t)
+            exact_j_at.append(a)
+            sub += xl[t] * Pl[a] + yl[t] * Ql[a] + sl[t]
+        else:
+            cxj += xl[t]
+            cyj += yl[t]
+            csj += sl[t]
+    half = search._s_half - sub
+    for w, p in zip(search._wp, Pl):
+        if w:
+            half += w * p
+    for w, q in zip(search._wq, Ql):
+        if w:
+            half += w * q
+    rxf = search._xf - cxi - cxj
+    ryf = search._yf - cyi - cyj
+    rsf = search._sf - csi - csj
+    if rxf or ryf:
+        rest = (half + rxf * float(P[free].max())
+                + ryf * float(Q[free].max()) + rsf)
+    else:
+        rest = half + rsf
+    base_c = const + rest + csi + csj
+    coef_p = cxi + cyj
+    coef_q = cyi + cxj
+    if coef_p or coef_q:
+        bounds = m.unary[sel] + (coef_p * P + coef_q * Q + base_c)
+    else:
+        bounds = m.unary[sel] + base_c
+    if exact_i:
+        bounds = bounds + m.pair_tensor[exact_i, :, exact_i_at].sum(axis=0)
+    if exact_j:
+        bounds = bounds + m.pair_tensor[exact_j, exact_j_at, :].sum(axis=0)
+    return bounds
+
+
+def node_children(search, assigned: np.ndarray, free: np.ndarray,
+                  fixed: float):
+    """``(sel, cand, bounds)`` of a non-leaf node, ``None`` on a wipeout.
+
+    ``cand`` holds the branching variable's free domain columns in
+    ascending order and ``bounds`` their bounds, in that order.
+    """
+    unassigned = np.where(assigned < 0)[0]
+    avail = search.m.domain_mask[unassigned] & free
+    counts = avail.sum(axis=1)
+    if counts.min() == 0:
+        return None
+    sel_pos = int(np.argmin(counts))
+    sel = int(unassigned[sel_pos])
+    bounds = child_bounds_factored(search, sel, sel_pos, unassigned, avail,
+                                   assigned, free, fixed)
+    cand = np.where(avail[sel_pos])[0]
+    return sel, cand, bounds[cand]
+
+
+def root_candidates(search) -> np.ndarray:
+    """The root plan: candidates by bound descending, stable on ties."""
+    n, H = search.m.n_vars, search.m.n_cols
+    sel = search.root_var()
+    cand = np.where(search.m.domain_mask[sel])[0]
+    if len(cand) <= 1:
+        return cand
+    _, cand, bounds = node_children(search, np.full(n, -1, dtype=np.intp),
+                                    np.ones(H, dtype=bool), 0.0)
+    return cand[np.argsort(-bounds, kind="stable")]
+
+
+def prefix_tasks(search) -> List[Tuple[int, ...]]:
+    """Depth-2 portfolio prefixes in canonical first-visit order."""
+    root_cols = root_candidates(search)
+    if search.m.n_vars < 2:
+        return [(int(c),) for c in root_cols]
+    assigned = np.full(search.m.n_vars, -1, dtype=np.intp)
+    free = np.ones(search.m.n_cols, dtype=bool)
+    root = search.root_var()
+    out: List[Tuple[int, ...]] = []
+    for c0 in root_cols:
+        c0 = int(c0)
+        _, token = search._fact_push(root, c0)
+        assigned[root] = c0
+        free[c0] = False
+        children = node_children(search, assigned, free, 0.0)
+        if children is not None:
+            _, cand, bounds = children
+            order = np.argsort(-bounds, kind="stable")
+            out.extend((c0, int(c)) for c in cand[order])
+        assigned[root] = -1
+        free[c0] = True
+        search._fact_pop(root, token)
+    return out
