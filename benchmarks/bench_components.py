@@ -10,7 +10,12 @@ import pytest
 from conftest import measure
 
 from repro.compiler import CompilerOptions, compile_circuit
-from repro.hardware import ReliabilityTables
+from repro.hardware import (
+    CalibrationGenerator,
+    ReliabilityTables,
+    route_cost,
+    square_topology,
+)
 from repro.programs import build_benchmark, expected_output, random_circuit
 from repro.simulator import execute
 
@@ -38,9 +43,22 @@ def test_compile_tsmt_star_toffoli(benchmark, calibration, tables):
     assert program.mapping.optimal
 
 
-def test_reliability_tables_construction(benchmark, calibration):
-    tables = measure(benchmark, ReliabilityTables, calibration)
-    assert tables.best_path(0, 15).reliability > 0
+def test_reliability_tables_construction(benchmark):
+    """Every Best-Path row of the 12x11 grid perfbench's scale_ladder
+    routes its 128-qubit programs on, from a fresh table."""
+    calibration = CalibrationGenerator(square_topology(128),
+                                       seed=2019).snapshot(0)
+    n = calibration.topology.n_qubits
+
+    def fill_rows():
+        tables = ReliabilityTables(calibration)
+        for source in range(n):
+            tables.best_path(source, (source + 1) % n)
+        return tables
+
+    tables = measure(benchmark, fill_rows)
+    cost = tables.best_path(0, n - 1)
+    assert cost == route_cost(calibration, list(cost.path))
 
 
 def test_greedy_mapping_large_circuit(benchmark, calibration, tables):

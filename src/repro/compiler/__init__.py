@@ -4,7 +4,6 @@ from repro.compiler.compile import (
     CompiledProgram,
     PassTiming,
     compile_circuit,
-    make_mapper,
 )
 from repro.compiler.mapping.base import Mapper, MappingResult
 from repro.compiler.mapping.greedy import GreedyEdgeMapper, GreedyVertexMapper
@@ -109,7 +108,6 @@ __all__ = [
     "count_cancellations",
     "estimate_reliability",
     "insert_swaps",
-    "make_mapper",
     "make_pass",
     "mapper_for",
     "mapping_stage_fingerprint",

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, Optional, Tuple
 
-from repro.compiler.mapping.base import Mapper, MappingResult
+from repro.compiler.mapping.base import MappingResult
 from repro.compiler.metrics import ReliabilityEstimate
 from repro.compiler.options import CompilerOptions
 from repro.compiler.scheduling.list_scheduler import Schedule
@@ -143,13 +143,6 @@ class CompiledProgram:
                 f"swaps={self.swap_count} "
                 f"est.reliability={self.estimated_success:.3f} "
                 f"compile={self.compile_time * 1000:.1f} ms")
-
-
-def make_mapper(options: CompilerOptions) -> Mapper:
-    """Instantiate the mapping pass for a variant (registry lookup)."""
-    from repro.compiler.pipeline import mapper_for
-
-    return mapper_for(options)
 
 
 def compile_circuit(circuit: Circuit, calibration: Calibration,

@@ -156,7 +156,7 @@ class Pass:
 
 
 # ----------------------------------------------------------------------
-# Mapper registry (variant -> factory), replacing the make_mapper chain
+# Mapper registry (variant -> factory)
 # ----------------------------------------------------------------------
 MapperFactory = Callable[[CompilerOptions], Mapper]
 

@@ -11,6 +11,7 @@ on the result.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -146,40 +147,45 @@ def schedule_circuit(circuit: Circuit, placement: Dict[int, int],
         dag = DependencyDAG.from_circuit(circuit)
 
     n = len(circuit.gates)
-    free_at: Dict[int, float] = {h: 0.0 for h in
-                                 calibration.topology.iter_qubits()}
-    finish: List[float] = [0.0] * n
-    unscheduled_preds = [len(p) for p in dag.preds]
-    ready = [i for i in range(n) if unscheduled_preds[i] == 0]
+    preds, succs = dag.preds, dag.succs
+    free_at = [0.0] * calibration.topology.n_qubits
+    finish = [0.0] * n
+    release = [0.0] * n
+    unscheduled_preds = [len(p) for p in preds]
     scheduled: List[ScheduledGate] = []
-    done = [False] * n
 
+    def start_of(i: int) -> float:
+        resource = max((free_at[h] for h in per_gate[i][1]), default=0.0)
+        return max(release[i], resource)
+
+    # Ready gates keyed (start, index) when pushed. free_at never
+    # decreases, so a key is a lower bound on its gate's start: a popped
+    # gate whose start still equals its key is the earliest ready gate,
+    # ties going to program order (FIFO); otherwise it goes back with
+    # its new start.
+    ready = [(0.0, i) for i in range(n) if not unscheduled_preds[i]]
     while ready:
-        # Earliest feasible start among ready gates; FIFO tie-break on
-        # program order keeps the schedule deterministic.
-        def start_of(i: int) -> float:
-            release = max((finish[p] for p in dag.preds[i]), default=0.0)
-            region = per_gate[i][1]
-            resource = max((free_at[h] for h in region), default=0.0)
-            return max(release, resource)
-
-        best = min(ready, key=lambda i: (start_of(i), i))
-        ready.remove(best)
-        duration, region, route = per_gate[best]
+        key, best = heapq.heappop(ready)
         start = start_of(best)
-        finish[best] = start + duration
+        if start > key:
+            heapq.heappush(ready, (start, best))
+            continue
+        duration, region, route = per_gate[best]
+        end = finish[best] = start + duration
         for h in region:
-            free_at[h] = finish[best]
+            free_at[h] = end
         scheduled.append(ScheduledGate(index=best, start=start,
                                        duration=duration,
                                        hw_qubits=region, route=route))
-        done[best] = True
-        for succ in dag.succs[best]:
+        for succ in succs[best]:
             unscheduled_preds[succ] -= 1
             if unscheduled_preds[succ] == 0:
-                ready.append(succ)
+                # Its release time is fixed once the last predecessor
+                # finishes.
+                release[succ] = max(finish[p] for p in preds[succ])
+                heapq.heappush(ready, (start_of(succ), succ))
 
-    if not all(done):
+    if len(scheduled) != n:
         raise SchedulingError("dependency cycle detected")  # pragma: no cover
 
     makespan = max((g.finish for g in scheduled), default=0.0)

@@ -32,7 +32,11 @@ import numpy as np
 
 from repro.exceptions import TopologyError
 from repro.hardware.calibration import Calibration
-from repro.hardware.topology import Edge, GridTopology, edge_key
+from repro.hardware.topology import Edge, GridTopology
+
+#: One coupling's (swap reliability, swap duration, CNOT reliability,
+#: CNOT duration), the calibration figures a routed-CNOT hop reads.
+Hop = Tuple[float, float, float, float]
 
 
 @dataclass(frozen=True)
@@ -102,7 +106,8 @@ class ReliabilityTables:
         self.topology: GridTopology = calibration.topology
         self._one_bend: Dict[Tuple[int, int, int], RoutedCnot] = {}
         self._best_paths: Dict[int, Dict[int, RoutedCnot]] = {}
-        self._swap_weights: Optional[Dict[Edge, float]] = None
+        self._couplings: Optional[Tuple[List[Tuple[Tuple[int, float], ...]],
+                                        Dict[Edge, Hop]]] = None
         # Dense (delta, log reliability) tables; filled on first use only,
         # since most snapshots (e.g. large grids compiled greedily)
         # never need all H^2 routes.
@@ -179,20 +184,45 @@ class ReliabilityTables:
         Rows are computed lazily per source and memoized, so callers
         that only ever route from a few qubits never pay for the full
         all-pairs table.
+
+        Raises:
+            TopologyError: If either qubit is outside the machine, or
+                the two coincide.
         """
+        n = self.topology.n_qubits
+        if not (0 <= control < n and 0 <= target < n):
+            raise TopologyError(f"qubit pair ({control}, {target}) outside "
+                                f"machine of {n} qubits")
+        if control == target:
+            raise TopologyError("control and target coincide")
         row = self._best_paths.get(control)
         if row is None:
             row = self._best_paths[control] = self._dijkstra_from(control)
         return row[target]
 
-    def _edge_weights(self) -> Dict[Edge, float]:
-        """``-log(swap reliability)`` per coupling edge, computed once."""
-        if self._swap_weights is None:
-            self._swap_weights = {
-                edge_key(a, b): -math.log(
-                    max(self.calibration.swap_reliability(a, b), 1e-12))
-                for a, b in self.topology.edges()}
-        return self._swap_weights
+    def _coupling_data(self) -> Tuple[List[Tuple[Tuple[int, float], ...]],
+                                      Dict[Edge, Hop]]:
+        """The coupling data Best-Path rows read, computed once.
+
+        Returns ``(links, hops)``: ``links[u]`` holds ``(v, -log(swap
+        reliability))`` per coupled qubit ``v`` in increasing order, the
+        search's edge weights; ``hops[u, v]`` is the :data:`Hop` of each
+        coupling, in both directions.
+        """
+        if self._couplings is None:
+            calibration = self.calibration
+            hops: Dict[Edge, Hop] = {}
+            for a, b in self.topology.edges():
+                hops[a, b] = hops[b, a] = (
+                    calibration.swap_reliability(a, b),
+                    calibration.swap_duration(a, b),
+                    calibration.cnot_reliability(a, b),
+                    calibration.cnot_duration(a, b))
+            links = [tuple((v, -math.log(max(hops[u, v][0], 1e-12)))
+                           for v in self.topology.neighbors(u))
+                     for u in self.topology.iter_qubits()]
+            self._couplings = (links, hops)
+        return self._couplings
 
     def _dijkstra_from(self, source: int) -> Dict[int, RoutedCnot]:
         """Max-reliability paths from *source* under the swap cost model.
@@ -201,31 +231,52 @@ class ReliabilityTables:
         last hop becomes a swap: we search over paths using
         ``-log(swap reliability)`` per interior edge, then rescore the
         final hop as a plain CNOT (matching :func:`route_cost`).
+
+        Every qubit's path extends its tree parent's by one hop, so one
+        pass in settle order carries each path's swap reliability and
+        swap duration forward from the parent's: the products and sums
+        :func:`route_cost` forms along the path, in its order.
+
+        Raises:
+            TopologyError: If a tree edge is not a coupling edge.
         """
-        topo = self.topology
-        weights = self._edge_weights()
-        dist = {source: 0.0}
+        links, hops = self._coupling_data()
+        dist = [math.inf] * len(links)
+        dist[source] = 0.0
         prev: Dict[int, int] = {}
+        settled: List[int] = []
         heap: List[Tuple[float, int]] = [(0.0, source)]
         while heap:
             d, u = heapq.heappop(heap)
-            if d > dist.get(u, math.inf):
+            if d > dist[u]:
                 continue
-            for v in topo.neighbors(u):
-                nd = d + weights[edge_key(u, v)]
-                if nd < dist.get(v, math.inf):
+            settled.append(u)
+            for v, weight in links[u]:
+                nd = d + weight
+                if nd < dist[v]:
                     dist[v] = nd
                     prev[v] = u
                     heapq.heappush(heap, (nd, v))
+
+        paths = {source: (source,)}
+        swap_rel = {source: 1.0}
+        swap_dur = {source: 0.0}
         result: Dict[int, RoutedCnot] = {}
-        for target in topo.iter_qubits():
-            if target == source:
-                continue
-            path = [target]
-            while path[-1] != source:
-                path.append(prev[path[-1]])
-            path.reverse()
-            result[target] = route_cost(self.calibration, path)
+        for v in settled[1:]:
+            u = prev[v]
+            hop = hops.get((u, v))
+            if hop is None:
+                raise TopologyError(f"path step {u}->{v} is not a coupling "
+                                    f"edge")
+            hop_rel, hop_dur, cnot_rel, cnot_dur = hop
+            path = paths[v] = paths[u] + (v,)
+            rel = swap_rel[u]
+            result[v] = RoutedCnot(
+                path=path, reliability=rel * cnot_rel,
+                round_trip_reliability=rel * rel * cnot_rel,
+                duration=2.0 * swap_dur[u] + cnot_dur)
+            swap_rel[v] = rel * hop_rel
+            swap_dur[v] = swap_dur[u] + hop_dur
         return result
 
     # ------------------------------------------------------------------

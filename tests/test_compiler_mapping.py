@@ -12,7 +12,7 @@ from repro.compiler import (
     ReliabilitySmtMapper,
     TimeSmtMapper,
     TrivialMapper,
-    make_mapper,
+    mapper_for,
 )
 from repro.exceptions import MappingError
 from repro.hardware import (
@@ -197,7 +197,7 @@ class TestGreedy:
             assert len(result.placement) == 3
 
 
-class TestMakeMapper:
+class TestMapperFor:
     @pytest.mark.parametrize("options,expected", [
         (CompilerOptions.qiskit(), TrivialMapper),
         (CompilerOptions.t_smt(), TimeSmtMapper),
@@ -207,4 +207,4 @@ class TestMakeMapper:
         (CompilerOptions.greedy_e(), GreedyEdgeMapper),
     ])
     def test_dispatch(self, options, expected):
-        assert isinstance(make_mapper(options), expected)
+        assert isinstance(mapper_for(options), expected)

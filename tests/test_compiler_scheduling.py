@@ -1,4 +1,12 @@
-"""Tests for routing policies and the list scheduler."""
+"""Tests for routing policies and the list scheduler.
+
+The scheduler must return the :class:`Schedule` of the min-scan
+reference in ``scheduler_reference`` on random circuits and placements
+under every routing and duration model: the same gates, starts, routes,
+makespan and coherence violations, or the same error.
+"""
+
+import functools
 
 import pytest
 from hypothesis import given, settings
@@ -13,11 +21,14 @@ from repro.hardware import (
     ReliabilityTables,
     default_ibmq16_calibration,
     ibmq16_topology,
+    square_topology,
     uniform_calibration,
 )
 from repro.ir.circuit import Circuit
 from repro.ir.dag import DependencyDAG
 from repro.programs import build_benchmark, random_circuit
+
+from scheduler_reference import reference_schedule
 
 
 @pytest.fixture(scope="module")
@@ -193,3 +204,75 @@ class TestListScheduler:
         assert len(schedule.gates) == len(circuit.gates)
         assert all(g.start >= 0 for g in schedule.gates)
         assert schedule.makespan > 0
+
+
+#: Calibrated IBMQ16, and a uniform 3x3 grid whose equal gate times tie
+#: many starts (so the index tie-break decides) and whose 25-slot
+#: coherence time most schedules overrun.
+_MACHINES = {
+    "ibmq16": default_ibmq16_calibration,
+    "uniform3x3": lambda: uniform_calibration(square_topology(9),
+                                              t2_us=2.0),
+}
+_VARIANTS = {
+    "t-smt": CompilerOptions.t_smt,
+    "t-smt* 1bp": lambda: CompilerOptions.t_smt_star(routing="1bp"),
+    "t-smt* rr": lambda: CompilerOptions.t_smt_star(routing="rr"),
+    "r-smt*": CompilerOptions.r_smt_star,
+    "greedye*": CompilerOptions.greedy_e,
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _machine(name):
+    calibration = _MACHINES[name]()
+    return calibration, ReliabilityTables(calibration)
+
+
+@st.composite
+def _circuits(draw) -> Circuit:
+    """Up to 6 qubits, CNOT-heavy, with measures and barriers."""
+    n = draw(st.integers(2, 6))
+    circuit = Circuit(n, n)
+    for _ in range(draw(st.integers(0, 40))):
+        kind = draw(st.sampled_from(["h", "rz", "cx", "cx", "cx",
+                                     "measure", "barrier"]))
+        if kind == "cx":
+            a, b = draw(st.lists(st.integers(0, n - 1), min_size=2,
+                                 max_size=2, unique=True))
+            circuit.cx(a, b)
+        elif kind == "barrier":
+            circuit.barrier(*draw(st.lists(st.integers(0, n - 1),
+                                           unique=True)))
+        elif kind == "measure":
+            circuit.measure(draw(st.integers(0, n - 1)))
+        elif kind == "rz":
+            circuit.rz(0.5, draw(st.integers(0, n - 1)))
+        else:
+            circuit.h(draw(st.integers(0, n - 1)))
+    return circuit
+
+
+def _outcome(schedule_fn, *args):
+    try:
+        return schedule_fn(*args)
+    except SchedulingError as exc:
+        return str(exc)
+
+
+class TestSchedulerOracle:
+    @given(circuit=_circuits(), data=st.data(),
+           machine=st.sampled_from(sorted(_MACHINES)),
+           variant=st.sampled_from(sorted(_VARIANTS)),
+           enforce=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_schedule_equals_reference(self, circuit, data, machine,
+                                       variant, enforce):
+        calibration, tables = _machine(machine)
+        hw = data.draw(st.permutations(
+            range(calibration.topology.n_qubits)))
+        placement = dict(enumerate(hw[:circuit.n_qubits]))
+        options = _VARIANTS[variant]().with_(enforce_coherence=enforce)
+        args = (circuit, placement, calibration, tables, options)
+        assert _outcome(schedule_circuit, *args) \
+            == _outcome(reference_schedule, *args)

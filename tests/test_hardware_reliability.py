@@ -1,4 +1,11 @@
-"""Tests for routing cost tables (EC/Delta matrices, best paths)."""
+"""Tests for routing cost tables (EC/Delta matrices, best paths).
+
+Best-Path rows are checked entry for entry, under ``==``, against
+re-scoring each entry's own path with :func:`route_cost` and against the
+per-target path walk in ``best_path_reference``: on IBMQ16, calibrated
+and uniform, and on the 12x11 grid perfbench's ``scale_ladder`` routes
+its 128-qubit programs on.
+"""
 
 import math
 
@@ -8,9 +15,14 @@ from hypothesis import strategies as st
 
 from repro.exceptions import TopologyError
 from repro.hardware.calibration import uniform_calibration
-from repro.hardware.calibration_gen import default_ibmq16_calibration
+from repro.hardware.calibration_gen import (
+    CalibrationGenerator,
+    default_ibmq16_calibration,
+)
 from repro.hardware.reliability import ReliabilityTables, route_cost
-from repro.hardware.topology import ibmq16_topology
+from repro.hardware.topology import ibmq16_topology, square_topology
+
+from best_path_reference import reference_row
 
 
 @pytest.fixture(scope="module")
@@ -95,12 +107,33 @@ class TestOneBendTables:
 
 class TestBestPaths:
     def test_best_path_cost_consistent_with_route_cost(self, tables, cal):
-        """The table's cost equals re-evaluating its own path."""
-        for a, b in [(0, 10), (3, 12), (0, 15), (7, 8)]:
-            cost = tables.best_path(a, b)
-            recomputed = route_cost(cal, list(cost.path))
-            assert cost.reliability == pytest.approx(recomputed.reliability)
-            assert cost.duration == pytest.approx(recomputed.duration)
+        """Every entry equals re-evaluating its own path, float for
+        float, and the reference search's entry. Uniform data ties
+        every path of one length, so the search's tie-breaks show."""
+        grid = CalibrationGenerator(square_topology(128),
+                                    seed=2019).snapshot(0)
+        assert (grid.topology.mx, grid.topology.my) == (12, 11)
+        uniform = uniform_calibration(ibmq16_topology())
+        for calibration, table in ((cal, tables),
+                                   (grid, ReliabilityTables(grid)),
+                                   (uniform, ReliabilityTables(uniform))):
+            n = calibration.topology.n_qubits
+            for a in range(n):
+                reference = reference_row(calibration, a)
+                for b in range(n):
+                    if a == b:
+                        continue
+                    cost = table.best_path(a, b)
+                    assert cost == route_cost(calibration, list(cost.path))
+                    assert cost == reference[b]
+
+    @pytest.mark.parametrize("control,target", [
+        (3, 3), (3, 16), (3, -1), (16, 3), (-1, 3)])
+    def test_best_path_rejects_bad_endpoints(self, cal, control, target):
+        tables = ReliabilityTables(cal)
+        with pytest.raises(TopologyError):
+            tables.best_path(control, target)
+        assert tables.best_path(15, 3) == reference_row(cal, 15)[3]
 
     def test_best_path_endpoints(self, tables):
         cost = tables.best_path(0, 15)

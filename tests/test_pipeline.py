@@ -26,8 +26,8 @@ from repro.compiler import (
     compile_circuit,
     estimate_reliability,
     insert_swaps,
-    make_mapper,
     make_pass,
+    mapper_for,
     mapping_stage_fingerprint,
     schedule_circuit,
 )
@@ -58,7 +58,7 @@ def compile_reference(circuit, calibration, options, tables):
     """The seed repo's monolithic compile_circuit sequence, verbatim:
     mapping -> scheduling -> SWAP insertion -> optional peephole ->
     reliability estimation."""
-    mapper = make_mapper(options)
+    mapper = mapper_for(options)
     mapping = mapper.run(circuit, calibration, tables)
     schedule = schedule_circuit(circuit, mapping.placement, calibration,
                                 tables, options)
@@ -134,12 +134,12 @@ class TestRegistries:
         with pytest.raises(CompilationError, match="no mapper registered"):
             MappingPass("annealer")
 
-    def test_unknown_variant_rejected_by_make_mapper(self):
+    def test_unknown_variant_rejected_by_mapper_for(self):
         options = CompilerOptions.r_smt_star()
         bogus = dataclasses.replace(options)
         object.__setattr__(bogus, "variant", "annealer")
         with pytest.raises(CompilationError, match="no mapper registered"):
-            make_mapper(bogus)
+            mapper_for(bogus)
 
     def test_unknown_pass_rejected(self):
         with pytest.raises(CompilationError, match="no pass registered"):
