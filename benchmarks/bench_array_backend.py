@@ -1,13 +1,14 @@
-"""Array-backend throughput: the ``"gpu"`` engine vs host numpy.
+"""Array-backend throughput: the batched engine on torch/cupy vs numpy.
 
-The pluggable array-backend seam only earns its keep if the ``"gpu"``
-engine actually outruns the numpy contraction once an accelerated
-library is installed: this bench pins a >= 1.3x median speedup on a
-12-qubit high-trial random circuit (state tensors big enough that
-tensordot throughput, not Python overhead, dominates). With neither
-torch nor cupy installed the speedup subject skips cleanly, and the
-numpy-only chunk-budget invariance check still runs — which is exactly
-what the accelerator-less CI smoke job exercises.
+The pluggable array-backend seam only earns its keep if
+``engine="batched"`` with ``array_backend="torch"`` (or ``"cupy"``)
+actually outruns the numpy contraction: this bench pins a >= 1.3x
+median speedup on a 12-qubit high-trial random circuit (state tensors
+big enough that tensordot throughput, not Python overhead, dominates)
+for each accelerated backend that is installed. With neither torch nor
+cupy installed the speedup subjects skip cleanly, and the numpy-only
+chunk-budget invariance check still runs — which is exactly what the
+accelerator-less CI smoke job exercises.
 """
 
 import statistics
@@ -17,7 +18,7 @@ import pytest
 
 from repro.compiler import CompilerOptions, compile_circuit
 from repro.programs import random_circuit
-from repro.simulator import best_accelerated_backend, execute
+from repro.simulator import array_backend_available, execute
 from repro.simulator.xp import CHUNK_ENV
 
 from conftest import SMOKE, record
@@ -37,26 +38,29 @@ def program_12q(calibration, tables):
                            CompilerOptions.greedy_e(), tables=tables)
 
 
-def test_gpu_speedup_over_numpy(benchmark, program_12q, calibration):
-    """Median ``engine="gpu"`` speedup over the numpy contraction."""
-    if best_accelerated_backend() is None:
-        pytest.skip("no accelerated array backend (torch/cupy) installed")
-    kwargs = {"trials": TRIALS, "seed": 0}
+@pytest.mark.parametrize("backend_name", ["cupy", "torch"])
+def test_accelerated_speedup_over_numpy(benchmark, program_12q,
+                                        calibration, backend_name):
+    """Median speedup of the batched engine on *backend_name* over the
+    numpy contraction."""
+    if not array_backend_available(backend_name):
+        pytest.skip(f"array backend {backend_name!r} not installed")
+    kwargs = {"trials": TRIALS, "seed": 0, "engine": "batched"}
 
     def timed_numpy(rounds):
         samples = []
         for _ in range(rounds):
             start = time.perf_counter()
-            execute(program_12q, calibration, engine="batched",
-                    array_backend="numpy", **kwargs)
+            execute(program_12q, calibration, array_backend="numpy",
+                    **kwargs)
             samples.append(time.perf_counter() - start)
         return statistics.median(samples)
 
     # Warm both paths (trace lowering, device init, staging uploads).
-    reference = execute(program_12q, calibration, engine="batched",
-                        array_backend="numpy", **kwargs)
-    accelerated = execute(program_12q, calibration, engine="gpu",
-                          **kwargs)
+    reference = execute(program_12q, calibration, array_backend="numpy",
+                        **kwargs)
+    accelerated = execute(program_12q, calibration,
+                          array_backend=backend_name, **kwargs)
     # Counts are bit-identical by construction — assert it here too, so
     # a speedup can never be bought with a correctness regression.
     assert accelerated.counts == reference.counts
@@ -64,16 +68,16 @@ def test_gpu_speedup_over_numpy(benchmark, program_12q, calibration):
     numpy_median = timed_numpy(1 if SMOKE else 3)
     benchmark.pedantic(
         execute, args=(program_12q, calibration),
-        kwargs={**kwargs, "engine": "gpu"},
+        kwargs={**kwargs, "array_backend": backend_name},
         rounds=1 if SMOKE else 5, iterations=1)
-    gpu_median = benchmark.stats.stats.median
-    speedup = numpy_median / gpu_median
+    accelerated_median = benchmark.stats.stats.median
+    speedup = numpy_median / accelerated_median
     benchmark.extra_info["speedup"] = speedup
     record(benchmark,
            f"rand{N_QUBITS}q{N_GATES}g @{TRIALS} trials: "
            f"numpy={numpy_median * 1e3:.1f} ms  "
-           f"gpu={gpu_median * 1e3:.1f} ms  speedup={speedup:.2f}x  "
-           f"(backend: {best_accelerated_backend().name})")
+           f"{backend_name}={accelerated_median * 1e3:.1f} ms  "
+           f"speedup={speedup:.2f}x")
     if not SMOKE:
         assert speedup >= 1.3
 

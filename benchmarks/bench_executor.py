@@ -1,12 +1,17 @@
-"""Executor engine throughput: legacy per-trial vs vectorized batched.
+"""Executor throughput: the per-trial loop vs the vectorized batched engine.
 
 Tracks the batched-engine speedup in the perf trajectory. The batched
-engine must stay >= 10x faster than ``engine="trial"`` at 4096 trials
-on BV4 (the headline acceptance bar for the vectorized engine).
+engine must stay >= 10x faster than the per-trial loop at 4096 trials
+on BV4 (the headline acceptance bar for the vectorized engine). The
+per-trial loop is ``reference_execute`` from ``tests/trial_reference.py``,
+the batched engine's test oracle.
 """
 
 import statistics
+import sys
 import time
+from functools import partial
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +20,12 @@ from repro.programs import build_benchmark, expected_output
 from repro.simulator import execute
 
 from conftest import SMOKE, record
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from trial_reference import reference_execute  # noqa: E402
+
+RUNNERS = {"trial": reference_execute,
+           "batched": partial(execute, engine="batched")}
 
 
 @pytest.fixture(scope="module")
@@ -27,28 +38,28 @@ def bv4_program(calibration, tables):
 @pytest.mark.parametrize("engine", ["trial", "batched"])
 def test_execute_bv4(benchmark, bv4_program, calibration, engine, trials):
     result = benchmark.pedantic(
-        execute, args=(bv4_program, calibration),
+        RUNNERS[engine], args=(bv4_program, calibration),
         kwargs={"trials": trials, "seed": 0,
-                "expected": expected_output("BV4"), "engine": engine},
+                "expected": expected_output("BV4")},
         rounds=3, iterations=1, warmup_rounds=1)
     assert sum(result.counts.values()) == trials
 
 
 def test_batched_speedup_bv4_4096(benchmark, bv4_program, calibration):
-    """Median batched speedup over the per-trial engine at 4096 trials."""
+    """Median batched speedup over the per-trial loop at 4096 trials."""
     kwargs = {"trials": 4096, "seed": 0,
               "expected": expected_output("BV4")}
 
-    def timed(engine, rounds=3):
+    def timed(run, rounds=3):
         samples = []
         for _ in range(rounds):
             start = time.perf_counter()
-            execute(bv4_program, calibration, engine=engine, **kwargs)
+            run(bv4_program, calibration, **kwargs)
             samples.append(time.perf_counter() - start)
         return statistics.median(samples)
 
     execute(bv4_program, calibration, engine="batched", **kwargs)  # warm
-    legacy = timed("trial")
+    legacy = timed(reference_execute)
     batched = benchmark.pedantic(
         execute, args=(bv4_program, calibration),
         kwargs={**kwargs, "engine": "batched"},

@@ -8,8 +8,8 @@ Two registries make "which machine" and "which executor" pluggable:
   :mod:`repro.backend.presets` (``repro backends`` on the CLI);
 * :class:`ExecutionEngine` (:func:`register_engine` /
   :func:`get_engine`) — the strategy behind
-  ``execute(engine=...)``; the built-ins (``batched``, ``trial``,
-  ``analytic``) register themselves from the simulator package.
+  ``execute(engine=...)``; the built-ins (``batched``, ``stabilizer``,
+  ``auto``) register themselves from the simulator package.
 
 The sweep runtime treats a cell's backend as a first-class axis: cache
 keys are scoped by backend content id and ``run_sweep`` groups cells

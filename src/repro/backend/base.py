@@ -17,8 +17,7 @@ thousand sweep cells on ``(falcon27, day 3)`` share one
 
 Presets register through :func:`register_backend`
 (:mod:`repro.backend.presets` holds the built-ins); third-party code
-registers new machines the same way, without touching this module or
-``hardware/devices.py``.
+registers new machines the same way, without touching this module.
 """
 
 from __future__ import annotations

@@ -1,36 +1,22 @@
 """Execution-engine protocol and registry.
 
-The simulator used to hard-wire its engines as an ``engine ==
-"batched" | "trial"`` if-chain inside :func:`repro.simulator.execute`.
-This module replaces that chain with a registry: an
-:class:`ExecutionEngine` is a stateless strategy object that turns a
+An :class:`ExecutionEngine` is a stateless strategy object that turns a
 (compiled program, calibration, noise model) triple into an
 :class:`~repro.simulator.ExecutionResult`, registered under a stable
 name with :func:`register_engine`. ``execute(engine=...)`` looks the
-name up here, so adding an engine — a GPU statevector, a
-tensor-network contractor, a closed-form estimator — means registering
-a class, not editing ``executor.py``. The built-in proof of that
-contract is the ``"analytic"`` engine, which lives in
-:mod:`repro.simulator.analytic` and registers itself from there.
+name up here, so adding an engine means registering a class, not
+editing ``executor.py``.
 
-Built-ins:
+Built-ins, all sampling one law from the same lowered
+:class:`~repro.simulator.trace.ProgramTrace`:
 
-* ``"batched"`` — vectorized Monte-Carlo over a lowered
-  :class:`~repro.simulator.trace.ProgramTrace` (the default);
-* ``"trial"`` — the legacy per-trial loop, kept for cross-validation
-  and for exotic noise models that override the sampling hooks;
-* ``"analytic"`` — deterministic closed-form success estimate (no
-  sampling; exact-check runs);
-* ``"gpu"`` — the batched engine's law on the best available
-  accelerated array backend (cupy, then torch; see
-  :class:`GpuEngine`), with device-memory-aware chunking. Registered
-  here so it exists even before the simulator loads — counts are
-  bit-identical to ``"batched"``, only throughput differs;
+* ``"batched"`` — vectorized dense Monte-Carlo (the default), on a
+  pluggable array backend (``array_backend=``/``--array-backend``);
 * ``"stabilizer"`` — polynomial-time CHP tableau sampler for
   Clifford-only programs (hundreds of qubits; see
   :mod:`repro.simulator.stabilizer`);
 * ``"auto"`` — per-circuit router: Clifford programs go to
-  ``"stabilizer"``, everything else to the dense default.
+  ``"stabilizer"``, everything else to ``"batched"``.
 
 This module deliberately imports nothing from the simulator at load
 time (the simulator imports *it* to register the built-ins); lookups
@@ -51,8 +37,8 @@ DEFAULT_ENGINE = "batched"
 
 
 def unknown_name_message(kind: str, name: str, known) -> str:
-    """A did-you-mean lookup error, shared by the engine and backend
-    registries (mirrors ``device_topology``'s error style)."""
+    """A did-you-mean lookup error, shared by the engine, backend and
+    array-backend registries."""
     matches = difflib.get_close_matches(str(name).lower(), sorted(known),
                                         n=3, cutoff=0.5)
     hint = ""
@@ -69,14 +55,6 @@ class ExecutionEngine:
     ``execute(engine=...)`` and ``SweepCell.engine``), implement
     :meth:`run`, and optionally declare:
 
-    * :attr:`uses_probability_accessors` — the engine derives its error
-      law from the :class:`~repro.simulator.NoiseModel` probability
-      accessors only (never the per-trial ``sample_*`` hooks). For a
-      noise model that *overrides* those hooks, :func:`execute`
-      reroutes such an engine to its :attr:`fallback` so the custom
-      sampling is honored.
-    * :attr:`fallback` — registered engine name to fall back to in that
-      case (``None`` = no fallback; the engine runs as-is).
     * :attr:`accepts_array_backend` — the engine runs its statevector
       contraction on a pluggable
       :class:`~repro.simulator.xp.ArrayBackend` and its :meth:`run`
@@ -85,8 +63,8 @@ class ExecutionEngine:
       a selection is made against an engine without one).
     * :attr:`family` — capability class shown by ``repro engines``:
       ``"dense"`` (statevector, exponential in qubits), ``"stabilizer"``
-      (tableau, polynomial but Clifford-only), ``"router"`` (dispatches
-      to other engines), or ``"estimate"`` (closed form, no sampling).
+      (tableau, polynomial but Clifford-only) or ``"router"``
+      (dispatches to other engines).
 
     Engines must be stateless: one shared instance serves every call,
     including concurrent pool workers (determinism comes from the seed
@@ -94,8 +72,6 @@ class ExecutionEngine:
     """
 
     name: str = ""
-    uses_probability_accessors: bool = False
-    fallback: Optional[str] = None
     accepts_array_backend: bool = False
     family: str = "dense"
 
@@ -119,7 +95,7 @@ class ExecutionEngine:
             noise: The (already resolved) noise model.
             trials: Shot count (>= 1, validated by ``execute``).
             seed: Master RNG seed; results must be a pure function of
-                the arguments (deterministic engines may ignore it).
+                the arguments.
             expected: The benchmark's known answer string.
             trace_cache: Optional lowered-trace cache
                 (``get``/``put`` signature of
@@ -154,77 +130,6 @@ def register_engine(engine: Union[Type[ExecutionEngine], ExecutionEngine]):
     # Lookup is case-insensitive, matching the backend registry.
     _ENGINES[instance.name.lower()] = instance
     return engine
-
-
-#: Whether the "no accelerated backend" degradation has been announced
-#: (once per process, like the executor's fallback warnings).
-_WARNED_NO_ACCELERATOR = False
-
-
-def _warn_no_accelerator() -> None:
-    global _WARNED_NO_ACCELERATOR
-    if _WARNED_NO_ACCELERATOR:
-        return
-    _WARNED_NO_ACCELERATOR = True
-    import warnings
-
-    warnings.warn(
-        "engine='gpu' found no accelerated array backend (cupy/torch "
-        "not importable); running the batched contraction on numpy. "
-        "Counts are bit-identical — install torch or cupy for the "
-        "speedup.", RuntimeWarning, stacklevel=4)
-
-
-@register_engine
-class GpuEngine(ExecutionEngine):
-    """The batched trajectory engine on an accelerated array backend.
-
-    Picks the best available non-numpy
-    :class:`~repro.simulator.xp.ArrayBackend` (cupy first, then torch
-    — torch still buys multi-threaded CPU contraction without a GPU)
-    unless the caller selects one explicitly, and delegates to the
-    registered ``"batched"`` engine: same trace lowering, same host-RNG
-    sampling law, so counts are **bit-identical** to
-    ``engine="batched"`` for every seed. Chunking follows the chosen
-    backend's device-memory-aware
-    :meth:`~repro.simulator.xp.ArrayBackend.amplitude_budget` instead
-    of the host constant. With neither cupy nor torch installed it
-    warns once and degrades to numpy — a correctness no-op.
-
-    Lives here (not in the simulator) as the registry's second
-    in-tree proof that engines plug in without touching
-    ``executor.py``; all simulator imports happen inside :meth:`run`.
-    """
-
-    name = "gpu"
-    uses_probability_accessors = True
-    fallback = "trial"
-    accepts_array_backend = True
-
-    def capacity_note(self) -> str:
-        return "dense ceiling from free device memory"
-
-    def run(self, compiled, calibration, noise, *, trials: int, seed: int,
-            expected: Optional[str] = None, trace_cache=None,
-            array_backend=None):
-        # Lazy imports keep this module free of simulator dependencies
-        # at load time (it is imported *by* the simulator).
-        from repro.simulator.xp import (
-            best_accelerated_backend,
-            resolve_array_backend,
-        )
-
-        if array_backend is None:
-            backend = best_accelerated_backend()
-            if backend is None:
-                _warn_no_accelerator()
-                backend = resolve_array_backend("numpy")
-        else:
-            backend = resolve_array_backend(array_backend)
-        return get_engine("batched").run(
-            compiled, calibration, noise, trials=trials, seed=seed,
-            expected=expected, trace_cache=trace_cache,
-            array_backend=backend)
 
 
 def _ensure_builtin_engines() -> None:

@@ -12,7 +12,7 @@ differently.
 
 These are ordinary :func:`~repro.backend.base.register_backend`
 registrations: adding a machine here (or anywhere else) never touches
-``hardware/devices.py`` or the executor.
+the CLI or the executor.
 """
 
 from __future__ import annotations

@@ -57,7 +57,6 @@ from repro.backend import get_backend, registered_backends, \
     registered_engines
 from repro.compiler import CompilerOptions, build_pipeline
 from repro.exceptions import ReproError
-from repro.hardware import device_calibration
 from repro.ir import parse_scaffir, qasm_to_circuit
 # Importing the mitigation package also registers its "fold" pass with
 # the compiler pass registry (visible in `repro passes`).
@@ -194,9 +193,9 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--seed", type=int, default=0)
     run_p.add_argument("--engine", default=None,
                        help="execution engine (default: the backend's "
-                            "own; registered: batched, trial, analytic, "
-                            "gpu, stabilizer, auto, plus third-party "
-                            "registrations)")
+                            "own; registered: batched, stabilizer, auto, "
+                            "plus third-party registrations; see `repro "
+                            "engines`)")
     run_p.add_argument("--expected", default=None,
                        help="expected outcome string (default: the "
                             "benchmark's registered answer)")
@@ -480,6 +479,14 @@ def _variant_options(variant: str, omega: float,
     return options
 
 
+def _backend(name: str, args: argparse.Namespace):
+    """Registered backend *name*, with ``--calibration-seed`` applied."""
+    backend = get_backend(name)
+    if args.calibration_seed is not None:
+        backend = backend.with_(calibration_seed=args.calibration_seed)
+    return backend
+
+
 def _options(args: argparse.Namespace) -> CompilerOptions:
     return _variant_options(args.variant, args.omega, args.routing).with_(
         solver_time_limit=args.time_limit, peephole=args.peephole,
@@ -488,8 +495,7 @@ def _options(args: argparse.Namespace) -> CompilerOptions:
 
 def _cmd_compile(args: argparse.Namespace, out) -> int:
     circuit, _ = _load_circuit(args)
-    calibration = device_calibration(args.device, day=args.day,
-                                     seed=args.calibration_seed)
+    calibration = _backend(args.device, args).calibration(args.day)
     options = _options(args)
     pipeline = build_pipeline(options, verify=args.verify)
     program = pipeline.run(circuit, calibration, options)
@@ -515,8 +521,7 @@ def _cmd_profile(args: argparse.Namespace, out) -> int:
     from repro.profiling import Profiler
 
     circuit, _ = _load_circuit(args)
-    calibration = device_calibration(args.device, day=args.day,
-                                     seed=args.calibration_seed)
+    calibration = _backend(args.device, args).calibration(args.day)
     options = _options(args)
     pipeline = build_pipeline(options)
     with Profiler(trace_allocations=not args.no_alloc) as profiler:
@@ -565,14 +570,12 @@ def _cmd_run(args: argparse.Namespace, out) -> int:
     from repro.backend import get_engine
 
     circuit, registered_answer = _load_circuit(args)
-    backend = get_backend(args.device)
+    backend = _backend(args.device, args)
     # Resolve the engine before compiling: an engine typo should fail
     # in milliseconds, not after the SMT solve.
     engine = args.engine or backend.default_engine
     get_engine(engine)
     array_backend = _array_backend_setup(args)
-    if args.calibration_seed is not None:
-        backend = backend.with_(calibration_seed=args.calibration_seed)
     calibration = backend.calibration(args.day)
     program, cache_hit = _compile_cache(args).get_or_compile(
         circuit, calibration, _options(args), backend=backend)
@@ -595,8 +598,7 @@ def _cmd_run(args: argparse.Namespace, out) -> int:
 
 
 def _cmd_calibration(args: argparse.Namespace, out) -> int:
-    calibration = device_calibration(args.device, day=args.day,
-                                     seed=args.calibration_seed)
+    calibration = _backend(args.device, args).calibration(args.day)
     if args.output:
         args.output.write_text(calibration.to_json())
         print(f"wrote {args.output}", file=sys.stderr)
@@ -663,13 +665,7 @@ def _grid_cells(args: argparse.Namespace):
     paths is a property of the runtime, not of argument plumbing."""
     from repro.runtime import SweepCell
 
-    backends = []
-    for name in args.device:
-        backend = get_backend(name)
-        if args.calibration_seed is not None:
-            backend = backend.with_(
-                calibration_seed=args.calibration_seed)
-        backends.append(backend)
+    backends = [_backend(name, args) for name in args.device]
     specs = {name: get_benchmark(name) for name in args.benchmarks}
     circuits = {name: spec.build() for name, spec in specs.items()}
     # `repro submit` has no --array-backend (the server picks its own
@@ -794,9 +790,7 @@ def _cmd_mitigate(args: argparse.Namespace, out) -> int:
     from repro.experiments.common import format_table
     from repro.runtime import SweepCell, run_sweep
 
-    backend = get_backend(args.device)
-    if args.calibration_seed is not None:
-        backend = backend.with_(calibration_seed=args.calibration_seed)
+    backend = _backend(args.device, args)
     options = _variant_options(args.variant, args.omega)
     strategy = strategy_from_spec(args.strategy,
                                   scales=args.scales or (),

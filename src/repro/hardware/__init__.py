@@ -14,28 +14,20 @@ from repro.hardware.calibration_gen import (
     NoiseProfile,
     default_ibmq16_calibration,
 )
-from repro.hardware.devices import (
-    device_calibration,
-    device_names,
-    device_topology,
-    ibmq5_topology,
-    ibmq20_topology,
-    linear_topology,
-)
 from repro.hardware.reliability import ReliabilityTables, RoutedCnot, route_cost
 from repro.hardware.topology import (
     GridTopology,
     edge_key,
+    ibmq5_topology,
     ibmq16_topology,
+    ibmq20_topology,
+    linear_topology,
     square_topology,
 )
 
 __all__ = [
     "Calibration",
     "CalibrationGenerator",
-    "device_calibration",
-    "device_names",
-    "device_topology",
     "ibmq20_topology",
     "ibmq5_topology",
     "linear_topology",

@@ -80,10 +80,10 @@ DEFAULT_SCALES = (1.0, 1.5, 2.0)
 class ScaledNoiseModel(NoiseModel):
     """A noise model whose error probabilities are *base*'s times *scale*.
 
-    Only the probability accessors are overridden (never the per-trial
-    ``sample_*`` hooks), so the batched engine lowers scaled traces
-    directly — and because the scaling is a uniform multiplication of
-    each error site's firing probability, a lowered scaled trace equals
+    Only the probability accessors are overridden, and every engine
+    lowers its trace from them, so scaled traces lower directly — and
+    because the scaling is a uniform multiplication of each error
+    site's firing probability, a lowered scaled trace equals
     ``base_trace.rescaled(scale)`` array-for-array. ``trace_key()``
     makes the scaled lowerings cacheable per scale.
 

@@ -1,27 +1,24 @@
 """Noisy hardware executor (the IBMQ16 substitute).
 
-Execution is Monte-Carlo over stochastic Pauli errors. Two engines
-sample the same law: the default vectorized batched engine
-(:mod:`repro.simulator.trace` + :mod:`repro.simulator.batch`) and the
-legacy per-trial loop (``execute(..., engine="trial")``). The batched
-engine's statevector contraction runs on a pluggable array backend
+Execution is Monte-Carlo over stochastic Pauli errors, under one
+sampling law lowered once per (program, noise model) pair into a
+:class:`~repro.simulator.trace.ProgramTrace`. ``execute(engine=
+"batched")`` (the default, :mod:`repro.simulator.batch`) samples it on
+a dense statevector whose contraction runs on a pluggable array backend
 (:mod:`repro.simulator.xp`: numpy always, torch/cupy when installed)
-with host-side RNG, so counts are bit-identical across backends;
-``execute(engine="gpu")`` picks the best accelerated one. Clifford
-programs additionally have a polynomial-time path:
+with host-side RNG, so counts are bit-identical across backends.
+Clifford programs additionally have a polynomial-time path:
 ``execute(engine="stabilizer")`` runs the symbolic CHP tableau
 subsystem (:mod:`repro.simulator.stabilizer`) over the same lowered
 trace, and ``engine="auto"`` routes each circuit to stabilizer or
 dense automatically.
 """
 
-from repro.simulator.analytic import AnalyticEstimate, estimate_success_analytic
 from repro.simulator.batch import run_batched
 from repro.simulator.xp import (
     ArrayBackend,
     array_backend_available,
     array_backend_status,
-    best_accelerated_backend,
     default_array_backend,
     get_array_backend,
     register_array_backend,
@@ -41,7 +38,6 @@ from repro.simulator.stabilizer import (
 from repro.simulator.noise import (
     IdleRates,
     NoiseModel,
-    PauliEvent,
     ideal_noise_model,
     noise_content_key,
 )
@@ -55,16 +51,13 @@ from repro.simulator.success import (
 )
 
 __all__ = [
-    "AnalyticEstimate",
     "CLIFFORD_GATES",
     "CompactProgram",
     "ExecutionResult",
     "ProgramTrace",
     "SymbolicTableau",
-    "estimate_success_analytic",
     "IdleRates",
     "NoiseModel",
-    "PauliEvent",
     "StateVector",
     "cached_unitary",
     "distribution_overlap",

@@ -36,11 +36,12 @@ complex128 on host backends, a fraction of free device memory on CUDA,
 ``REPRO_CHUNK_MIB`` override everywhere) instead of the fixed
 ``1 << 22`` amplitude constant it replaced.
 
-Each step matches the per-trial engine's sampling law exactly (two
+Each step matches a per-trial loop's sampling law exactly (two
 conditionally independent trials with the same error plan are i.i.d.
 draws from the same trajectory distribution), so the batched engine is
-distribution-identical to ``engine="trial"`` while replacing O(trials)
-statevector runs with one batched run over the distinct noisy plans.
+distribution-identical to one statevector run per trial while replacing
+O(trials) statevector runs with one batched run over the distinct noisy
+plans.
 """
 
 from __future__ import annotations
@@ -317,7 +318,7 @@ def render_readout_bits(trace: ProgramTrace, bits: np.ndarray,
         final value of ``trace.measured_cbits[j]``). Each classical
         bit starts from its last writer's measured value, then every
         measure aliasing that cbit flips it in program order against
-        the *current* value — matching the per-trial engine even when
+        the *current* value — matching the per-trial loop even when
         measures share a cbit.
     """
     trials = bits.shape[0]

@@ -7,46 +7,42 @@ from the compiled schedule's start times), and readout bit flips on
 measurement. The fraction of trials returning the benchmark's known
 answer is the measured success rate.
 
-Engines are pluggable strategies registered with
+Engines are strategies registered with
 :func:`repro.backend.engines.register_engine`; :func:`execute` resolves
-its ``engine`` argument through that registry, so new engines (the
-``"analytic"`` estimator in :mod:`repro.simulator.analytic`, future GPU
-statevector backends) register themselves without touching this
-module. The two Monte-Carlo built-ins sample the same law:
+its ``engine`` argument through that registry. The built-ins sample one
+law, lowered once per (program, noise model) pair into a
+:class:`~repro.simulator.trace.ProgramTrace` from the model's
+probability accessors:
 
-* ``engine="batched"`` (default, :class:`BatchedEngine`) lowers the
-  program once into a :class:`~repro.simulator.trace.ProgramTrace` and
-  samples all trials with array-level numpy operations
-  (:mod:`repro.simulator.batch`): one Bernoulli matrix for every error
-  site, a single vectorized draw for all error-free trials, and one
-  statevector simulation per *distinct* noisy error plan.
-* ``engine="trial"`` (:class:`TrialEngine`) is the legacy per-trial
-  loop, kept for cross-validation (the batched engine is tested to
-  agree with it within a TVD bound) and for exotic
-  :class:`NoiseModel` subclasses that override the sampling methods
-  rather than the probability accessors — :func:`execute` detects
-  such models and falls back to it automatically.
-
-Trials with no sampled error events short-circuit to a draw from the
-ideal output distribution, which keeps thousand-trial runs fast without
-changing the sampled law.
+* ``engine="batched"`` (default, :class:`BatchedEngine`) samples all
+  trials with array-level operations (:mod:`repro.simulator.batch`):
+  one Bernoulli matrix for every error site, a single vectorized draw
+  for all error-free trials, and one statevector simulation per
+  *distinct* noisy error plan;
+* ``engine="stabilizer"`` samples Clifford programs from the same trace
+  in polynomial time, and ``engine="auto"`` routes each circuit to it or
+  to ``batched`` (:mod:`repro.simulator.stabilizer.engine`).
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Optional, Set
 
 import numpy as np
 
-from repro.backend.engines import ExecutionEngine, get_engine, register_engine
+from repro.backend.engines import (
+    DEFAULT_ENGINE,
+    ExecutionEngine,
+    get_engine,
+    register_engine,
+)
 from repro.compiler.compile import CompiledProgram
 from repro.exceptions import SimulationCapacityError, SimulationError
 from repro.hardware.calibration import Calibration
 from repro.simulator.batch import run_batched
-from repro.simulator.noise import NoiseModel, PauliEvent
-from repro.simulator.statevector import StateVector
+from repro.simulator.noise import NoiseModel
 from repro.simulator.success import distribution_overlap
 from repro.simulator.trace import CompactProgram, ProgramTrace
 from repro.simulator.xp import resolve_array_backend
@@ -84,62 +80,6 @@ class ExecutionResult:
     def top_outcome(self) -> str:
         """Most frequent measured string."""
         return max(self.counts, key=lambda o: (self.counts[o], o))
-
-
-#: The per-trial sampling extension points of :class:`NoiseModel`. The
-#: batched engine lowers error sites from the probability accessors
-#: only, so a subclass overriding one of these must run per-trial.
-_SAMPLING_HOOKS = ("sample_gate_error", "sample_idle_error",
-                   "sample_readout_flip")
-
-
-def _overrides_sampling_hooks(noise: NoiseModel) -> bool:
-    return any(getattr(type(noise), hook) is not getattr(NoiseModel, hook)
-               for hook in _SAMPLING_HOOKS)
-
-
-#: (noise-model class, engine name) pairs already warned about — the
-#: behavior is correct but easy to miss in sweep timings/results, so
-#: each combination is called out once per process.
-_WARNED_FALLBACK_CLASSES: Set[Tuple[type, str]] = set()
-
-
-def _overridden_hooks(cls: type) -> List[str]:
-    return [hook for hook in _SAMPLING_HOOKS
-            if getattr(cls, hook) is not getattr(NoiseModel, hook)]
-
-
-def _warn_trial_fallback(noise: NoiseModel, engine_name: str) -> None:
-    cls = type(noise)
-    if (cls, engine_name) in _WARNED_FALLBACK_CLASSES:
-        return
-    _WARNED_FALLBACK_CLASSES.add((cls, engine_name))
-    warnings.warn(
-        f"{cls.__name__} overrides the per-trial sampling hook(s) "
-        f"{', '.join(_overridden_hooks(cls))}; "
-        f"execute(engine={engine_name!r}) falls back to the slower "
-        f"engine='trial' for it. Subclass via the probability accessors "
-        f"(gate_error_probability / idle_rates / "
-        f"readout_flip_probability) to keep the batched engine, and "
-        f"define trace_key() to stay trace-cacheable.",
-        RuntimeWarning, stacklevel=3)
-
-
-def _warn_hooks_ignored(noise: NoiseModel, engine_name: str) -> None:
-    """An accessor-lowering engine with no fallback cannot honor the
-    model's custom sampling — say so once instead of silently dropping
-    it (the analytic engine is the in-tree case)."""
-    cls = type(noise)
-    if (cls, engine_name) in _WARNED_FALLBACK_CLASSES:
-        return
-    _WARNED_FALLBACK_CLASSES.add((cls, engine_name))
-    warnings.warn(
-        f"{cls.__name__} overrides the per-trial sampling hook(s) "
-        f"{', '.join(_overridden_hooks(cls))}, but "
-        f"engine={engine_name!r} derives its error law from the "
-        f"probability accessors only and has no per-trial fallback; "
-        f"the custom sampling is ignored.",
-        RuntimeWarning, stacklevel=3)
 
 
 #: Engine names already warned about dropping an explicit array-backend
@@ -180,56 +120,12 @@ def check_dense_capacity(n_qubits: int, budget: int,
             f"circuits, or `--engine auto` to route automatically.")
 
 
-def _dense_event(event: PauliEvent, mapping: Dict[int, int]) -> Tuple[int, str]:
-    return mapping[event.qubit], event.name
-
-
-def _run_state(compact: CompactProgram,
-               error_plan: Optional[List[List[Tuple[int, str]]]]
-               ) -> StateVector:
-    """Execute the gate list; apply planned Pauli events after each gate."""
-    state = StateVector(compact.n_qubits)
-    for i, gate in enumerate(compact.gates):
-        if gate.name == "barrier" or gate.is_measure:
-            pass
-        else:
-            dense = tuple(compact.hw_to_dense[q] for q in gate.qubits)
-            state.apply_gate(gate.name, dense, param=gate.param)
-        if error_plan is not None:
-            for dense_q, pauli in error_plan[i]:
-                state.apply_gate(pauli, (dense_q,))
-    return state
-
-
-def _ideal_distribution(compact: CompactProgram) -> Dict[str, float]:
-    """Noise-free distribution over classical strings."""
-    state = _run_state(compact, None)
-    probs = state.probabilities()
-    out: Dict[str, float] = {}
-    n = compact.n_qubits
-    for index, p in enumerate(probs):
-        if p < 1e-12:
-            continue
-        bits = [(index >> (n - 1 - q)) & 1 for q in range(n)]
-        string = _classical_string(compact, bits)
-        out[string] = out.get(string, 0.0) + float(p)
-    return out
-
-
-def _classical_string(compact: CompactProgram, bits: Sequence[int]) -> str:
-    chars = ["0"] * compact.n_cbits
-    for _, dense, cbit in compact.measures:
-        chars[cbit] = str(bits[dense])
-    return "".join(chars)
-
-
 @register_engine
 class BatchedEngine(ExecutionEngine):
     """Vectorized Monte-Carlo over a lowered :class:`ProgramTrace`.
 
-    Lowers error sites from the noise model's probability accessors
-    (never the per-trial ``sample_*`` hooks — hence the declared
-    fallback) and samples every trial with array-level operations; see
+    Lowers error sites from the noise model's probability accessors and
+    samples every trial with array-level operations; see
     :mod:`repro.simulator.batch`. The statevector contraction runs on
     the selected :class:`~repro.simulator.xp.ArrayBackend` (numpy by
     default) while every RNG draw stays on the host, so counts are
@@ -237,8 +133,6 @@ class BatchedEngine(ExecutionEngine):
     """
 
     name = "batched"
-    uses_probability_accessors = True
-    fallback = "trial"
     accepts_array_backend = True
 
     def run(self, compiled: CompiledProgram, calibration: Calibration,
@@ -269,63 +163,11 @@ class BatchedEngine(ExecutionEngine):
                                ideal_distribution=trace.ideal_distribution)
 
 
-@register_engine
-class TrialEngine(ExecutionEngine):
-    """The legacy per-trial Monte-Carlo loop.
-
-    Samples one error plan per trial through the noise model's
-    ``sample_*`` hooks, so it honors subclasses that customize the
-    sampling itself; kept as the cross-validation reference for the
-    batched engine.
-    """
-
-    name = "trial"
-
-    def run(self, compiled: CompiledProgram, calibration: Calibration,
-            noise: NoiseModel, *, trials: int, seed: int,
-            expected: Optional[str] = None,
-            trace_cache=None) -> ExecutionResult:
-        check_dense_capacity(
-            len(compiled.physical.circuit.used_qubits()),
-            resolve_array_backend("numpy").amplitude_budget(), self.name)
-        rng = np.random.default_rng(seed)
-        compact = CompactProgram(compiled.physical.circuit,
-                                 compiled.physical.times,
-                                 topology=calibration.topology)
-
-        ideal = _ideal_distribution(compact)
-        ideal_outcomes = sorted(ideal)
-        ideal_probs = np.array([ideal[o] for o in ideal_outcomes])
-        ideal_probs = ideal_probs / ideal_probs.sum()
-
-        counts = {}
-        for _ in range(trials):
-            plan, any_error = _sample_error_plan(compact, noise, rng)
-            if not any_error:
-                outcome = ideal_outcomes[
-                    int(rng.choice(len(ideal_outcomes), p=ideal_probs))]
-            else:
-                state = _run_state(compact, plan)
-                bits = state.sample(rng)
-                outcome = _classical_string(compact, bits)
-            # Readout flips are sampled against the true measured bit so
-            # the calibration's readout asymmetry is honored.
-            chars = list(outcome)
-            for hw, _, cbit in compact.measures:
-                if noise.sample_readout_flip(hw, rng, bit=int(chars[cbit])):
-                    chars[cbit] = "1" if chars[cbit] == "0" else "0"
-            outcome = "".join(chars)
-            counts[outcome] = counts.get(outcome, 0) + 1
-
-        return ExecutionResult(counts=counts, trials=trials,
-                               expected=expected, ideal_distribution=ideal)
-
-
 def execute(compiled: CompiledProgram, calibration: Calibration,
             trials: int = 1024, seed: int = 0,
             expected: Optional[str] = None,
             noise_model: Optional[NoiseModel] = None,
-            engine: str = "batched",
+            engine: str = DEFAULT_ENGINE,
             trace_cache=None, array_backend=None) -> ExecutionResult:
     """Run *compiled* for *trials* shots on the noisy simulator.
 
@@ -340,30 +182,27 @@ def execute(compiled: CompiledProgram, calibration: Calibration,
         noise_model: Override the default all-mechanisms model.
         engine: Name of a registered
             :class:`~repro.backend.engines.ExecutionEngine` —
-            ``"batched"`` (vectorized, default), ``"trial"`` (legacy
-            per-trial loop; samples the same law), ``"analytic"``
-            (deterministic closed-form estimate), or any third-party
-            registration. For noise models overriding the per-trial
-            ``sample_*`` hooks, an accessor-lowering engine reroutes
-            to its declared fallback (``batched`` → ``trial``); an
-            engine without one (``analytic``) runs anyway and warns
-            that the custom sampling is ignored.
+            ``"batched"`` (vectorized dense, default), ``"stabilizer"``
+            (Clifford programs, polynomial time), ``"auto"`` (Clifford
+            to ``stabilizer``, else ``batched``), or any third-party
+            registration.
         trace_cache: Optional :class:`repro.runtime.cache.TraceCache`
             (or anything with the same ``get``/``put`` signature).
-            When given, the batched engine reuses a previously lowered
+            When given, the engine reuses a previously lowered
             :class:`ProgramTrace` for the same (compiled program, noise
             model) pair instead of re-lowering, which is the dominant
             per-call cost when sweeping seeds or trial counts.
         array_backend: Registered
             :class:`~repro.simulator.xp.ArrayBackend` name (or
             instance) for engines that run their statevector
-            contraction on a pluggable array library (``batched``,
-            ``gpu``). ``None`` means the process default (numpy unless
+            contraction on a pluggable array library (``batched``, and
+            ``auto`` when it routes there). ``None`` means the process
+            default (numpy unless
             :func:`~repro.simulator.xp.set_default_array_backend` says
             otherwise); counts are bit-identical across backends, only
             throughput differs. Engines that don't contract dense
-            statevectors (``trial``, ``analytic``) ignore it with a
-            one-time warning.
+            statevectors (``stabilizer``) ignore it with a one-time
+            warning.
 
     Returns:
         Counts plus success-rate/overlap accessors.
@@ -372,20 +211,6 @@ def execute(compiled: CompiledProgram, calibration: Calibration,
         raise SimulationError("need at least one trial")
     resolved = get_engine(engine)
     noise = noise_model or NoiseModel(calibration)
-    if resolved.uses_probability_accessors \
-            and _overrides_sampling_hooks(noise):
-        # A subclass that customizes the per-trial sampling hooks (not
-        # just the probability accessors the trace reads) would be
-        # silently ignored by an accessor-lowering engine; honor it
-        # via the declared fallback when there is one (saying so once
-        # — the per-trial loop is orders of magnitude slower, which is
-        # easy to misattribute in sweep timings), and warn that the
-        # hooks are dropped when there isn't.
-        if resolved.fallback:
-            _warn_trial_fallback(noise, resolved.name)
-            resolved = get_engine(resolved.fallback)
-        else:
-            _warn_hooks_ignored(noise, resolved.name)
     if resolved.accepts_array_backend:
         return resolved.run(compiled, calibration, noise, trials=trials,
                             seed=seed, expected=expected,
@@ -397,24 +222,3 @@ def execute(compiled: CompiledProgram, calibration: Calibration,
                         seed=seed, expected=expected,
                         trace_cache=trace_cache)
 
-
-def _sample_error_plan(compact: CompactProgram, noise: NoiseModel,
-                       rng: np.random.Generator
-                       ) -> Tuple[List[List[Tuple[int, str]]], bool]:
-    """Sample gate + idle Pauli events for one trial."""
-    plan: List[List[Tuple[int, str]]] = []
-    any_error = False
-    for i, (gate, gaps) in enumerate(zip(compact.gates,
-                                         compact.idle_before)):
-        events: List[Tuple[int, str]] = []
-        for qubit, idle in gaps:
-            for ev in noise.sample_idle_error(qubit, idle, rng):
-                events.append(_dense_event(ev, compact.hw_to_dense))
-        for ev in noise.sample_gate_error(
-                gate, rng,
-                concurrent_neighbors=compact.concurrent_neighbors[i]):
-            events.append(_dense_event(ev, compact.hw_to_dense))
-        if events:
-            any_error = True
-        plan.append(events)
-    return plan, any_error

@@ -26,9 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
-
-import numpy as np
+from typing import Optional
 
 from repro.hardware.calibration import TIMESLOT_NS, Calibration
 from repro.ir.gates import Gate
@@ -39,14 +37,6 @@ _PAULIS_2Q = tuple((a, b)
                    for a in ("i", "x", "y", "z")
                    for b in ("i", "x", "y", "z")
                    if not (a == "i" and b == "i"))
-
-
-@dataclass(frozen=True)
-class PauliEvent:
-    """One sampled error: apply Pauli *name* to hardware qubit *qubit*."""
-
-    qubit: int
-    name: str
 
 
 @dataclass(frozen=True)
@@ -63,7 +53,7 @@ class IdleRates:
 
 
 class NoiseModel:
-    """Samples error events for a physical program under a calibration.
+    """Error probabilities for a physical program under a calibration.
 
     Args:
         calibration: The machine snapshot the program was compiled for
@@ -73,15 +63,12 @@ class NoiseModel:
         readout_errors: Include measurement bit flips.
 
     Subclassing notes:
-        Prefer overriding the **probability accessors**
+        Subclass through the **probability accessors**
         (:meth:`gate_error_probability`, :meth:`idle_rates`,
-        :meth:`readout_flip_probability`) — the batched engine lowers
-        its execution trace from them, so such subclasses keep the
-        fast path. Overriding the per-trial ``sample_*`` hooks instead
-        forces :func:`~repro.simulator.execute` to fall back to the
-        slow ``engine="trial"`` loop (it warns once per class when it
-        does). Either way, an exotic subclass is **bypassed by the
-        trace cache** unless it defines the escape hatch::
+        :meth:`readout_flip_probability`) plus ``trace_key()``. Every
+        engine lowers its execution trace from those accessors alone,
+        so they define the model's error law. A subclass is **bypassed
+        by the trace cache** unless it defines that escape hatch::
 
             def trace_key(self):
                 # hashable tuple covering every attribute that shapes
@@ -137,24 +124,6 @@ class NoiseModel:
             return p
         return self.calibration.qubit(gate.qubits[0]).single_qubit_error
 
-    def sample_gate_error(self, gate: Gate, rng: np.random.Generator,
-                          concurrent_neighbors: int = 0
-                          ) -> List[PauliEvent]:
-        """Pauli events following *gate* (empty list = no error)."""
-        p = self.gate_error_probability(gate, concurrent_neighbors)
-        if p <= 0.0 or rng.random() >= p:
-            return []
-        if gate.is_two_qubit:
-            pa, pb = _PAULIS_2Q[rng.integers(len(_PAULIS_2Q))]
-            events = []
-            if pa != "i":
-                events.append(PauliEvent(gate.qubits[0], pa))
-            if pb != "i":
-                events.append(PauliEvent(gate.qubits[1], pb))
-            return events
-        name = _PAULIS_1Q[rng.integers(len(_PAULIS_1Q))]
-        return [PauliEvent(gate.qubits[0], name)]
-
     # ------------------------------------------------------------------
     def idle_rates(self, qubit: int, idle_slots: float) -> IdleRates:
         """Pauli-twirl rates for *qubit* idling *idle_slots* timeslots."""
@@ -168,34 +137,12 @@ class NoiseModel:
         p_z = max(p_dephase / 2.0 - p_x, 0.0)
         return IdleRates(p_x=p_x, p_y=p_x, p_z=p_z)
 
-    def sample_idle_error(self, qubit: int, idle_slots: float,
-                          rng: np.random.Generator) -> List[PauliEvent]:
-        """Pauli events for an idle window (at most one event)."""
-        rates = self.idle_rates(qubit, idle_slots)
-        if rates.total <= 0.0:
-            return []
-        u = rng.random()
-        if u < rates.p_x:
-            return [PauliEvent(qubit, "x")]
-        if u < rates.p_x + rates.p_y:
-            return [PauliEvent(qubit, "y")]
-        if u < rates.total:
-            return [PauliEvent(qubit, "z")]
-        return []
-
     # ------------------------------------------------------------------
     def readout_flip_probability(self, qubit: int, bit: int = 0) -> float:
         """Probability of misreporting the measured *bit* of *qubit*."""
         if not self.readout_errors:
             return 0.0
         return self.calibration.qubit(qubit).readout_flip_probability(bit)
-
-    def sample_readout_flip(self, qubit: int, rng: np.random.Generator,
-                            bit: int = 0) -> bool:
-        """Whether the measured *bit* of *qubit* is misreported."""
-        if not self.readout_errors:
-            return False
-        return rng.random() < self.readout_flip_probability(qubit, bit)
 
 
 def ideal_noise_model(calibration: Calibration) -> NoiseModel:

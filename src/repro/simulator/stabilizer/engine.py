@@ -55,8 +55,6 @@ class StabilizerEngine(ExecutionEngine):
     """
 
     name = "stabilizer"
-    uses_probability_accessors = True
-    fallback = "trial"
     family = "stabilizer"
 
     def capacity_note(self) -> str:
@@ -113,8 +111,6 @@ class AutoEngine(ExecutionEngine):
     """
 
     name = "auto"
-    uses_probability_accessors = True
-    fallback = "trial"
     accepts_array_backend = True
     family = "router"
 

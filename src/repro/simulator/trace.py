@@ -1,6 +1,7 @@
 """Precompiled execution traces for the batched Monte-Carlo engine.
 
-The per-trial executor re-derives everything stochastic from the
+A per-trial loop (the test oracle ``tests/trial_reference.py``)
+re-derives everything stochastic from the
 :class:`~repro.simulator.noise.NoiseModel` on every shot: idle rates,
 gate error probabilities, Pauli choices. This module lowers a compiled
 program **once** into flat numpy arrays so that the batched engine
@@ -21,9 +22,9 @@ Bernoulli matrix in a handful of vectorized RNG calls:
   per-measure readout flip probabilities.
 
 Sampling a trial from the trace is identical in law to the per-trial
-path: an idle window that fires with probability ``p_x + p_y + p_z``
+loop: an idle window that fires with probability ``p_x + p_y + p_z``
 and then picks X/Y/Z proportionally is the same two-stage process the
-legacy sampler performs with a single uniform draw.
+per-trial loop performs with a single uniform draw.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from repro.ir.circuit import Circuit
 from repro.simulator.noise import _PAULIS_1Q, _PAULIS_2Q, NoiseModel
 from repro.simulator.statevector import StateVector, cached_unitary
 
-#: Ideal-distribution probability cutoff (matches the per-trial engine).
+#: Ideal-distribution probability cutoff (matches the per-trial loop).
 _PROB_CUTOFF = 1e-12
 
 #: One Pauli event: (dense qubit, pauli name).
@@ -163,7 +164,7 @@ class ProgramTrace:
         # barriers and measurements.
         self.ops = _build_ops(compact)
 
-        # Error-site table, in the order the per-trial sampler visits
+        # Error-site table, in the order the per-trial loop visits
         # sites: for each gate, its idle windows first, then the gate's
         # own error channel. Zero-probability sites are dropped.
         site_gate: List[int] = []
@@ -231,7 +232,7 @@ class ProgramTrace:
 
     def _index_cbits(self) -> None:
         """Classical-bit bookkeeping. Distinct measures may alias the
-        same cbit (last write wins, like the per-trial engine); group
+        same cbit (last write wins, like the per-trial loop); group
         measures per cbit so readout flips can chain in measure order.
         """
         self.measured_cbits: List[int] = []

@@ -39,6 +39,7 @@ CUDA), not once per chunk.
 
 from __future__ import annotations
 
+import math
 import os
 import warnings
 from typing import Callable, Dict, Optional, Sequence, Set, Tuple, Union
@@ -77,6 +78,9 @@ def _env_budget() -> Optional[int]:
     except ValueError:
         raise SimulationError(
             f"{CHUNK_ENV} must be a number of MiB, got {raw!r}")
+    if not math.isfinite(mib):
+        raise SimulationError(
+            f"{CHUNK_ENV} must be a finite number of MiB, got {raw!r}")
     if mib <= 0:
         raise SimulationError(
             f"{CHUNK_ENV} must be positive MiB, got {raw!r}")
@@ -367,20 +371,6 @@ def set_default_array_backend(name: Optional[str]) -> None:
 def default_array_backend() -> str:
     """The current process-wide default backend name."""
     return _DEFAULT_NAME
-
-
-#: Preference order of the ``"gpu"`` execution engine: CUDA-native
-#: first, then torch (which still buys multi-threaded CPU contraction
-#: when no GPU is present).
-ACCELERATED_PREFERENCE: Tuple[str, ...] = ("cupy", "torch")
-
-
-def best_accelerated_backend() -> Optional[ArrayBackend]:
-    """The most-preferred available non-numpy backend, or ``None``."""
-    for name in ACCELERATED_PREFERENCE:
-        if array_backend_available(name):
-            return _construct(name)
-    return None
 
 
 # ----------------------------------------------------------------------

@@ -11,7 +11,8 @@ from repro.hardware import (
 )
 from repro.programs import build_benchmark, expected_output
 from repro.simulator import NoiseModel, execute, ideal_noise_model
-from repro.simulator.analytic import estimate_success_analytic
+
+from analytic_reference import estimate_success_analytic
 
 
 @pytest.fixture(scope="module")

@@ -1,10 +1,10 @@
 """Array-backend seam tests: registry, budgets, bit-identity, caches.
 
-The contract under test is the one the ``"gpu"`` engine rests on:
-whatever array backend runs the statevector contraction, every RNG
-draw happens in host numpy, so counts are **bit-identical** across
-backends, and across chunk sizes and memory budgets on programs of
-three or more qubits (BV4 here) — only throughput differs.
+The contract under test: whatever array backend runs the batched
+engine's statevector contraction, every RNG draw happens in host
+numpy, so counts are **bit-identical** across backends, and across
+chunk sizes and memory budgets on programs of three or more qubits
+(BV4 here) — only throughput differs.
 """
 
 import io
@@ -32,7 +32,6 @@ from repro.simulator.xp import (
     NumpyBackend,
     array_backend_available,
     array_backend_status,
-    best_accelerated_backend,
     default_array_backend,
     get_array_backend,
     register_array_backend,
@@ -171,6 +170,11 @@ class TestAmplitudeBudget:
         monkeypatch.setenv(xp.CHUNK_ENV, "-3")
         with pytest.raises(SimulationError, match="positive"):
             get_array_backend("numpy").amplitude_budget()
+        # float() parses these, but no buffer has a non-finite size.
+        for raw in ("nan", "inf", "1e400"):
+            monkeypatch.setenv(xp.CHUNK_ENV, raw)
+            with pytest.raises(SimulationError, match="finite"):
+                get_array_backend("numpy").amplitude_budget()
 
     def test_budget_does_not_change_results(self, bv4_trace, monkeypatch):
         plans = sample_plans(bv4_trace)
@@ -235,49 +239,32 @@ class TestCrossBackendBitIdentity:
         np.testing.assert_allclose(device, host, rtol=1e-12, atol=1e-14)
 
 
-class TestGpuEngine:
-    def test_gpu_engine_registered(self):
-        from repro.backend import registered_engines
+class TestEngineSelection:
+    def test_only_dense_engines_take_an_array_backend(self):
+        """An accelerator is an array backend for ``batched`` (which
+        ``auto`` forwards to), not an engine of its own."""
+        from repro.backend import get_engine, registered_engines
 
-        assert "gpu" in registered_engines()
+        takers = {name for name in registered_engines()
+                  if get_engine(name).accepts_array_backend}
+        assert takers == {"batched", "auto"}
 
-    def test_gpu_engine_listed_by_cli(self):
+    def test_engines_listing_shows_array_backends(self):
         out = io.StringIO()
         assert main(["engines"], out=out) == 0
         text = out.getvalue()
-        assert "gpu" in text
+        assert "batched" in text
         assert "numpy" in text and "torch" in text and "cupy" in text
-
-    def test_gpu_matches_batched_counts(self, cal, programs):
-        compiled = programs["BV4"]
-        expected = expected_output("BV4")
-        batched = execute(compiled, cal, trials=TRIALS, seed=5,
-                          expected=expected, engine="batched")
-        with warnings.catch_warnings():
-            # Without an accelerator the engine warns (once) that it is
-            # degrading to numpy; counts must still match exactly.
-            warnings.simplefilter("ignore", RuntimeWarning)
-            gpu = execute(compiled, cal, trials=TRIALS, seed=5,
-                          expected=expected, engine="gpu")
-        assert gpu.counts == batched.counts
-
-    def test_gpu_engine_picks_accelerated_backend_when_present(self):
-        best = best_accelerated_backend()
-        if best is None:
-            assert not array_backend_available("torch")
-            assert not array_backend_available("cupy")
-        else:
-            assert best.name in xp.ACCELERATED_PREFERENCE
 
     def test_non_array_engine_warns_when_backend_requested(self, cal,
                                                            programs):
         from repro.simulator import executor
 
-        executor._WARNED_ARRAY_IGNORED.discard("trial")
+        executor._WARNED_ARRAY_IGNORED.discard("stabilizer")
         with pytest.warns(RuntimeWarning,
                           match="array_backend selection is ignored"):
             execute(programs["BV4"], cal, trials=8, seed=0,
-                    engine="trial", array_backend="numpy")
+                    engine="stabilizer", array_backend="numpy")
 
 
 class TestSweepCacheSharing:

@@ -19,10 +19,10 @@ from repro.backend import engines as backend_engines
 from repro.cli import main
 from repro.compiler import CompilerOptions, compile_circuit
 from repro.exceptions import BackendError, SimulationError, TopologyError
-from repro.hardware import GridTopology, device_calibration
+from repro.hardware import GridTopology
 from repro.programs import get_benchmark
 from repro.runtime import SweepCell, TraceCache, run_sweep
-from repro.simulator import estimate_success_analytic, execute
+from repro.simulator import execute
 
 TRIALS = 128
 
@@ -72,7 +72,7 @@ class TestBackendRegistry:
         assert [c.label for c in days] == ["day0", "day1"]
 
     def test_third_party_registration_outside_devices_module(self):
-        """Registering a machine touches neither devices.py nor the
+        """Registering a machine touches neither the CLI nor the
         executor — the whole point of the registry."""
 
         @register_backend("testlab9")
@@ -85,10 +85,11 @@ class TestBackendRegistry:
             assert "testlab9" in registered_backends()
             backend = get_backend("testlab9")
             assert backend.n_qubits == 9
-            # The legacy device entry points see it immediately.
-            from repro.hardware import device_topology
-
-            assert device_topology("testlab9").name == "TestLab9"
+            # The CLI's --device sees it immediately.
+            out = io.StringIO()
+            assert main(["calibration", "--device", "testlab9"],
+                        out=out) == 0
+            assert out.getvalue().startswith("TestLab9 day0")
             # And it executes end to end.
             spec = get_benchmark("BV4")
             sweep = run_sweep(make_device_cells([backend], spec))
@@ -98,18 +99,19 @@ class TestBackendRegistry:
             backend_base._INSTANCES.pop("testlab9", None)
 
     def test_device_calibration_uses_backend_profile(self):
-        """The compat wrapper must honor each preset's own profile."""
-        falcon = device_calibration("falcon27")
-        rueschlikon = device_calibration("ibmq16")
+        """Each preset's snapshots come from its own noise profile."""
+        falcon = get_backend("falcon27").calibration()
+        rueschlikon = get_backend("ibmq16").calibration()
         assert falcon.mean_cnot_error() < rueschlikon.mean_cnot_error()
         # Seed override still works and is reflected in the data.
-        assert device_calibration("ibmq16", seed=7).content_id() != \
+        reseeded = get_backend("ibmq16").with_(calibration_seed=7)
+        assert reseeded.calibration().content_id() != \
             rueschlikon.content_id()
 
 
 class TestEngineRegistry:
     def test_builtins_registered(self):
-        assert {"batched", "trial", "analytic"} <= set(registered_engines())
+        assert registered_engines() == ("batched", "stabilizer", "auto")
 
     def test_unknown_engine_suggests(self):
         with pytest.raises(SimulationError, match="did you mean 'batched'"):
@@ -132,7 +134,7 @@ class TestEngineRegistry:
 
         register_engine(ConstantEngine)
         try:
-            cal = device_calibration("ibmq16")
+            cal = get_backend("ibmq16").calibration()
             compiled = compile_circuit(bv4.build(), cal,
                                        CompilerOptions.r_smt_star())
             result = execute(compiled, cal, trials=16,
@@ -142,32 +144,17 @@ class TestEngineRegistry:
         finally:
             backend_engines._ENGINES.pop("constant-test", None)
 
-    def test_analytic_engine_matches_estimate(self, bv4):
-        cal = device_calibration("ibmq16")
-        compiled = compile_circuit(bv4.build(), cal,
-                                   CompilerOptions.r_smt_star())
-        a = execute(compiled, cal, trials=4096, seed=0,
-                    expected=bv4.expected_output, engine="analytic")
-        b = execute(compiled, cal, trials=4096, seed=99,
-                    expected=bv4.expected_output, engine="analytic")
-        # Deterministic and seed-independent.
-        assert a.counts == b.counts
-        assert sum(a.counts.values()) == 4096
-        estimate = estimate_success_analytic(compiled, cal).success
-        # success = s * p_ideal(expected) + (1 - s) / 2^n, so it must
-        # sit within the uniform-mass margin of the bare estimate.
-        assert a.success_rate == pytest.approx(estimate, abs=0.05)
-
     def test_cell_engine_derived_from_backend(self, bv4):
-        backend = get_backend("ibmq16").with_(default_engine="analytic")
+        backend = get_backend("ibmq16").with_(default_engine="auto")
         cell = SweepCell(circuit=bv4.build(), backend=backend,
                          options=CompilerOptions.r_smt_star(),
                          expected=bv4.expected_output)
-        assert cell.engine == "analytic"
+        assert cell.engine == "auto"
         override = SweepCell(circuit=bv4.build(), backend=backend,
                              options=CompilerOptions.r_smt_star(),
-                             expected=bv4.expected_output, engine="trial")
-        assert override.engine == "trial"
+                             expected=bv4.expected_output,
+                             engine="stabilizer")
+        assert override.engine == "stabilizer"
 
 
 class TestCrossDeviceIsolation:
@@ -250,7 +237,7 @@ class TestPreRefactorIdentity:
                                  expected=bv4.expected_output,
                                  trials=TRIALS, seed=5, key="b")
         bare = SweepCell(circuit=bv4.build(),
-                         calibration=device_calibration("ibmq16"),
+                         calibration=get_backend("ibmq16").calibration(),
                          options=options, expected=bv4.expected_output,
                          trials=TRIALS, seed=5, key="c")
         assert with_backend.calibration.content_id() == \
@@ -264,7 +251,7 @@ class TestPreRefactorIdentity:
     def test_execute_matches_direct_engine_run(self, bv4):
         """`execute` is a thin dispatcher: going through the registry
         must be bit-identical to the engine's own run()."""
-        cal = device_calibration("ibmq16")
+        cal = get_backend("ibmq16").calibration()
         compiled = compile_circuit(bv4.build(), cal,
                                    CompilerOptions.r_smt_star())
         via_execute = execute(compiled, cal, trials=TRIALS, seed=3,
@@ -288,12 +275,13 @@ class TestBackendCli:
         assert code == 0
         for name in ("ibmq16", "ibmq5", "ibmq20", "iontrap8", "falcon27"):
             assert name in text
-        assert "analytic" in text  # engine roster rides along
+        assert ("registered execution engines: batched, stabilizer, auto\n"
+                in text)  # the engine roster rides along on its own line
 
     def test_run_on_preset_with_engine(self):
         code, text = self.run_cli("run", "--benchmark", "BV4",
                                   "--device", "falcon27",
-                                  "--engine", "analytic",
+                                  "--engine", "auto",
                                   "--trials", "64")
         assert code == 0
         assert "success rate:" in text

@@ -24,7 +24,8 @@ from repro.hardware import (
 from repro.ir.circuit import Circuit
 from repro.programs import build_benchmark, expected_output
 from repro.simulator import execute
-from repro.simulator.analytic import estimate_success_analytic
+
+from analytic_reference import estimate_success_analytic
 
 
 class TestObjectiveMatchesEstimator:

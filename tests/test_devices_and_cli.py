@@ -6,26 +6,22 @@ from pathlib import Path
 
 import pytest
 
+from repro.backend import get_backend
 from repro.cli import main
 from repro.exceptions import TopologyError
-from repro.hardware import (
-    device_calibration,
-    device_topology,
-    ibmq5_topology,
-    ibmq20_topology,
-    linear_topology,
-)
+from repro.hardware import ibmq5_topology, ibmq20_topology, linear_topology
+from repro.simulator.xp import CHUNK_ENV
 
 
 class TestDevices:
     def test_registry_lookup(self):
-        assert device_topology("ibmq16").n_qubits == 16
-        assert device_topology("IBMQ20").n_qubits == 20
-        assert device_topology("ibmq5").n_qubits == 5
+        assert get_backend("ibmq16").topology.n_qubits == 16
+        assert get_backend("IBMQ20").topology.n_qubits == 20
+        assert get_backend("ibmq5").topology.n_qubits == 5
 
     def test_unknown_device(self):
         with pytest.raises(TopologyError):
-            device_topology("quantum-toaster")
+            get_backend("quantum-toaster")
 
     def test_linear_topology_is_a_chain(self):
         topo = linear_topology(6)
@@ -43,7 +39,7 @@ class TestDevices:
         assert (ibmq20_topology().mx, ibmq20_topology().my) == (5, 4)
 
     def test_device_calibration(self):
-        cal = device_calibration("ibmq20", day=2)
+        cal = get_backend("ibmq20").calibration(2)
         assert cal.topology.n_qubits == 20
         assert cal.label == "day2"
 
@@ -82,6 +78,42 @@ class TestCli:
         assert code == 0
         data = json.loads(out_file.read_text())
         assert len(data["qubits"]) == 16
+
+    @pytest.mark.parametrize("argv", [
+        ("calibration", "--day", "2"),
+        ("compile", "--benchmark", "BV4"),
+        ("run", "--benchmark", "BV4", "--variant", "greedye*",
+         "--trials", "128"),
+        ("sweep", "--benchmarks", "BV4", "--variants", "greedye*",
+         "--trials", "128"),
+        ("mitigate", "--benchmarks", "BV4", "--variant", "greedye*",
+         "--trials", "128"),
+    ], ids=lambda argv: argv[0])
+    def test_calibration_seed_reaches_every_command(self, argv):
+        """--calibration-seed reseeds the backend each command compiles
+        and executes on: the backend's own seed changes nothing, another
+        seed changes the output."""
+        def output(*flags):
+            code, text = self.run_cli(*argv, *flags)
+            assert code == 0
+            # Drop the lines that report wall-clock times.
+            return [line for line in text.splitlines()
+                    if "compile=" not in line and " cells in " not in line]
+
+        own = str(get_backend("ibmq16").calibration_seed)
+        assert output("--calibration-seed", own) == output()
+        assert output("--calibration-seed", "7") != output()
+
+    def test_non_finite_chunk_budget_is_an_error(self, monkeypatch, capsys):
+        """A non-finite REPRO_CHUNK_MIB fails like any bad input: one
+        ``error:`` line and exit code 1, not a traceback."""
+        for raw in ("nan", "inf", "1e400"):
+            monkeypatch.setenv(CHUNK_ENV, raw)
+            code, _ = self.run_cli("run", "--benchmark", "BV4",
+                                   "--variant", "greedye*", "--trials", "8")
+            assert code == 1
+            assert (f"error: {CHUNK_ENV} must be a finite number of MiB, "
+                    f"got {raw!r}") in capsys.readouterr().err
 
     def test_compile_benchmark_to_stdout(self):
         code, text = self.run_cli("compile", "--benchmark", "BV4",

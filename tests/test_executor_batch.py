@@ -1,12 +1,12 @@
 """Tests for the batched execution engine (trace + vectorized sampler).
 
 The batched engine must be distribution-identical (in law) to the
-legacy per-trial engine: fixed-seed runs of both are compared under a
-TVD bound, batched runs must be deterministic per seed, and the
-error-plan dedup cache must reproduce uncached trajectory simulation
-exactly. Golden digests pin absolute counts, and the reference
-implementations in ``batch_reference`` pin the injections and the
-outcome draws bit for bit.
+per-trial loop in ``trial_reference``: fixed-seed runs of both are
+compared under a TVD bound, batched runs must be deterministic per
+seed, and the error-plan dedup cache must reproduce uncached
+trajectory simulation exactly. Golden digests pin absolute counts, and
+the reference implementations in ``batch_reference`` pin the
+injections and the outcome draws bit for bit.
 """
 
 import hashlib
@@ -17,10 +17,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.simulator.batch as batch
+from repro.backend import registered_engines
 from repro.compiler import CompilerOptions, compile_circuit
 from repro.exceptions import SimulationError
 from repro.hardware import (CalibrationGenerator, default_ibmq16_calibration,
                             ibmq16_topology)
+from repro.ir.circuit import Circuit
 from repro.programs import (benchmark_names, build_benchmark,
                             expected_output, random_circuit)
 from repro.simulator import (
@@ -32,12 +34,12 @@ from repro.simulator import (
     total_variation_distance,
 )
 from repro.simulator.batch import batch_plan_probabilities, run_batched
-from repro.simulator.executor import _run_state
 from repro.simulator.noise import _PAULIS_1Q, _PAULIS_2Q
 
 from batch_reference import (plan_events, plan_matrix,
                              reference_plan_probabilities,
                              reference_sample_noisy)
+from trial_reference import reference_execute, run_state
 
 TRIALS = 4096
 BENCHMARKS = ["BV4", "Toffoli", "HS2"]
@@ -55,13 +57,20 @@ def programs(cal):
             for name in BENCHMARKS}
 
 
+def aliased_cbit_program(cal):
+    """Two measures writing the same cbit."""
+    circuit = Circuit(2, 1).h(0).x(1).measure(0, 0).measure(1, 0)
+    return compile_circuit(circuit, cal, CompilerOptions.greedy_e())
+
+
 class TestEngineAgreement:
     @pytest.mark.parametrize("name", BENCHMARKS)
     def test_tvd_bound(self, cal, programs, name):
-        """Batched and legacy engines agree within TVD <= 0.05."""
+        """The batched engine and the per-trial oracle agree within
+        TVD <= 0.05."""
         kwargs = {"trials": TRIALS, "seed": 11,
                   "expected": expected_output(name)}
-        legacy = execute(programs[name], cal, engine="trial", **kwargs)
+        legacy = reference_execute(programs[name], cal, **kwargs)
         batched = execute(programs[name], cal, engine="batched", **kwargs)
         tvd = total_variation_distance(
             empirical_distribution(legacy.counts),
@@ -71,7 +80,7 @@ class TestEngineAgreement:
 
     @pytest.mark.parametrize("name", BENCHMARKS)
     def test_ideal_distribution_matches_legacy(self, cal, programs, name):
-        a = execute(programs[name], cal, trials=8, seed=0, engine="trial")
+        a = reference_execute(programs[name], cal, trials=8, seed=0)
         b = execute(programs[name], cal, trials=8, seed=0, engine="batched")
         assert set(a.ideal_distribution) == set(b.ideal_distribution)
         for outcome, p in a.ideal_distribution.items():
@@ -81,23 +90,47 @@ class TestEngineAgreement:
         with pytest.raises(SimulationError):
             execute(programs["BV4"], cal, trials=8, engine="bogus")
 
-    def test_custom_sampling_hooks_fall_back_to_trial(self, cal, programs):
-        """A NoiseModel overriding the per-trial sampling hooks must be
-        honored (the batched lowering only reads the accessors)."""
+    def test_accessor_override_honored_by_every_engine(self, cal, programs):
+        """A NoiseModel subclass shapes the law through its probability
+        accessors, on every engine and in the per-trial oracle."""
 
         class SilentGates(NoiseModel):
-            def sample_gate_error(self, gate, rng,
-                                  concurrent_neighbors=0):
-                return []
+            def gate_error_probability(self, gate, concurrent_neighbors=0):
+                return 0.0
 
-        noise = SilentGates(cal, decoherence=False, readout_errors=False)
-        with pytest.warns(RuntimeWarning, match="engine='trial'"):
-            result = execute(programs["BV4"], cal, trials=128, seed=0,
-                             expected=expected_output("BV4"),
-                             noise_model=noise, engine="batched")
-        # gate_error_probability still reports nonzero rates, but the
-        # overridden sampler never fires an error.
-        assert result.success_rate == pytest.approx(1.0)
+        bv4 = programs["BV4"]
+        kwargs = {"trials": 128, "seed": 0, "expected": expected_output("BV4")}
+        gates_only = NoiseModel(cal, decoherence=False, readout_errors=False)
+        assert execute(bv4, cal, noise_model=gates_only,
+                       **kwargs).success_rate < 1.0
+        silent = SilentGates(cal, decoherence=False, readout_errors=False)
+        for engine in registered_engines():
+            assert execute(bv4, cal, noise_model=silent, engine=engine,
+                           **kwargs).success_rate == 1.0, engine
+        assert reference_execute(bv4, cal, noise_model=silent,
+                                 **kwargs).success_rate == 1.0
+
+
+class TestTrialOracle:
+    """``trial_reference`` is the retired ``"trial"`` engine, moved
+    under ``tests/``: its counts and ideal distributions must hash to
+    what ``execute(engine="trial")`` returned, recorded before the
+    engine was removed."""
+
+    DIGEST = ("29f48169ed21b360bf4f697c563af4253cd9c4ac"
+              "5fe971e1d2d5c856ee831e6c")
+
+    def test_reproduces_trial_engine(self, cal, programs):
+        subjects = dict(programs, aliased=aliased_cbit_program(cal))
+        digest = hashlib.sha256()
+        for name in sorted(subjects):
+            for seed in (0, 11):
+                result = reference_execute(subjects[name], cal,
+                                           trials=2048, seed=seed)
+                digest.update(repr((
+                    name, seed, sorted(result.counts.items()),
+                    sorted(result.ideal_distribution.items()))).encode())
+        assert digest.hexdigest() == self.DIGEST
 
 
 class TestDeterminism:
@@ -228,7 +261,7 @@ class TestPlanDedup:
             assert np.allclose(batched[row], single)
 
     def test_plan_simulation_matches_legacy_run_state(self, trace):
-        """Trace-level trajectory sim equals the legacy _run_state path."""
+        """Trace-level trajectory sim equals the per-trial run_state."""
         rng = np.random.default_rng(4)
         sites = np.sort(rng.choice(trace.n_sites, size=3, replace=False))
         choices = np.array([
@@ -236,7 +269,7 @@ class TestPlanDedup:
         plan = plan_events(trace, sites, choices)
         legacy_plan = [list(plan.get(i, []))
                        for i in range(len(trace.compact.gates))]
-        state = _run_state(trace.compact, legacy_plan)
+        state = run_state(trace.compact, legacy_plan)
         probs = state.probabilities()
         legacy_pattern = np.bincount(
             trace.basis_codes, weights=probs,
@@ -383,7 +416,6 @@ class TestNoiseMechanisms:
                                       readout_asymmetry=0.9)
                   for q in topo.iter_qubits()}
         asym = Calibration(topology=topo, qubits=skewed, edges=base.edges)
-        from repro.ir.circuit import Circuit
         circuit = Circuit(2, 2).x(0).x(1).measure_all()
         program = compile_circuit(circuit, asym, CompilerOptions.greedy_e())
         noise = NoiseModel(asym, gate_errors=False, decoherence=False)
@@ -393,10 +425,8 @@ class TestNoiseMechanisms:
 
     def test_aliased_cbits_keep_all_trials(self, cal):
         """Two measures writing the same cbit must not drop counts."""
-        from repro.ir.circuit import Circuit
-        circuit = Circuit(2, 1).h(0).x(1).measure(0, 0).measure(1, 0)
-        program = compile_circuit(circuit, cal, CompilerOptions.greedy_e())
-        legacy = execute(program, cal, trials=1000, seed=0, engine="trial")
+        program = aliased_cbit_program(cal)
+        legacy = reference_execute(program, cal, trials=1000, seed=0)
         batched = execute(program, cal, trials=1000, seed=0,
                           engine="batched")
         assert sum(batched.counts.values()) == 1000

