@@ -48,6 +48,7 @@ drills.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -83,7 +84,7 @@ def _nonnegative_int(text: str) -> int:
 
 
 def _positive_int(text: str) -> int:
-    """Argparse type: an int >= 1 (capacities, trials)."""
+    """Argparse type: an int >= 1 (capacities, trials, days, seeds)."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(
@@ -92,11 +93,12 @@ def _positive_int(text: str) -> int:
 
 
 def _positive_float(text: str) -> float:
-    """Argparse type: a float > 0 (timeouts, deadlines, windows)."""
+    """Argparse type: a finite float > 0 (time limits, timeouts,
+    deadlines, windows)."""
     value = float(text)
-    if value <= 0:
+    if not math.isfinite(value) or value <= 0:
         raise argparse.ArgumentTypeError(
-            f"must be positive, got {value}")
+            f"must be a finite positive number, got {value}")
     return value
 
 
@@ -125,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="routing policy (default: variant's own)")
         p.add_argument("--omega", type=float, default=0.5,
                        help="readout weight for r-smt* (default: 0.5)")
-        p.add_argument("--time-limit", type=float, default=60.0,
+        p.add_argument("--time-limit", type=_positive_float, default=60.0,
                        help="solver time limit in seconds")
         p.add_argument("--solver-workers", type=_positive_int, default=1,
                        help="processes for the portfolio branch-and-bound "
@@ -189,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="compile and simulate")
     add_machine_args(run_p)
     add_compile_args(run_p)
-    run_p.add_argument("--trials", type=int, default=1024)
+    run_p.add_argument("--trials", type=_positive_int, default=1024)
     run_p.add_argument("--seed", type=int, default=0)
     run_p.add_argument("--engine", default=None,
                        help="execution engine (default: the backend's "
@@ -210,8 +212,8 @@ def build_parser() -> argparse.ArgumentParser:
     exp_p = sub.add_parser("experiment",
                            help="regenerate a paper figure/table")
     exp_p.add_argument("name", choices=_EXPERIMENTS)
-    exp_p.add_argument("--trials", type=int, default=1024)
-    exp_p.add_argument("--days", type=int, default=None,
+    exp_p.add_argument("--trials", type=_positive_int, default=1024)
+    exp_p.add_argument("--days", type=_positive_int, default=None,
                        help="days for fig1/fig6")
     exp_p.add_argument("--device", default=None,
                        help="run the study on this registered backend "
@@ -253,14 +255,14 @@ def build_parser() -> argparse.ArgumentParser:
                          choices=("rr", "1bp", "best", "shortest"),
                          help="routing policy override (default: each "
                               "variant's own)")
-    sweep_p.add_argument("--days", type=int, default=1,
+    sweep_p.add_argument("--days", type=_positive_int, default=1,
                          help="calibration days 0..N-1 (default: 1)")
-    sweep_p.add_argument("--seeds", type=int, default=1,
+    sweep_p.add_argument("--seeds", type=_positive_int, default=1,
                          help="executor seeds per configuration "
                               "(default: 1)")
     sweep_p.add_argument("--seed", type=int, default=7,
                          help="base executor seed (default: 7)")
-    sweep_p.add_argument("--trials", type=int, default=1024)
+    sweep_p.add_argument("--trials", type=_positive_int, default=1024)
     sweep_p.add_argument("--engine", default=None,
                          help="execution engine for every cell "
                               "(default: each backend's own; "
@@ -330,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="ZNE noise amplifier: scale the lowered "
                             "trace (no recompilation) or fold gates "
                             "through the pipeline (default: trace)")
-    mit_p.add_argument("--trials", type=int, default=1024)
+    mit_p.add_argument("--trials", type=_positive_int, default=1024)
     mit_p.add_argument("--seed", type=int, default=7)
     mit_p.add_argument("--workers", type=_nonnegative_int, default=0,
                        help="worker processes (0 = in-process serial)")
@@ -805,25 +807,23 @@ def _cmd_mitigate(args: argparse.Namespace, out) -> int:
     sweep = run_sweep(cells, workers=args.workers,
                       cache_dir=args.cache_dir)
 
-    rows = []
-    improved = 0
-    for result in sweep:
-        outcome = result.mitigation
-        rows.append([result.key, outcome.raw_success,
-                     outcome.mitigated_success, outcome.gain,
-                     outcome.executions])
-        if outcome.gain > 0.0:
-            improved += 1
+    outcomes = [(r.key, r.mitigation) for r in sweep if r.ok]
     out.write(format_table(
         ["benchmark", "raw", "mitigated", "gain", "extra execs"],
-        rows) + "\n")
-    mean_raw = sum(r.mitigation.raw_success for r in sweep) / len(sweep)
-    mean_mit = sum(r.mitigation.mitigated_success
-                   for r in sweep) / len(sweep)
-    out.write(f"strategy {strategy.fingerprint()}: mean success "
-              f"{mean_raw:.4f} -> {mean_mit:.4f}, improved on "
-              f"{improved}/{len(sweep)} benchmarks\n")
+        [[key, o.raw_success, o.mitigated_success, o.gain, o.executions]
+         for key, o in outcomes]) + "\n")
+    if outcomes:
+        mean_raw = sum(o.raw_success for _, o in outcomes) / len(outcomes)
+        mean_mit = sum(o.mitigated_success
+                       for _, o in outcomes) / len(outcomes)
+        improved = sum(o.gain > 0.0 for _, o in outcomes)
+        out.write(f"strategy {strategy.fingerprint()}: mean success "
+                  f"{mean_raw:.4f} -> {mean_mit:.4f}, improved on "
+                  f"{improved}/{len(outcomes)} benchmarks\n")
     out.write(sweep.summary() + "\n")
+    if not sweep.ok:
+        out.write(sweep.failure_report() + "\n")
+        return 1
     return 0
 
 

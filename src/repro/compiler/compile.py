@@ -17,7 +17,7 @@ from typing import Dict, Optional, Tuple
 
 from repro.compiler.mapping.base import MappingResult
 from repro.compiler.metrics import ReliabilityEstimate
-from repro.compiler.options import CompilerOptions
+from repro.compiler.options import SOLVER_VARIANTS, CompilerOptions
 from repro.compiler.scheduling.list_scheduler import Schedule
 from repro.compiler.swap_insert import PhysicalProgram
 from repro.hardware.calibration import Calibration
@@ -137,12 +137,19 @@ class CompiledProgram:
         return "\n".join(lines)
 
     def summary(self) -> str:
-        """One-line human-readable description."""
-        return (f"{self.logical.name}: variant={self.options.variant} "
+        """One-line human-readable description; it says so when a
+        solver variant's search stopped before proving its placement
+        optimal (heuristic variants never claim optimality)."""
+        text = (f"{self.logical.name}: variant={self.options.variant} "
                 f"duration={self.duration:.0f} slots "
                 f"swaps={self.swap_count} "
                 f"est.reliability={self.estimated_success:.3f} "
                 f"compile={self.compile_time * 1000:.1f} ms")
+        if (self.options.variant in SOLVER_VARIANTS
+                and not self.mapping.optimal):
+            text += (f" not proven optimal (stopped at "
+                     f"{self.mapping.nodes} nodes)")
+        return text
 
 
 def compile_circuit(circuit: Circuit, calibration: Calibration,

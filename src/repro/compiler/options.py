@@ -26,6 +26,10 @@ ALL_VARIANTS = (
     VARIANT_R_SMT_STAR, VARIANT_GREEDY_V, VARIANT_GREEDY_E,
 )
 
+#: Variants whose mapper runs the branch-and-bound solver: a time limit
+#: can stop them before they prove their placement optimal.
+SOLVER_VARIANTS = (VARIANT_T_SMT, VARIANT_T_SMT_STAR, VARIANT_R_SMT_STAR)
+
 #: Routing policy names (paper §4.3 / §5).
 ROUTE_RECTANGLE = "rr"     # rectangle reservation
 ROUTE_ONE_BEND = "1bp"     # one-bend paths

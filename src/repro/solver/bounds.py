@@ -13,6 +13,18 @@ still free and which variables are still unassigned, so they run once
 per such pair of sets and the rest of each node is Python float
 arithmetic over the branching variable's candidates.
 
+That factored bound maximizes each variable's unary and pair terms
+separately, and it alone orders the children. A child it keeps must
+also pass a second, coupled (Gilmore–Lawler-style) bound, which for
+every other open variable maximizes unary, placed-pair, branching-pair
+and half of each open-pair term *together* over the free columns (see
+:meth:`VectorSearch._coupled_bounds`). It only drops children, never
+reorders them. The coupled bound is summed in another order than the
+leaf values it bounds, so it is compared with a margin of
+:data:`COUPLED_MARGIN` times the model's score magnitude: that covers
+the rounding of any two summation orders of a leaf, so a dropped child
+never holds a leaf the search would have recorded.
+
 :func:`compile_assignment` detects the shape (returning ``None`` for
 anything else, which keeps the generic engine authoritative), and
 :class:`VectorSearch` runs the depth-first search over column indices.
@@ -20,11 +32,12 @@ It breaks no value symmetries: calibrated noise makes every hardware
 qubit distinct, so no topology automorphism and no pair of columns is
 an exact invariance of a calibrated model.
 
-All comparisons are exact (no epsilon): the returned assignment is the
-first leaf in canonical exploration order attaining the float maximum,
-independent of the incumbent trajectory. That property is what lets the
-portfolio solver (:mod:`repro.solver.portfolio`) split the root across
-processes and still merge to the bit-identical serial answer.
+Apart from that margin, all comparisons are exact (no epsilon): the
+returned assignment is the first leaf in canonical exploration order
+attaining the float maximum, independent of the incumbent trajectory.
+That property is what lets the portfolio solver
+(:mod:`repro.solver.portfolio`) split the root across processes and
+still merge to the bit-identical serial answer.
 """
 
 from __future__ import annotations
@@ -54,6 +67,11 @@ FLOOR_POLL_NODES = 1024
 #: :meth:`VectorSearch._terms`). A full memo is cleared; an evicted
 #: entry recomputes to the same floats.
 MEMO_ENTRIES = 1024
+
+#: Relative margin of the coupled bound, times the model's score
+#: magnitude (each term's largest finite ``|score|``, summed): far above
+#: the rounding of re-summing a leaf's terms, far below any real gap.
+COUPLED_MARGIN = 1e-9
 
 
 @dataclass
@@ -376,6 +394,41 @@ class VectorSearch:
             # value: memo entries share these float objects.
             self._pool = {v: v for v in mats.pair_base.ravel().tolist()}
             self._pool[_BIG_NEG] = _BIG_NEG
+            # Coupled-bound data (see _coupled_bounds). Slice
+            # ``_slices[v, i]`` of ``_oriented`` holds, at ``[c, l]``,
+            # the score of the pair of ``v`` and ``i`` with ``v`` at
+            # column ``c`` and ``i`` at ``l``: pair ``t`` from its first
+            # variable, ``T + t`` from its second, and for two variables
+            # without a pair the last slice, zeros with a -inf diagonal.
+            PT, H = mats.pair_tensor, mats.n_cols
+            apart = np.zeros((1, H, H))
+            np.fill_diagonal(apart[0], _NEG_INF)
+            self._oriented = np.concatenate(
+                [PT, PT.transpose(0, 2, 1), apart])
+            self._slices = np.full((mats.n_vars, mats.n_vars), 2 * T,
+                                   dtype=np.intp)
+            self._slices[self._pair_i, self._pair_j] = np.arange(T)
+            self._slices[self._pair_j, self._pair_i] = T + np.arange(T)
+            # ``_rows[i, l]``: variable i's exact score at column l
+            # against the placed variables (unary plus placed pairs),
+            # maintained by _fact_push/_fact_pop like ``_wp``/``_wq``.
+            self._rows = mats.unary.copy()
+            # ``_coef[i, :, j]``: the P, Q and slack coefficients of the
+            # pair of i and j seen from i (x and y swap when i is the
+            # pair's second variable); zero without a pair.
+            coef = np.zeros((mats.n_vars, 3, mats.n_vars))
+            coef[self._pair_i, :, self._pair_j] = np.stack(
+                [mats.pair_x, mats.pair_y, mats.pair_slack], axis=1)
+            coef[self._pair_j, :, self._pair_i] = np.stack(
+                [mats.pair_y, mats.pair_x, mats.pair_slack], axis=1)
+            self._coef = coef
+            self._ones = np.ones(mats.n_cols)
+
+            def magnitude(a: np.ndarray) -> np.ndarray:
+                return np.where(np.isfinite(a), np.abs(a), 0.0)
+            self._margin = COUPLED_MARGIN * float(
+                magnitude(mats.unary).max(axis=1).sum()
+                + magnitude(PT).max(axis=(1, 2)).sum())
 
     # ------------------------------------------------------------------
     def seed(self, cols: np.ndarray, value: float) -> None:
@@ -519,8 +572,10 @@ class VectorSearch:
         """Commit ``var := col`` into the factored bookkeeping.
 
         Returns the objective delta of the assignment plus an opaque
-        token for :meth:`_fact_pop`. Aggregate restoration is by saved
-        value (the column weight lists are copied on write), not inverse
+        token for :meth:`_fact_pop`. Every variable's row of ``_rows``
+        gains its score against ``var`` at ``col``. Aggregate
+        restoration is by saved value (the column weight lists and
+        ``_rows`` are copied on write), not inverse
         arithmetic — floating-point ``(w + a) - a`` need not equal
         ``w``, and the portfolio's bit-identity with the serial engine
         requires the state at a node to depend only on the assignment
@@ -530,10 +585,11 @@ class VectorSearch:
         xl, yl, sl = self._xl, self._yl, self._sl
         pil, pjl, PTl = self._pil, self._pjl, self._PTl
         saved = (self._xf, self._yf, self._sf, self._s_half,
-                 self._wp, self._wq)
+                 self._wp, self._wq, self._rows)
         xf, yf, sf, s_half = saved[:4]
         wp = self._wp = self._wp[:]
         wq = self._wq = self._wq[:]
+        self._rows = self._rows + self._oriented[self._slices[var], col]
         delta = self._unary_l[var][col]
         for t in self._incl_i[var]:
             s0 = stl[t]
@@ -580,7 +636,7 @@ class VectorSearch:
         for t in self._incl_j[var]:
             stl[t] &= ~2
         (self._xf, self._yf, self._sf, self._s_half,
-         self._wp, self._wq) = token
+         self._wp, self._wq, self._rows) = token
         self._key ^= 1 << var | 1 << (self._nv + self._asg[var])
         self._asg[var] = -1
 
@@ -637,6 +693,13 @@ class VectorSearch:
                     if b >= floor and (unseeded or b > best)]
             self.prunes += len(cand) - len(live)
             live.sort(key=itemgetter(0), reverse=True)
+            if live:
+                coupled = self._coupled_bounds(fixed, [c for _, c in live])
+                if coupled is not None:
+                    # _expand tests the lower of the two bounds against
+                    # the live incumbent; the factored one keeps the order.
+                    live = [(min(b, u), c)
+                            for (b, c), u in zip(live, coupled)]
             self._expand(sel, live, assigned, free, fixed)
             return
         unassigned = np.where(assigned < 0)[0]
@@ -790,7 +853,8 @@ class VectorSearch:
         maxima ``P``/``Q`` over all columns and their maxima over free
         columns, and the numpy sum ``S`` of the unassigned rows' unary
         maxima with the branching row's own maximum ``r`` (kept apart,
-        so that ``(fixed + S) - r`` rounds as in the numpy formulation).
+        so that ``(fixed + S) - r`` rounds as in the numpy formulation),
+        then the coupled bound's terms (:meth:`_coupled_terms`).
         Empty on a wipeout (some unassigned variable has no free column
         left). Nothing here depends on the assignment's columns, the
         incumbent or the floor, so an entry holds for every node with
@@ -830,11 +894,68 @@ class VectorSearch:
                      [pool[v] for v in P.tolist()],
                      [pool[v] for v in Q.tolist()],
                      float(rowmax.sum()), float(rowmax[sel_pos]),
-                     pool[float(P[free].max())], pool[float(Q[free].max())])
+                     pool[float(P[free].max())], pool[float(Q[free].max())],
+                     self._coupled_terms(sel, unassigned, P, Q))
         if len(self._memo) >= MEMO_ENTRIES:
             self._memo.clear()
         self._memo[key] = terms
         return terms
+
+    def _coupled_terms(self, sel: int, unassigned: np.ndarray,
+                       P: np.ndarray, Q: np.ndarray
+                       ) -> Optional[Tuple[np.ndarray, np.ndarray,
+                                           np.ndarray]]:
+        """The free-set part of :meth:`_coupled_bounds`, for the memo.
+
+        ``None`` when ``sel`` is the last open variable (its children
+        are leaves, whose factored bound is already exact). Otherwise the
+        other open variables, their slice indices against ``sel``, and
+        ``half[k, l]``: half of every pair between the k-th of them and
+        another of them (``sel`` excluded), each at its half-pair bound
+        ``x*P[l] + y*Q[l] + s`` (x and y swapped on the pair's second
+        variable). Each such pair scores at most each endpoint's bound,
+        so at most half their sum. O(n*H) from the clamped base maxima
+        ``P``/``Q``: nothing here reduces over the pair tensor. Placed
+        columns need no mask: every slice has a -inf diagonal, so
+        ``_rows`` is -inf there (a finite one would only loosen the
+        bound).
+        """
+        others = unassigned[unassigned != sel]
+        if not len(others):
+            return None
+        inner = np.zeros(self.m.n_vars)
+        inner[others] = 1.0
+        half = 0.5 * self._coef[others].dot(inner).dot(
+            np.array((P, Q, self._ones)))
+        return others, self._slices[sel, others], half
+
+    def _coupled_bounds(self, fixed: float,
+                        cols: List[int]) -> Optional[List[float]]:
+        """Coupled bounds, margin included, of children ``sel := c``.
+
+        For each column ``c`` of ``cols`` (free domain columns of the
+        node's branching variable ``sel``):
+        ``fixed + rows[sel, c] + sum_i max_l (rows[i, l] + half[i, l] +
+        pair(i at l, sel at c))`` over the other open variables ``i``
+        and free columns ``l != c``, where ``rows`` holds the exact
+        scores against placed variables (see :meth:`_fact_push`) and
+        ``half`` the memoized open-pair halves (:meth:`_coupled_terms`).
+        The parent's free set contains every child's, so the bound holds
+        for every leaf below the child. ``None`` when the children are
+        leaves.
+        """
+        terms = self._terms()
+        if terms[8] is None:
+            return None
+        sel, (others, slices, half) = terms[0], terms[8]
+        rows = self._rows
+        at = np.array(cols, dtype=np.intp)
+        scores = self._oriented[slices, at[:, None]]
+        scores += half + rows[others]
+        bounds = scores.max(axis=2).sum(axis=1)
+        bounds += rows[sel][at]
+        bounds += fixed + self._margin
+        return bounds.tolist()
 
     def _child_plan(self, fixed: float
                     ) -> Optional[Tuple[int, List[int], List[float]]]:
@@ -857,12 +978,19 @@ class VectorSearch:
 
         Every operation runs in the order of the numpy formulation in
         ``tests/vector_reference.py``, so every bound is the same float
-        as there.
+        as there. These bounds alone order the children and make the
+        first, exact prune. :meth:`_node` then also tests each child they
+        keep against its coupled bound (:meth:`_coupled_bounds`), which
+        carries a margin of :data:`COUPLED_MARGIN` times the model's
+        score magnitude because it sums a leaf's terms in another order:
+        the child is dropped when that bound is <= the incumbent or below
+        the floor. Only prunes change, never the order, so the answer is
+        still the first float-maximal leaf in canonical order.
         """
         terms = self._terms()
         if not terms:
             return None
-        sel, cand, Pl, Ql, S, r, pmax, qmax = terms
+        sel, cand, Pl, Ql, S, r, pmax, qmax, _ = terms
         stl, asg = self._stl, self._asg
         xl, yl, sl = self._xl, self._yl, self._sl
         pil, pjl, PTl = self._pil, self._pjl, self._PTl

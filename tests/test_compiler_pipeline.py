@@ -12,7 +12,12 @@ from repro.compiler import (
     weighted_log_reliability,
 )
 from repro.exceptions import CompilationError
-from repro.hardware import ReliabilityTables, default_ibmq16_calibration
+from repro.hardware import (
+    CalibrationGenerator,
+    ReliabilityTables,
+    default_ibmq16_calibration,
+    square_topology,
+)
 from repro.ir.circuit import Circuit
 from repro.ir.qasm import qasm_to_circuit
 from repro.programs import build_benchmark, expected_output, random_circuit
@@ -169,6 +174,27 @@ class TestQasmOutput:
         program = compile_circuit(build_benchmark("BV4"), cal,
                                   CompilerOptions.greedy_e(), tables=tables)
         assert "greedye*" in program.summary()
+        # Heuristics never claim optimality, and are not flagged for it.
+        assert not program.mapping.optimal
+        assert "not proven optimal" not in program.summary()
+
+    def test_summary_flags_truncated_solver_mapping(self):
+        """An R-SMT* solve cut short by its time limit says so: this
+        instance needs thousands of nodes, and the search checks the
+        clock every 256."""
+        calibration = CalibrationGenerator(square_topology(8),
+                                           seed=2019).snapshot(0)
+        circuit = random_circuit(8, 512, seed=2019 + 8 * 10000 + 512)
+        options = CompilerOptions.r_smt_star(omega=0.5)
+        cut = compile_circuit(circuit, calibration,
+                              options.with_(solver_time_limit=1e-9))
+        assert not cut.mapping.optimal
+        assert cut.summary().endswith(
+            f" not proven optimal (stopped at {cut.mapping.nodes} nodes)")
+        full = compile_circuit(circuit, calibration, options)
+        assert full.mapping.optimal
+        assert full.mapping.nodes > cut.mapping.nodes
+        assert "not proven optimal" not in full.summary()
 
 
 class TestMetrics:

@@ -179,3 +179,46 @@ class TestCli:
     def test_unknown_device_is_an_error(self):
         code, _ = self.run_cli("calibration", "--device", "toaster")
         assert code == 1
+
+    def test_mitigate_reports_a_failed_cell(self):
+        """BV8 does not fit ibmq5's 5 qubits: BV4's row is still
+        tabulated, the failure is reported, and the exit code says so."""
+        code, text = self.run_cli("mitigate", "--device", "ibmq5",
+                                  "--benchmarks", "BV4", "BV8",
+                                  "--trials", "64")
+        assert code == 1
+        lines = text.splitlines()
+        assert [line.split()[0] for line in lines[2:3]] == ["BV4"]
+        assert "improved on" in text and "/1 benchmarks" in text
+        assert "1/2 cells failed:" in lines
+        assert any(line.startswith("  cell 'BV8'")
+                   and "MappingError" in line for line in lines)
+
+    @pytest.mark.parametrize("argv", [
+        ("compile", "--benchmark", "HS6", "--time-limit"),
+        ("run", "--benchmark", "BV4", "--time-limit"),
+        ("sweep", "--batch-timeout"),
+        ("serve", "--batch-timeout"),
+        ("serve", "--batch-window"),
+        ("submit", "--deadline"),
+    ], ids=lambda argv: "-".join(argv[::len(argv) - 1]))
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf", "1e400"])
+    def test_float_flags_must_be_finite_and_positive(self, capsys, argv,
+                                                     value):
+        with pytest.raises(SystemExit) as exc:
+            self.run_cli(*argv, value)
+        assert exc.value.code == 2
+        assert "must be a finite positive number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ("sweep", "--days"), ("sweep", "--seeds"), ("sweep", "--trials"),
+        ("experiment", "fig6", "--days"), ("experiment", "fig6", "--trials"),
+        ("run", "--benchmark", "BV4", "--trials"),
+        ("mitigate", "--trials"),
+    ], ids=lambda argv: "-".join(argv[::len(argv) - 1]))
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_count_flags_must_be_positive(self, capsys, argv, value):
+        with pytest.raises(SystemExit) as exc:
+            self.run_cli(*argv, value)
+        assert exc.value.code == 2
+        assert "must be a positive integer" in capsys.readouterr().err

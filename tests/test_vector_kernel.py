@@ -6,8 +6,14 @@
   ``vector_reference`` float for float, on random factored models and
   on real ``reliability_model`` instances at H = 9 and H = 16; the root
   plan and the portfolio prefixes equal the reference's too.
+* The coupled bound that drops kept children equals its definition in
+  ``vector_reference`` to rounding, and, margin included, is at least
+  the float the kernel records for every leaf below the child, found by
+  brute force; the search with it finds the same incumbents as the
+  search without it, seeded or not, under a portfolio floor or not.
 * Shrinking the free-set memo to one or two entries changes no node,
-  prune, placement or objective.
+  prune, placement or objective, and the coupled terms live under the
+  same cap.
 * R-SMT* placements, objectives, node and prune counts on the 12
   Table-2 programs over fig6's 7 daily snapshots, and on the random
   circuits perfbench's ``scale_ladder`` compiles, equal the values
@@ -115,15 +121,17 @@ _REAL = [("sq9", 8, 128, 2019 + 8 * 10000 + 128), ("sq9", 6, 64, 7),
          ("sq16", 8, 96, 11), ("sq16", 5, 40, 3)]
 
 
-def _push_random(search, data, fixed: float):
-    """Push a random partial assignment (each var into its free domain)
-    and return the reference arrays plus the pop stack."""
+def _push_random(search, data, fixed: float, max_open: int = None):
+    """Push a random partial assignment (each var into its free domain),
+    leaving at most ``max_open`` variables open, and return the
+    reference arrays plus the pop stack."""
     m = search.m
     assigned = np.full(m.n_vars, -1, dtype=np.intp)
     free = np.ones(m.n_cols, dtype=bool)
     stack = []
     order = data.draw(st.permutations(range(m.n_vars)))
-    depth = data.draw(st.integers(0, m.n_vars - 1))
+    low = 0 if max_open is None else max(0, m.n_vars - max_open)
+    depth = data.draw(st.integers(low, m.n_vars - 1))
     for var in order[:depth]:
         cols = np.where(m.domain_mask[var] & free)[0]
         if len(cols) == 0:
@@ -187,6 +195,101 @@ class TestBoundOracle:
         assert search.prefix_tasks() == ref.prefix_tasks(search)
 
 
+def _leaf_values(search, fixed: float):
+    """The float the kernel records for every leaf below the current
+    node, found by branching as the kernel does, without pruning."""
+    if not search._key & search._open:
+        return [fixed]
+    plan = search._child_plan(fixed)
+    if plan is None:
+        return []
+    sel, cand, _ = plan
+    out = []
+    for col in cand:
+        delta, token = search._fact_push(sel, col)
+        out += _leaf_values(search, fixed + delta)
+        search._fact_pop(sel, token)
+    return out
+
+
+def _assert_coupled_admissible(search, data):
+    # At most four open variables keep the brute force small; two open
+    # make the bound exact, so only the margin separates it from the
+    # re-summed leaves.
+    assigned, free, fixed, stack = _push_random(search, data, 0.0,
+                                                max_open=4)
+    plan = search._child_plan(fixed)
+    if plan is not None:
+        sel, cand, _ = plan
+        coupled = search._coupled_bounds(fixed, cand)
+        expect = ref.coupled_bounds(search, sel, assigned, free, fixed,
+                                    cand)
+        if expect is None:
+            assert coupled is None
+        else:
+            np.testing.assert_allclose(
+                np.array(coupled) - search._margin, expect, rtol=1e-12,
+                atol=search._margin * 1e-3)
+            for col, bound in zip(cand, coupled):
+                delta, token = search._fact_push(sel, col)
+                for leaf in _leaf_values(search, fixed + delta):
+                    assert leaf <= bound, (col, leaf, bound)
+                search._fact_pop(sel, token)
+    for var, token in reversed(stack):
+        search._fact_pop(var, token)
+
+
+def _solve(mats, coupled: bool, seed=None, floor=None) -> VectorSearch:
+    search = VectorSearch(mats)
+    if not coupled:
+        search._coupled_bounds = lambda fixed, cols: None
+    if seed is not None:
+        search.seed(*seed)
+    if floor is not None:
+        search.floor = floor
+    assert search.run()
+    return search
+
+
+class TestCoupledBound:
+    @given(mats=_factored_models(), data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_admissible_random_models(self, mats, data):
+        search = VectorSearch(mats)
+        for _ in range(2):
+            _assert_coupled_admissible(search, data)
+
+    @given(real=st.sampled_from(_REAL[:2]), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_admissible_reliability_models(self, real, data):
+        _assert_coupled_admissible(VectorSearch(_real_mats(*real)), data)
+
+    @given(mats=_factored_models(), how=st.sampled_from(
+        ["cold", "seeded", "floor_at_optimum", "floor_at_first_leaf"]))
+    @settings(max_examples=200, deadline=None)
+    def test_same_incumbents_as_factored_only(self, mats, how):
+        first = VectorSearch(mats, first_solution_only=True)
+        first.run()
+        if first.best_cols is None:
+            return
+        seed = floor = None
+        if how == "seeded":
+            seed = (first.best_cols, first.best_value)
+        elif how == "floor_at_first_leaf":
+            floor = first.best_value
+        elif how == "floor_at_optimum":
+            floor = _solve(mats, coupled=False).best_value
+        plain = _solve(mats, coupled=False, seed=seed, floor=floor)
+        both = _solve(mats, coupled=True, seed=seed, floor=floor)
+        assert both.best_value == plain.best_value
+        if plain.best_cols is None:
+            assert both.best_cols is None
+        else:
+            assert_array_equal(both.best_cols, plain.best_cols)
+        assert both.incumbents == plain.incumbents
+        assert both.nodes <= plain.nodes
+
+
 class TestMemoCap:
     @pytest.mark.parametrize("cap", [1, 2])
     def test_tiny_memo_same_search(self, monkeypatch, cap):
@@ -202,7 +305,18 @@ class TestMemoCap:
         solver = BranchAndBoundSolver(engine="vector")
         full = solver.solve(model, initial=warm)
         monkeypatch.setattr(bounds_mod, "MEMO_ENTRIES", cap)
+        coupled = VectorSearch._coupled_bounds
+        checked = []
+
+        def capped(search, fixed, cols):
+            out = coupled(search, fixed, cols)
+            assert len(search._memo) <= cap
+            checked.append(out is not None)
+            return out
+
+        monkeypatch.setattr(VectorSearch, "_coupled_bounds", capped)
         tiny = solver.solve(model, initial=warm)
+        assert any(checked)
         assert full.optimal and tiny.optimal
         assert tiny.nodes == full.nodes
         assert tiny.stats.prunes == full.stats.prunes

@@ -9,7 +9,10 @@ the search's incremental bookkeeping (``_stl``, ``_asg``, the column
 weights and the free-pair aggregates) exactly as the kernel did, so a
 test can push an assignment through ``_fact_push`` and compare the two
 bound by bound. ``root_candidates`` and ``prefix_tasks`` rebuild the
-portfolio's subtree plan on top of them.
+portfolio's subtree plan on top of them. ``coupled_bounds`` is the
+coupled bound that drops kept children, written from its definition
+with per-pair loops instead of the kernel's incremental rows and
+memoized halves.
 """
 
 from typing import List, Tuple
@@ -147,3 +150,64 @@ def prefix_tasks(search) -> List[Tuple[int, ...]]:
         free[c0] = True
         search._fact_pop(root, token)
     return out
+
+
+def _oriented(m, i: int, j: int) -> np.ndarray:
+    """``[l, k]``: score of the pair of ``i`` and ``j`` with ``i`` at
+    column ``l`` and ``j`` at ``k``; zeros with a -inf diagonal (the
+    AllDifferent) when the model has no such pair."""
+    if (i, j) in m.pair_vars:
+        return m.pair_tensor[m.pair_vars.index((i, j))]
+    if (j, i) in m.pair_vars:
+        return m.pair_tensor[m.pair_vars.index((j, i))].T
+    out = np.zeros((m.n_cols, m.n_cols))
+    np.fill_diagonal(out, _NEG_INF)
+    return out
+
+
+def coupled_bounds(search, sel: int, assigned: np.ndarray,
+                   free: np.ndarray, fixed: float, cols) -> np.ndarray:
+    """The coupled bound of children ``sel := c``, ``c`` in ``cols``,
+    straight from its definition and without the margin; ``None`` when
+    ``sel`` is the last unassigned variable.
+
+    ``fixed + ps[sel][c] + sum_i max_l (U_i[l] + ps[i][l] + P_i,sel[l, c])``
+    over the other unassigned ``i`` and free ``l``, where ``ps[i][l]`` is
+    i's unary plus its pair scores against the placed variables, and
+    ``U_i[l]`` adds half of ``x*P[l] + y*Q[l] + s`` (x, y swapped on the
+    pair's second variable) for every pair of i with another unassigned
+    variable other than ``sel``.
+    """
+    m = search.m
+    placed = [j for j in range(m.n_vars) if assigned[j] >= 0]
+    others = [i for i in range(m.n_vars) if assigned[i] < 0 and i != sel]
+    if not others:
+        return None
+    B = m.pair_base
+    P = np.maximum(np.where(free, B, _NEG_INF).max(axis=1), _BIG_NEG)
+    Q = np.maximum(np.where(free[:, None], B, _NEG_INF).max(axis=0),
+                   _BIG_NEG)
+
+    def ps(i):
+        row = m.unary[i].copy()
+        for j in placed:
+            if (i, j) in m.pair_vars or (j, i) in m.pair_vars:
+                row += _oriented(m, i, j)[:, assigned[j]]
+        return row
+
+    rows = {}
+    for i in others:
+        row = ps(i)
+        for t, (a, b) in enumerate(m.pair_vars):
+            x, y, s = m.pair_x[t], m.pair_y[t], m.pair_slack[t]
+            if a == i and b in others:
+                row += 0.5 * (x * P + y * Q + s)
+            elif b == i and a in others:
+                row += 0.5 * (y * P + x * Q + s)
+        row[~free] = _NEG_INF
+        rows[i] = row
+    ps_sel = ps(sel)
+    return np.array([
+        fixed + ps_sel[c] + sum(float((rows[i] + _oriented(m, i, sel)[:, c])
+                                      .max()) for i in others)
+        for c in cols])
