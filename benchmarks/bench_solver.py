@@ -16,9 +16,7 @@ also prints the cold and warm vector engine's cost per node. Points
 past 8 qubits are node-capped: the seed engine cannot finish them (the
 paper reports hours at 32 qubits), so equal node budgets compare cost
 per node in the scaling regime. Optimality is asserted unchanged on
-every uncapped point, and the 2-worker portfolio is asserted
-bit-identical to the serial proof (its merge rule reconstructs the
-serial answer regardless of worker count or core count).
+every uncapped point.
 
 The T-SMT* rung solves each Table-2 program on the default IBMQ16
 snapshot exactly as ``TimeSmtMapper`` does in a compile (generic
@@ -48,7 +46,6 @@ from repro.hardware import (
 )
 from repro.programs import benchmark_names, get_benchmark, random_circuit
 from repro.solver import BranchAndBoundSolver
-from repro.solver.portfolio import PortfolioSolver
 
 _BASELINE = os.path.join(os.path.dirname(__file__), "solver_baseline.json")
 
@@ -143,33 +140,6 @@ def test_solver_ladder(benchmark):
             f"fast-path aggregate speedup {speedup:.2f}x fell below the "
             f"pinned {floor}x floor")
     record(benchmark, "\n".join(lines))
-
-
-def test_portfolio_bit_identity(benchmark):
-    """The 2-worker portfolio reconstructs the serial answer exactly."""
-    with open(_BASELINE) as fh:
-        baseline = json.load(fh)
-    tier = "smoke" if SMOKE else "full"
-    spec = baseline[tier][1]  # first non-trivial point of the ladder
-    model, warm, _ = _instance(spec["qubits"], spec["gates"])
-
-    serial = BranchAndBoundSolver(engine="vector").solve(model, initial=warm)
-
-    def solve_portfolio():
-        return PortfolioSolver(workers=2).solve(model, initial=warm)
-
-    portfolio = benchmark.pedantic(solve_portfolio, rounds=1,
-                                   iterations=1)
-    assert portfolio.optimal and serial.optimal
-    assert portfolio.objective == serial.objective
-    assert portfolio.assignment == serial.assignment
-    assert portfolio.stats is not None
-    assert portfolio.stats.engine == "portfolio"
-    record(benchmark,
-           f"portfolio({portfolio.stats.workers}w, "
-           f"{portfolio.stats.subtrees} subtrees) == serial: "
-           f"objective {serial.objective:.6f}, "
-           f"{portfolio.nodes} vs {serial.nodes} nodes")
 
 
 def _run_tsmt_rung():

@@ -113,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--device", default="ibmq16",
                        help="registered backend (default: ibmq16; see "
                             "`repro backends`)")
-        p.add_argument("--day", type=int, default=0,
+        p.add_argument("--day", type=_nonnegative_int, default=0,
                        help="calibration day (default: 0)")
         p.add_argument("--calibration-seed", type=int, default=None,
                        help="calibration generator seed (default: the "
@@ -129,10 +129,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="readout weight for r-smt* (default: 0.5)")
         p.add_argument("--time-limit", type=_positive_float, default=60.0,
                        help="solver time limit in seconds")
-        p.add_argument("--solver-workers", type=_positive_int, default=1,
-                       help="processes for the portfolio branch-and-bound "
-                            "(r-smt*); results are bit-identical to "
-                            "serial (default: 1)")
         p.add_argument("--peephole", action="store_true",
                        help="apply adjacent-inverse cancellation")
         group = p.add_mutually_exclusive_group(required=True)
@@ -321,8 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=_STRATEGY_CHOICES,
                        help="mitigation strategy or '+' stack "
                             "(default: zne)")
-    mit_p.add_argument("--scales", nargs="+", type=float, default=None,
-                       metavar="S",
+    mit_p.add_argument("--scales", nargs="+", type=_positive_float,
+                       default=None, metavar="S",
                        help="ZNE noise scales (default: 1 1.5 2)")
     mit_p.add_argument("--fit", default="linear",
                        choices=("linear", "richardson", "exp"),
@@ -491,8 +487,7 @@ def _backend(name: str, args: argparse.Namespace):
 
 def _options(args: argparse.Namespace) -> CompilerOptions:
     return _variant_options(args.variant, args.omega, args.routing).with_(
-        solver_time_limit=args.time_limit, peephole=args.peephole,
-        solver_workers=getattr(args, "solver_workers", 1))
+        solver_time_limit=args.time_limit, peephole=args.peephole)
 
 
 def _cmd_compile(args: argparse.Namespace, out) -> int:

@@ -22,8 +22,8 @@ class MappingResult:
             objective (SMT variants) or heuristic (greedy variants).
         solve_time: Seconds spent inside the mapper.
         nodes: Search nodes expanded (0 for heuristics).
-        stats: Solver search counters (engine, prunes, incumbents,
-            workers, ...) for the SMT variants; ``None`` for heuristics.
+        stats: Solver search counters (engine, nodes, prunes,
+            incumbents) for the SMT variants; ``None`` for heuristics.
     """
 
     placement: Dict[int, int]

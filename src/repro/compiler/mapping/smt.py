@@ -47,7 +47,6 @@ from repro.solver import (
     Variable,
 )
 from repro.solver.bnb import SolveResult
-from repro.solver.portfolio import PortfolioSolver
 
 _LOG_FLOOR = 1e-12
 
@@ -143,9 +142,9 @@ def reliability_model(circuit: Circuit, calibration: Calibration,
     """Build the R-SMT* assignment model (Eq. 12) for *circuit*.
 
     Exposed as a module-level helper so the solver benchmarks and
-    tests can drive the exact production model through alternative
-    engines (``engine="generic"`` reference runs, portfolio identity
-    checks) without going through a full compile.
+    tests can drive the exact production model through the generic
+    reference engine (``engine="generic"``) without going through a
+    full compile.
 
     Returns:
         (model with its objective set, the interacting search qubits).
@@ -207,13 +206,8 @@ class ReliabilitySmtMapper(Mapper):
         self.check_fits(circuit, calibration)
         model, search_qubits = reliability_model(
             circuit, calibration, tables, self.options.omega)
-        if self.options.solver_workers > 1:
-            solver = PortfolioSolver(
-                workers=self.options.solver_workers,
-                time_limit=self.options.solver_time_limit)
-        else:
-            solver = BranchAndBoundSolver(
-                time_limit=self.options.solver_time_limit)
+        solver = BranchAndBoundSolver(
+            time_limit=self.options.solver_time_limit)
         start = time.perf_counter()
         result = solver.solve(
             model,

@@ -59,12 +59,6 @@ class CompilerOptions:
             program (off by default — the paper's configurations,
             including the Qiskit 0.5.7 baseline, do no such cleanup).
         seed: Tie-breaking seed for heuristics.
-        solver_workers: Processes for the portfolio branch-and-bound
-            (R-SMT*). Values above 1 split the root branching across a
-            process pool; the merged answer is bit-identical to the
-            serial proof, so this knob — like the array backend — is
-            deliberately *excluded* from :meth:`fingerprint` (same
-            results, same cache keys).
     """
 
     variant: str = VARIANT_R_SMT_STAR
@@ -76,11 +70,6 @@ class CompilerOptions:
     enforce_coherence: bool = False
     peephole: bool = False
     seed: int = 0
-    solver_workers: int = 1
-
-    #: Fields that cannot change compiled artifacts and therefore stay
-    #: out of the fingerprint (cf. the array-backend precedent).
-    _NON_SEMANTIC_FIELDS = ("solver_workers",)
 
     def __post_init__(self) -> None:
         if self.variant not in ALL_VARIANTS:
@@ -89,8 +78,6 @@ class CompilerOptions:
             raise CompilationError(f"unknown routing {self.routing!r}")
         if not 0.0 <= self.omega <= 1.0:
             raise CompilationError("omega must lie in [0, 1]")
-        if self.solver_workers < 1:
-            raise CompilationError("solver_workers must be >= 1")
 
     @property
     def is_noise_aware(self) -> bool:
@@ -102,18 +89,14 @@ class CompilerOptions:
         return replace(self, **changes)
 
     def fingerprint(self) -> str:
-        """Stable content hash over every semantic option field.
+        """Stable content hash over every option field.
 
         Equal option values share a fingerprint across processes and
         sessions (unlike ``hash()``), which is what the sweep runtime's
-        compile cache keys on. Fields that provably cannot change the
-        compiled artifact (``solver_workers`` — the portfolio solver is
-        bit-identical to serial) are excluded so turning them does not
-        shed caches.
+        compile cache keys on.
         """
         parts = ";".join(f"{f.name}={getattr(self, f.name)!r}"
-                         for f in fields(self)
-                         if f.name not in self._NON_SEMANTIC_FIELDS)
+                         for f in fields(self))
         return hashlib.sha256(parts.encode()).hexdigest()
 
     # ------------------------------------------------------------------

@@ -21,6 +21,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict, Iterator, List
 
+from repro.exceptions import CalibrationError
 from repro.hardware.calibration import (
     Calibration,
     EdgeCalibration,
@@ -90,7 +91,14 @@ class CalibrationGenerator:
 
     # ------------------------------------------------------------------
     def snapshot(self, day: int = 0) -> Calibration:
-        """The calibration posted on *day* (deterministic per seed)."""
+        """The calibration posted on *day* (deterministic per seed).
+
+        Raises:
+            CalibrationError: If *day* is negative (day 0 is the first
+                posted calibration).
+        """
+        if day < 0:
+            raise CalibrationError(f"calibration day must be >= 0, got {day}")
         drift_q = self._drift_states(day, kind="qubit")
         drift_e = self._drift_states(day, kind="edge")
         p = self.profile
@@ -130,9 +138,15 @@ class CalibrationGenerator:
                            edges=edges, label=f"day{day}")
 
     def days(self, n_days: int, start: int = 0) -> Iterator[Calibration]:
-        """Iterate calibration snapshots for *n_days* consecutive days."""
-        for day in range(start, start + n_days):
-            yield self.snapshot(day)
+        """Iterate calibration snapshots for *n_days* consecutive days.
+
+        Raises:
+            CalibrationError: If *start* is negative.
+        """
+        if start < 0:
+            raise CalibrationError(
+                f"calibration start day must be >= 0, got {start}")
+        return map(self.snapshot, range(start, start + n_days))
 
     # ------------------------------------------------------------------
     def _drift_states(self, day: int, kind: str) -> dict:

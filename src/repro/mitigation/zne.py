@@ -89,7 +89,7 @@ class ScaledNoiseModel(NoiseModel):
 
     Args:
         base: The model whose probabilities are amplified.
-        scale: Non-negative multiplier (``1.0`` is the identity).
+        scale: Finite non-negative multiplier (``1.0`` is the identity).
         scale_readout: Also amplify readout flip probabilities (off by
             default: folding on real hardware amplifies circuit noise
             only, and readout errors have their own mitigation).
@@ -97,8 +97,9 @@ class ScaledNoiseModel(NoiseModel):
 
     def __init__(self, base: NoiseModel, scale: float,
                  scale_readout: bool = False) -> None:
-        if scale < 0.0:
-            raise MitigationError("noise scale must be non-negative")
+        if not (math.isfinite(scale) and scale >= 0.0):
+            raise MitigationError(
+                f"noise scale must be finite and non-negative, got {scale}")
         super().__init__(base.calibration, gate_errors=base.gate_errors,
                          decoherence=base.decoherence,
                          readout_errors=base.readout_errors,
@@ -154,15 +155,15 @@ def fold_circuit(circuit: Circuit, scale: float) -> Circuit:
         circuit: Program to fold (logical or physical — folding maps
             each gate onto its own qubits, so coupling constraints are
             preserved).
-        scale: Target noise scale, ``>= 1``.
+        scale: Target noise scale, finite and ``>= 1``.
 
     Raises:
-        MitigationError: If ``scale < 1``.
+        MitigationError: If ``scale < 1`` or is not finite.
     """
-    if scale < 1.0:
+    if not (math.isfinite(scale) and scale >= 1.0):
         raise MitigationError(
-            f"fold scale must be >= 1 (got {scale}); noise can only be "
-            f"amplified by inserting gates")
+            f"fold scale must be finite and >= 1 (got {scale}); noise "
+            f"can only be amplified by inserting gates")
     unitary_count = sum(1 for g in circuit.gates if g.is_unitary)
     base_folds = int((scale - 1.0) / 2.0)
     remainder = (scale - 1.0) / 2.0 - base_folds
@@ -214,8 +215,9 @@ class FoldingPass(Pass):
     produces = "physical"
 
     def __init__(self, scale: float = 3.0) -> None:
-        if scale < 1.0:
-            raise MitigationError("fold scale must be >= 1")
+        if not (math.isfinite(scale) and scale >= 1.0):
+            raise MitigationError(
+                f"fold scale must be finite and >= 1, got {scale}")
         self.scale = scale
 
     def config(self) -> str:
@@ -347,9 +349,9 @@ class ZneStrategy(MitigationStrategy):
             raise MitigationError("ZNE needs at least two noise scales")
         if len(set(self.scales)) != len(self.scales):
             raise MitigationError("ZNE scales must be distinct")
-        if any(s < 1.0 for s in self.scales):
-            raise MitigationError("ZNE scales must be >= 1 (noise can "
-                                  "only be amplified)")
+        if not all(math.isfinite(s) and s >= 1.0 for s in self.scales):
+            raise MitigationError("ZNE scales must be finite and >= 1 "
+                                  "(noise can only be amplified)")
         if self.fit not in ZNE_FITS:
             raise MitigationError(f"unknown ZNE fit {self.fit!r}")
         if self.amplifier not in ZNE_AMPLIFIERS:

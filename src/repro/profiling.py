@@ -130,7 +130,8 @@ class Profiler:
                 ``MappingResult.stats``) appended below the table.
         """
         lines: List[str] = []
-        header = (f"{'pass':<14} {'calls':>5} {'hits':>5} "
+        width = max([len("total")] + [len(name) for name in self.passes])
+        header = (f"{'pass':<{width}} {'calls':>5} {'hits':>5} "
                   f"{'seconds':>9} {'alloc':>10} {'peak':>10}")
         lines.append(header)
         lines.append("-" * len(header))
@@ -138,10 +139,10 @@ class Profiler:
         for p in sorted(self.passes.values(), key=lambda p: -p.seconds):
             total += p.seconds
             lines.append(
-                f"{p.name:<14} {p.calls:>5} {p.cache_hits:>5} "
+                f"{p.name:<{width}} {p.calls:>5} {p.cache_hits:>5} "
                 f"{p.seconds:>9.4f} {_fmt_bytes(p.alloc_bytes):>10} "
                 f"{_fmt_bytes(p.peak_bytes):>10}")
-        lines.append(f"{'total':<14} {'':>5} {'':>5} {total:>9.4f}")
+        lines.append(f"{'total':<{width}} {'':>5} {'':>5} {total:>9.4f}")
         if solver_stats:
             lines.append("")
             lines.append("solver: " + ", ".join(

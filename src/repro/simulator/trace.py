@@ -29,6 +29,7 @@ per-trial loop performs with a single uniform draw.
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
 from typing import Dict, List, Sequence, Tuple
 
@@ -490,12 +491,14 @@ class ProgramTrace:
         probability zero — identical in law, different RNG stream.)
 
         Args:
-            scale: Non-negative multiplier; probabilities clip at 1.
+            scale: Finite non-negative multiplier; probabilities clip
+                at 1.
             scale_readout: Also scale the per-measure readout flip
                 probabilities.
         """
-        if scale < 0.0:
-            raise SimulationError("noise scale must be non-negative")
+        if not (math.isfinite(scale) and scale >= 0.0):
+            raise SimulationError(
+                f"noise scale must be finite and non-negative, got {scale}")
         clone = object.__new__(ProgramTrace)
         clone.__dict__.update(self.__dict__)
         clone.site_prob = np.minimum(self.site_prob * scale, 1.0)

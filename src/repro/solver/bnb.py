@@ -19,8 +19,6 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
 from repro.exceptions import SolverError
 from repro.solver.bounds import VectorSearch, compile_assignment
 from repro.solver.model import Assignment, Model
@@ -31,21 +29,17 @@ class SolverStats:
     """Search-effort counters surfaced through mapping metadata.
 
     Attributes:
-        engine: ``"vector"``, ``"generic"``, or ``"portfolio"``.
+        engine: ``"vector"`` or ``"generic"``.
         nodes: Search-tree nodes expanded.
         prunes: Subtrees cut by the admissible bound.
         incumbents: Times the best-known solution improved (the warm
             start counts as the first).
-        workers: Processes that searched (1 for serial).
-        subtrees: Root subtrees explored (portfolio bookkeeping).
     """
 
     engine: str = "generic"
     nodes: int = 0
     prunes: int = 0
     incumbents: int = 0
-    workers: int = 1
-    subtrees: int = 0
 
 
 @dataclass
@@ -128,10 +122,31 @@ class BranchAndBoundSolver:
         search = VectorSearch(
             mats, time_limit=self.time_limit, node_limit=self.node_limit,
             first_solution_only=self.first_solution_only, start=start)
-        seed_assignment_columns(search, model, mats, initial)
+        # An invalid warm start is dropped and the search starts cold
+        # (the contract the mappers rely on); a valid one is seeded with
+        # its exact objective value.
+        if initial is not None and model.validate(initial):
+            col_of = {int(v): c for c, v in enumerate(mats.values)}
+            search.seed([col_of[initial[name]] for name in mats.var_names],
+                        model.objective.value(initial))
         completed = search.run()
         elapsed = time.perf_counter() - start
-        return vector_result(search, mats, completed, elapsed)
+        assignment = None
+        if search.best_cols is not None:
+            assignment = {name: int(mats.values[c])
+                          for name, c in zip(mats.var_names, search.best_cols)}
+        stats = SolverStats(engine="vector", nodes=search.nodes,
+                            prunes=search.prunes,
+                            incumbents=search.incumbents)
+        return SolveResult(
+            assignment=assignment,
+            objective=None if assignment is None else search.best_value,
+            optimal=completed and not search.truncated,
+            nodes=search.nodes,
+            elapsed=elapsed,
+            timed_out=not completed,
+            stats=stats,
+        )
 
     def _solve_generic(self, model: Model, initial, start: float
                        ) -> SolveResult:
@@ -160,47 +175,6 @@ class BranchAndBoundSolver:
             timed_out=timed_out,
             stats=stats,
         )
-
-
-def seed_assignment_columns(search: VectorSearch, model: Model, mats,
-                            initial: Optional[Assignment]) -> None:
-    """Validate and seed a warm start into a vector search.
-
-    Invalid warm starts are silently dropped (the search starts cold —
-    the contract the mappers rely on). Valid ones are seeded with their
-    exact objective value.
-    """
-    if initial is None or not model.validate(initial):
-        return
-    col_of = {int(v): c for c, v in enumerate(mats.values)}
-    cols = np.array([col_of[initial[name]] for name in mats.var_names],
-                    dtype=np.intp)
-    search.seed(cols, model.objective.value(initial))
-
-
-def vector_result(search: VectorSearch, mats, completed: bool,
-                  elapsed: float, workers: int = 1,
-                  subtrees: int = 0) -> SolveResult:
-    """Package a finished vector search into a :class:`SolveResult`."""
-    assignment = None
-    objective = None
-    if search.best_cols is not None:
-        assignment = {name: int(mats.values[c])
-                      for name, c in zip(mats.var_names, search.best_cols)}
-        objective = search.best_value
-    stats = SolverStats(engine="vector", nodes=search.nodes,
-                        prunes=search.prunes,
-                        incumbents=search.incumbents,
-                        workers=workers, subtrees=subtrees)
-    return SolveResult(
-        assignment=assignment,
-        objective=objective,
-        optimal=completed and not search.truncated,
-        nodes=search.nodes,
-        elapsed=elapsed,
-        timed_out=not completed,
-        stats=stats,
-    )
 
 
 class _TimeUp(Exception):

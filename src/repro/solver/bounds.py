@@ -32,12 +32,15 @@ It breaks no value symmetries: calibrated noise makes every hardware
 qubit distinct, so no topology automorphism and no pair of columns is
 an exact invariance of a calibrated model.
 
-Apart from that margin, all comparisons are exact (no epsilon): the
-returned assignment is the first leaf in canonical exploration order
-attaining the float maximum, independent of the incumbent trajectory.
-That property is what lets the portfolio solver
-(:mod:`repro.solver.portfolio`) split the root across processes and
-still merge to the bit-identical serial answer.
+Apart from the coupled bound's margin, all comparisons are exact (no
+epsilon), and the bounds alone fix the exploration order, so the
+returned assignment is a deterministic function of the model and the
+warm start. It need not be the first leaf in that order attaining the
+float maximum: the warm start's value is summed in the model's term
+order and a leaf's along its search path, and a dense-path bound can
+fall an ulp or two below the path sum of a leaf under it. Which of
+several optima equal to within rounding is returned can therefore
+depend on the warm start.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ import time
 from dataclasses import dataclass
 from itertools import repeat
 from operator import add, itemgetter
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -59,9 +62,6 @@ _NEG_INF = -np.inf
 #: Finite stand-in for -inf in factored bounds (0 * -inf is NaN; a
 #: pair with a zero base coefficient must contribute zero instead).
 _BIG_NEG = -1e300
-
-#: How often (in nodes) a portfolio worker polls for a foreign incumbent.
-FLOOR_POLL_NODES = 1024
 
 #: Entry cap of a factored search's free-set memo (see
 #: :meth:`VectorSearch._terms`). A full memo is cleared; an evicted
@@ -314,30 +314,21 @@ def _by_bound(cols: List[int], bounds: List[float]) -> List[int]:
 class VectorSearch:
     """Depth-first branch-and-bound over compiled assignment matrices.
 
-    The search maximizes; all incumbent comparisons are exact. ``floor``
-    is a *foreign* incumbent value (from a portfolio sibling): subtrees
-    that cannot reach it are pruned (``bound < floor``), but leaves
-    *equal* to it are still recorded — that asymmetry is what makes the
-    portfolio merge reproduce the serial answer bit-for-bit.
+    The search maximizes; all incumbent comparisons are exact.
     """
 
     def __init__(self, mats: AssignmentMatrices,
                  time_limit: Optional[float] = None,
                  node_limit: Optional[int] = None,
                  first_solution_only: bool = False,
-                 start: Optional[float] = None,
-                 floor_poll=None) -> None:
+                 start: Optional[float] = None) -> None:
         self.m = mats
         self.time_limit = time_limit
         self.node_limit = node_limit
         self.first_solution_only = first_solution_only
         self.start = time.perf_counter() if start is None else start
-        self.floor_poll = floor_poll
-        self.floor = _NEG_INF
         self.best_cols: Optional[np.ndarray] = None
         self.best_value = _NEG_INF
-        self.best_rank: Optional[int] = None
-        self.current_rank: Optional[int] = None
         self.nodes = 0
         self.prunes = 0
         self.incumbents = 0
@@ -369,8 +360,7 @@ class VectorSearch:
             # Bound aggregates over pair categories, maintained by
             # _fact_push/_fact_pop with exact (saved-value) restoration
             # so the state at a node is a pure function of the
-            # assignment path — the portfolio's bit-identity with the
-            # serial engine depends on that:
+            # assignment path:
             # * ``_wp[c]``/``_wq[c]``: coefficient mass multiplying
             #   ``P[c]``/``Q[c]`` for half-assigned pairs whose fixed
             #   endpoint sits at column ``c``;
@@ -446,8 +436,7 @@ class VectorSearch:
         """Root candidate columns in canonical exploration order.
 
         Ordered by child bound descending with column-ascending
-        tie-break — the shared plan both the serial search and the
-        portfolio partition use.
+        tie-break — the order :meth:`run` explores them in.
         """
         assigned = np.full(self.m.n_vars, -1, dtype=np.intp)
         free = np.ones(self.m.n_cols, dtype=bool)
@@ -456,8 +445,8 @@ class VectorSearch:
         if len(cand) <= 1:
             return cand
         if self._fact:
-            # Same routine as _node, so the plan's candidate order is
-            # bit-identical to the serial first-visit order.
+            # Same routine as _node, so the root orders its children
+            # exactly as every other node does.
             _, cols, bounds = self._child_plan(0.0)
             return np.array(_by_bound(cols, bounds), dtype=np.intp)
         RM, CM = self._edge_maxima(free)
@@ -465,107 +454,19 @@ class VectorSearch:
         order = np.argsort(-bounds[cand], kind="stable")
         return cand[order]
 
-    def prefix_tasks(self, depth: int = 2) -> List[Tuple[int, ...]]:
-        """Canonical-order subtree prefixes for portfolio splitting.
-
-        Depth-1 prefixes are the root candidates; depth-2 expands each
-        root candidate into its second-level candidates — computed with
-        the same branching and bound-ordering rules the
-        search itself applies, all of which are incumbent-independent,
-        so the lexicographic prefix order equals the serial search's
-        first-visit order. The finer grain is what lets the portfolio
-        balance wildly uneven root children. A root candidate whose
-        child node wipes out (some variable loses its whole domain) is
-        dropped: that subtree has no leaves for any engine to find.
-        """
-        root_cols = self.root_candidates()
-        if depth <= 1 or self.m.n_vars < 2:
-            return [(int(c),) for c in root_cols]
-        out: List[Tuple[int, ...]] = []
-        assigned = np.full(self.m.n_vars, -1, dtype=np.intp)
-        free = np.ones(self.m.n_cols, dtype=bool)
-        root = self.root_var()
-        for c0 in root_cols:
-            for c1 in self._plan_children(root, int(c0), assigned, free):
-                out.append((int(c0), int(c1)))
-        return out
-
-    def _plan_children(self, var: int, col: int, assigned: np.ndarray,
-                       free: np.ndarray) -> List[int]:
-        """Second-level candidates of child ``var := col``, in the exact
-        order :meth:`_node` would explore them (minus incumbent-driven
-        skips, which drop entries without reordering survivors)."""
-        token = None
-        if self._fact:
-            _, token = self._fact_push(var, col)
-        assigned[var] = col
-        free[col] = False
-        try:
-            if self._fact:
-                plan = self._child_plan(0.0)
-                return [] if plan is None else _by_bound(plan[1], plan[2])
-            unassigned = np.where(assigned < 0)[0]
-            avail = self.m.domain_mask[unassigned] & free
-            counts = avail.sum(axis=1)
-            if counts.min() == 0:
-                return []
-            sel_pos = int(np.argmin(counts))
-            sel = int(unassigned[sel_pos])
-            RM, CM = self._edge_maxima(free)
-            bounds = self._child_bounds(sel, assigned, free, 0.0, RM, CM)
-            cand = np.where(avail[sel_pos])[0]
-            order = np.argsort(-bounds[cand], kind="stable")
-            return [int(c) for c in cand[order]]
-        finally:
-            assigned[var] = -1
-            free[col] = True
-            if token is not None:
-                self._fact_pop(var, token)
-
-    def run(self, root_cols: Optional[Sequence] = None,
-            rank_base: int = 0) -> bool:
-        """Search; returns False when the budget interrupted it.
-
-        Args:
-            root_cols: Explicit subtree list (already in exploration
-                order): bare columns or prefix tuples from
-                :meth:`prefix_tasks`. When ``None`` the canonical root
-                plan is used.
-            rank_base: Global rank of ``root_cols[0]`` (for portfolio
-                tie-break bookkeeping).
-        """
-        if root_cols is None:
-            root_cols = self.root_candidates()
+    def run(self) -> bool:
+        """Search; returns False when the budget interrupted it."""
         assigned = np.full(self.m.n_vars, -1, dtype=np.intp)
         free = np.ones(self.m.n_cols, dtype=bool)
         sel = self.root_var()
         try:
-            for offset, item in enumerate(root_cols):
-                self.current_rank = rank_base + offset
-                path = ((int(item),) if np.ndim(item) == 0
-                        else tuple(int(c) for c in item))
-                self._descend(sel, path[0], assigned, free, 0.0, path[1:])
+            for col in self.root_candidates().tolist():
+                self._descend(sel, col, assigned, free, 0.0)
                 if self.best_cols is not None and self.first_solution_only:
                     break
             return True
         except _TimeUp:
             return False
-
-    def _branch_var(self, assigned: np.ndarray,
-                    free: np.ndarray) -> Optional[int]:
-        """The node's branching variable (``None`` on leaf/wipeout) —
-        the same rule :meth:`_node` applies."""
-        if self._fact:
-            terms = self._terms() if self._key & self._open else None
-            return terms[0] if terms else None
-        unassigned = np.where(assigned < 0)[0]
-        if len(unassigned) == 0:
-            return None
-        avail = self.m.domain_mask[unassigned] & free
-        counts = avail.sum(axis=1)
-        if counts.min() == 0:
-            return None
-        return int(unassigned[int(np.argmin(counts))])
 
     # ------------------------------------------------------------------
     def _fact_push(self, var: int, col: int) -> Tuple[float, tuple]:
@@ -577,9 +478,9 @@ class VectorSearch:
         restoration is by saved value (the column weight lists and
         ``_rows`` are copied on write), not inverse
         arithmetic — floating-point ``(w + a) - a`` need not equal
-        ``w``, and the portfolio's bit-identity with the serial engine
-        requires the state at a node to depend only on the assignment
-        path, never on sibling subtrees explored before it.
+        ``w``. So the state at a node depends only on the assignment
+        path, never on sibling subtrees explored before it, and every
+        bound equals ``tests/vector_reference.py``'s float for float.
         """
         stl, asg = self._stl, self._asg
         xl, yl, sl = self._xl, self._yl, self._sl
@@ -641,10 +542,8 @@ class VectorSearch:
         self._asg[var] = -1
 
     def _descend(self, var: int, col: int, assigned: np.ndarray,
-                 free: np.ndarray, fixed: float,
-                 tail: Tuple[int, ...] = ()) -> None:
-        """Assign ``var := col``; expand the child node, or follow the
-        remaining prefix ``tail`` first (portfolio subtree entry)."""
+                 free: np.ndarray, fixed: float) -> None:
+        """Assign ``var := col`` and expand the child node."""
         token = None
         if self._fact:
             delta, token = self._fact_push(var, col)
@@ -660,13 +559,7 @@ class VectorSearch:
                     delta += float(PT[t_j, assigned[pi[t_j]], col].sum())
         assigned[var] = col
         free[col] = False
-        if tail:
-            nxt = self._branch_var(assigned, free)
-            if nxt is not None:
-                self._descend(nxt, tail[0], assigned, free, fixed + delta,
-                              tail[1:])
-        else:
-            self._node(assigned, free, fixed + delta)
+        self._node(assigned, free, fixed + delta)
         assigned[var] = -1
         free[col] = True
         if token is not None:
@@ -687,10 +580,10 @@ class VectorSearch:
             if plan is None:
                 return
             sel, cand, bounds = plan
-            floor, best = self.floor, self.best_value
+            best = self.best_value
             unseeded = self.best_cols is None
             live = [(b, c) for c, b in zip(cand, bounds)
-                    if b >= floor and (unseeded or b > best)]
+                    if unseeded or b > best]
             self.prunes += len(cand) - len(live)
             live.sort(key=itemgetter(0), reverse=True)
             if live:
@@ -715,27 +608,24 @@ class VectorSearch:
         RM, CM = self._edge_maxima(free)
         bound = self._node_bound(assigned, free, fixed, unassigned,
                                  avail, RM, CM)
-        if bound < self.floor or (self.best_cols is not None
-                                  and bound <= self.best_value):
+        if self.best_cols is not None and bound <= self.best_value:
             self.prunes += 1
             return
         bounds = self._child_bounds(sel, assigned, free, fixed, RM, CM)
         cand = np.where(avail[sel_pos])[0]
         cb = bounds[cand]
-        live = cb >= self.floor
         if self.best_cols is not None:
-            live &= cb > self.best_value
-        self.prunes += int(len(cand) - int(live.sum()))
-        cand, cb = cand[live], cb[live]
+            live = cb > self.best_value
+            self.prunes += int(len(cand) - int(live.sum()))
+            cand, cb = cand[live], cb[live]
         order = np.argsort(-cb, kind="stable")
         self._expand(sel, zip(cb[order].tolist(), cand[order].tolist()),
                      assigned, free, fixed)
 
     def _leaf(self, assigned: np.ndarray, fixed: float) -> None:
-        if fixed >= self.floor and fixed > self.best_value:
+        if fixed > self.best_value:
             self.best_value = fixed
             self.best_cols = assigned.copy()
-            self.best_rank = self.current_rank
             self.incumbents += 1
 
     def _expand(self, sel: int, children, assigned: np.ndarray,
@@ -743,8 +633,7 @@ class VectorSearch:
         """Descend into ``(bound, col)`` children in the given order,
         re-checking each bound against the incumbent as it improves."""
         for bound, col in children:
-            if bound < self.floor or (self.best_cols is not None
-                                      and bound <= self.best_value):
+            if self.best_cols is not None and bound <= self.best_value:
                 self.prunes += 1
                 continue
             self._descend(sel, col, assigned, free, fixed)
@@ -856,9 +745,8 @@ class VectorSearch:
         so that ``(fixed + S) - r`` rounds as in the numpy formulation),
         then the coupled bound's terms (:meth:`_coupled_terms`).
         Empty on a wipeout (some unassigned variable has no free column
-        left). Nothing here depends on the assignment's columns, the
-        incumbent or the floor, so an entry holds for every node with
-        the same key.
+        left). Nothing here depends on the assignment's columns or the
+        incumbent, so an entry holds for every node with the same key.
         """
         key = self._key
         terms = self._memo.get(key)
@@ -983,9 +871,9 @@ class VectorSearch:
         keep against its coupled bound (:meth:`_coupled_bounds`), which
         carries a margin of :data:`COUPLED_MARGIN` times the model's
         score magnitude because it sums a leaf's terms in another order:
-        the child is dropped when that bound is <= the incumbent or below
-        the floor. Only prunes change, never the order, so the answer is
-        still the first float-maximal leaf in canonical order.
+        the child is dropped when that bound is <= the incumbent. Only
+        prunes change, never the order, so the search records the same
+        incumbents as without it.
         """
         terms = self._terms()
         if not terms:
@@ -1068,7 +956,3 @@ class VectorSearch:
         if self.time_limit is not None and self.nodes % 256 == 0:
             if time.perf_counter() - self.start > self.time_limit:
                 raise _TimeUp
-        if self.floor_poll is not None and self.nodes % FLOOR_POLL_NODES == 0:
-            floor = self.floor_poll()
-            if floor is not None and floor > self.floor:
-                self.floor = floor

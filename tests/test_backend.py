@@ -18,7 +18,12 @@ from repro.backend import base as backend_base
 from repro.backend import engines as backend_engines
 from repro.cli import main
 from repro.compiler import CompilerOptions, compile_circuit
-from repro.exceptions import BackendError, SimulationError, TopologyError
+from repro.exceptions import (
+    BackendError,
+    CalibrationError,
+    SimulationError,
+    TopologyError,
+)
 from repro.hardware import GridTopology
 from repro.programs import get_benchmark
 from repro.runtime import SweepCell, TraceCache, run_sweep
@@ -70,6 +75,10 @@ class TestBackendRegistry:
         assert backend.calibration(3).label == "day3"
         days = list(backend.days(2))
         assert [c.label for c in days] == ["day0", "day1"]
+
+    def test_negative_calibration_day_rejected(self):
+        with pytest.raises(CalibrationError):
+            get_backend("ibmq16").calibration(-1)
 
     def test_third_party_registration_outside_devices_module(self):
         """Registering a machine touches neither the CLI nor the

@@ -249,3 +249,23 @@ class TestOptionsValidation:
         assert CompilerOptions.t_smt_star().is_noise_aware
         assert CompilerOptions.r_smt_star().is_noise_aware
         assert CompilerOptions.greedy_e().is_noise_aware
+
+    @pytest.mark.parametrize("constructor, digest", [
+        ("qiskit", "44cf5ab0b4cc92408205a8966009454b"
+                   "eb542c41856d9afea9331466a4748e42"),
+        ("t_smt", "09ba1a3c144f3b157aa358f293351b79"
+                  "09672db70164bcb732cf7a619e93aeb1"),
+        ("t_smt_star", "c130aa9f8764da7bf937dcf697b3ca5e"
+                       "b3470f7f1abc875cd3eb23edbd47e26e"),
+        ("r_smt_star", "379d47e8645731299d24ef0ce4b3714a"
+                       "effb0f1d1509b0986af0638631d2ff1b"),
+        ("greedy_v", "6444a11f6bc76bf3639d4bd58ab13dc9"
+                     "4c87b417c5b5c12e694be669c1537ec8"),
+        ("greedy_e", "0df404e0b2cbba7098c924b6808b1630"
+                     "19271e799e74bec4eca05591f0f79035"),
+    ])
+    def test_table1_fingerprints_pinned(self, constructor, digest):
+        """Compile-cache and journal keys embed these digests: a change
+        to the option fields or their encoding re-keys every cache."""
+        options = getattr(CompilerOptions, constructor)()
+        assert options.fingerprint() == digest

@@ -2,6 +2,7 @@
 
 import io
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -201,6 +202,7 @@ class TestCli:
         ("serve", "--batch-timeout"),
         ("serve", "--batch-window"),
         ("submit", "--deadline"),
+        ("mitigate", "--scales"),
     ], ids=lambda argv: "-".join(argv[::len(argv) - 1]))
     @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf", "1e400"])
     def test_float_flags_must_be_finite_and_positive(self, capsys, argv,
@@ -209,6 +211,17 @@ class TestCli:
             self.run_cli(*argv, value)
         assert exc.value.code == 2
         assert "must be a finite positive number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ("calibration",), ("compile", "--benchmark", "BV4"),
+        ("profile", "--benchmark", "BV4"), ("run", "--benchmark", "BV4"),
+        ("mitigate", "--benchmarks", "BV4"),
+    ], ids=lambda argv: argv[0])
+    def test_calibration_day_must_be_non_negative(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            self.run_cli(*argv, "--day", "-1")
+        assert exc.value.code == 2
+        assert "must be a non-negative integer" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ("sweep", "--days"), ("sweep", "--seeds"), ("sweep", "--trials"),
@@ -222,3 +235,52 @@ class TestCli:
             self.run_cli(*argv, value)
         assert exc.value.code == 2
         assert "must be a positive integer" in capsys.readouterr().err
+
+
+class TestProfileCli:
+    """``repro profile``: one compile under the profiler."""
+
+    PASSES = ["mapping[r-smt*]", "schedule", "swap-insert", "reliability"]
+
+    def run_profile(self, *flags):
+        out = io.StringIO()
+        code = main(["profile", "--benchmark", "BV4", *flags], out=out)
+        assert code == 0
+        return out.getvalue()
+
+    def test_json_reports_each_pass_once_and_the_solver(self):
+        report = json.loads(self.run_profile("--json"))
+        passes = report["passes"]
+        assert list(passes) == self.PASSES
+        assert all(p["calls"] == 1 and p["cache_hits"] == 0
+                   for p in passes.values())
+        assert passes["mapping[r-smt*]"]["peak_bytes"] > 0
+        assert list(report["solver"]) == ["engine", "nodes", "prunes",
+                                          "incumbents"]
+        assert report["solver"]["engine"] == "vector"
+        assert not tracemalloc.is_tracing()
+
+    def test_no_alloc_traces_nothing(self):
+        passes = json.loads(self.run_profile("--no-alloc", "--json"))[
+            "passes"]
+        assert list(passes) == self.PASSES
+        assert all(p["alloc_bytes"] == 0 and p["peak_bytes"] == 0
+                   for p in passes.values())
+        assert not tracemalloc.is_tracing()
+
+    @pytest.mark.parametrize("variant", ["r-smt*", "greedye*"])
+    def test_table_columns_fit_the_longest_pass_name(self, variant):
+        lines = self.run_profile("--variant", variant).splitlines()
+        header, rows = lines[0], lines[2:7]
+        width = len(f"mapping[{variant}]")
+        assert header.split() == ["pass", "calls", "hits", "seconds",
+                                  "alloc", "peak"]
+        assert header.index("calls") == width + 1
+        assert {row[:width].rstrip() for row in rows} == {
+            f"mapping[{variant}]", "schedule", "swap-insert",
+            "reliability", "total"}
+        for row in rows[:-1]:
+            assert row[width:width + 12].split() == ["1", "0"]
+            assert row[width + 12] == " "
+        for row in rows:
+            float(row[width + 13:width + 22])

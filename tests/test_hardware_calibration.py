@@ -112,6 +112,15 @@ class TestGenerator:
         labels = [c.label for c in gen.days(3)]
         assert labels == ["day0", "day1", "day2"]
 
+    def test_negative_day_rejected(self):
+        """No calibration is posted before day 0: a negative day must
+        not pass off the drift-free state as ``day-1``."""
+        gen = CalibrationGenerator(ibmq16_topology(), seed=5)
+        with pytest.raises(CalibrationError, match="day must be >= 0"):
+            gen.snapshot(-1)
+        with pytest.raises(CalibrationError, match="day must be >= 0"):
+            gen.days(3, start=-2)
+
     def test_statistics_near_paper_means(self):
         gen = CalibrationGenerator(ibmq16_topology(), seed=11)
         cnot, readout, t2 = [], [], []

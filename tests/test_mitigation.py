@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from repro.cli import main
 from repro.compiler import CompilerOptions, compile_circuit
-from repro.exceptions import MitigationError, ReproError
+from repro.exceptions import MitigationError, ReproError, SimulationError
 from repro.hardware import default_ibmq16_calibration
 from repro.mitigation import (
     ComposedStrategy,
@@ -304,6 +304,35 @@ class TestScaledNoise:
     def test_negative_scale_rejected(self, cal):
         with pytest.raises(MitigationError):
             ScaledNoiseModel(NoiseModel(cal), -0.1)
+
+
+@pytest.mark.parametrize("scale", [float("nan"), float("inf")],
+                         ids=["nan", "inf"])
+class TestNonFiniteScales:
+    """Every entry point taking a noise scale rejects nan and inf with
+    its own typed error, before a fit, a fold or a sampler sees it."""
+
+    def test_zne_strategy(self, scale):
+        with pytest.raises(MitigationError, match="finite"):
+            ZneStrategy(scales=(1.0, scale, 2.0))
+
+    def test_fold_circuit(self, scale):
+        with pytest.raises(MitigationError, match="finite"):
+            fold_circuit(random_circuit(2, 4, seed=0), scale)
+
+    def test_folding_pass(self, scale):
+        with pytest.raises(MitigationError, match="finite"):
+            FoldingPass(scale)
+
+    def test_scaled_noise_model(self, cal, scale):
+        with pytest.raises(MitigationError, match="finite"):
+            ScaledNoiseModel(NoiseModel(cal), scale)
+
+    def test_rescaled_trace(self, cal, compiled_bv4, scale):
+        trace = make_context(cal, compiled_bv4,
+                             trace_cache=TraceCache()).base_trace()
+        with pytest.raises(SimulationError, match="finite"):
+            trace.rescaled(scale)
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Tests for the vectorized solver fast path and the portfolio.
+"""Tests for the vectorized solver fast path.
 
 Covers the determinism contracts the mapping pipeline relies on:
 
@@ -6,8 +6,6 @@ Covers the determinism contracts the mapping pipeline relies on:
   engine on random assignment problems;
 * the rank-2 pair-tensor factorization is admissible and rejects
   tensors it cannot represent;
-* the portfolio returns the bit-identical assignment of the serial
-  proof for every worker count (the ``solver_workers`` contract);
 * warm starts are validated (garbage falls back to a cold search) and
   interrupted searches still return the best incumbent.
 """
@@ -33,7 +31,6 @@ from repro.solver import (
     UnaryTerm,
 )
 from repro.solver.bounds import _factor_pair_tensor, compile_assignment
-from repro.solver.portfolio import PortfolioSolver
 
 
 def _random_qap(seed: int, n_vars: int = 4, n_vals: int = 6) -> Model:
@@ -122,42 +119,6 @@ class TestPairFactorization:
         assert np.all(mats.pair_slack >= 0.0)
 
 
-class TestPortfolioIdentity:
-    @pytest.mark.parametrize("seed", [11, 12, 13])
-    def test_bit_identical_to_serial(self, seed):
-        circ, cal, tables, model, sq = _mapping_instance(
-            n=6, gates=64, seed=seed)
-        warm = smt_mod._greedy_warm_start(circ, cal, tables, sq)
-        serial = BranchAndBoundSolver(engine="vector").solve(
-            model, initial=warm)
-        portfolio = PortfolioSolver(workers=2).solve(model, initial=warm)
-        assert serial.optimal and portfolio.optimal
-        assert portfolio.objective == serial.objective  # bit-identical
-        assert portfolio.assignment == serial.assignment
-
-    def test_prefix_tasks_cover_root_plan(self):
-        from repro.solver.bounds import VectorSearch
-
-        _, _, _, model, _ = _mapping_instance()
-        mats = compile_assignment(model)
-        plan = VectorSearch(mats)
-        prefixes = plan.prefix_tasks()
-        roots = [p[0] for p in prefixes]
-        # Depth-2 prefixes stay grouped under their root candidate, in
-        # the root plan's order (lexicographic first-visit order).
-        expected = [int(c) for c in plan.root_candidates()
-                    if any(r == int(c) for r in roots)]
-        seen = list(dict.fromkeys(roots))
-        assert seen == expected
-        assert all(len(p) == 2 for p in prefixes)
-
-    def test_single_worker_uses_serial_engine(self):
-        _, _, _, model, _ = _mapping_instance()
-        result = PortfolioSolver(workers=1).solve(model)
-        assert result.stats is not None
-        assert result.stats.engine != "portfolio"
-
-
 class TestWarmStartAndBudget:
     def test_invalid_warm_start_falls_back_cold(self):
         m = _random_qap(21)
@@ -187,13 +148,3 @@ class TestWarmStartAndBudget:
         assert not result.optimal
         assert result.assignment is not None
         assert result.objective >= warm_value - 1e-12
-
-    def test_solver_workers_option_reports_portfolio_engine(self):
-        circ, cal, tables, _, _ = _mapping_instance()
-        options = CompilerOptions(solver_workers=2)
-        out = ReliabilitySmtMapper(options).run(circ, cal, tables)
-        serial = ReliabilitySmtMapper(CompilerOptions()).run(circ, cal, tables)
-        assert out.stats is not None
-        assert out.stats["engine"] == "portfolio"
-        assert out.objective == serial.objective
-        assert out.placement == serial.placement

@@ -5,12 +5,12 @@
   ``VectorSearch._child_plan`` equal the numpy formulation in
   ``vector_reference`` float for float, on random factored models and
   on real ``reliability_model`` instances at H = 9 and H = 16; the root
-  plan and the portfolio prefixes equal the reference's too.
+  plan equals the reference's too.
 * The coupled bound that drops kept children equals its definition in
   ``vector_reference`` to rounding, and, margin included, is at least
   the float the kernel records for every leaf below the child, found by
   brute force; the search with it finds the same incumbents as the
-  search without it, seeded or not, under a portfolio floor or not.
+  search without it, seeded or not.
 * Shrinking the free-set memo to one or two entries changes no node,
   prune, placement or objective, and the coupled terms live under the
   same cap.
@@ -181,18 +181,16 @@ class TestBoundOracle:
 
     @given(mats=_factored_models())
     @settings(max_examples=100, deadline=None)
-    def test_root_plan_and_prefixes_random(self, mats):
+    def test_root_plan_random(self, mats):
         search = VectorSearch(mats)
         assert_array_equal(search.root_candidates(),
                            ref.root_candidates(search))
-        assert search.prefix_tasks() == ref.prefix_tasks(search)
 
     @pytest.mark.parametrize("real", _REAL)
-    def test_root_plan_and_prefixes_real(self, real):
+    def test_root_plan_real(self, real):
         search = VectorSearch(_real_mats(*real))
         assert_array_equal(search.root_candidates(),
                            ref.root_candidates(search))
-        assert search.prefix_tasks() == ref.prefix_tasks(search)
 
 
 def _leaf_values(search, fixed: float):
@@ -239,14 +237,12 @@ def _assert_coupled_admissible(search, data):
         search._fact_pop(var, token)
 
 
-def _solve(mats, coupled: bool, seed=None, floor=None) -> VectorSearch:
+def _solve(mats, coupled: bool, seed=None) -> VectorSearch:
     search = VectorSearch(mats)
     if not coupled:
         search._coupled_bounds = lambda fixed, cols: None
     if seed is not None:
         search.seed(*seed)
-    if floor is not None:
-        search.floor = floor
     assert search.run()
     return search
 
@@ -264,23 +260,16 @@ class TestCoupledBound:
     def test_admissible_reliability_models(self, real, data):
         _assert_coupled_admissible(VectorSearch(_real_mats(*real)), data)
 
-    @given(mats=_factored_models(), how=st.sampled_from(
-        ["cold", "seeded", "floor_at_optimum", "floor_at_first_leaf"]))
+    @given(mats=_factored_models(), seeded=st.booleans())
     @settings(max_examples=200, deadline=None)
-    def test_same_incumbents_as_factored_only(self, mats, how):
+    def test_same_incumbents_as_factored_only(self, mats, seeded):
         first = VectorSearch(mats, first_solution_only=True)
         first.run()
         if first.best_cols is None:
             return
-        seed = floor = None
-        if how == "seeded":
-            seed = (first.best_cols, first.best_value)
-        elif how == "floor_at_first_leaf":
-            floor = first.best_value
-        elif how == "floor_at_optimum":
-            floor = _solve(mats, coupled=False).best_value
-        plain = _solve(mats, coupled=False, seed=seed, floor=floor)
-        both = _solve(mats, coupled=True, seed=seed, floor=floor)
+        seed = (first.best_cols, first.best_value) if seeded else None
+        plain = _solve(mats, coupled=False, seed=seed)
+        both = _solve(mats, coupled=True, seed=seed)
         assert both.best_value == plain.best_value
         if plain.best_cols is None:
             assert both.best_cols is None

@@ -8,14 +8,13 @@ row-max sum, and vector arithmetic over all ``H`` columns. They read
 the search's incremental bookkeeping (``_stl``, ``_asg``, the column
 weights and the free-pair aggregates) exactly as the kernel did, so a
 test can push an assignment through ``_fact_push`` and compare the two
-bound by bound. ``root_candidates`` and ``prefix_tasks`` rebuild the
-portfolio's subtree plan on top of them. ``coupled_bounds`` is the
-coupled bound that drops kept children, written from its definition
-with per-pair loops instead of the kernel's incremental rows and
-memoized halves.
+bound by bound. ``root_candidates`` rebuilds the root plan on top of
+them. ``coupled_bounds`` is the coupled bound that drops kept
+children, written from its definition with per-pair loops instead of
+the kernel's incremental rows and memoized halves.
 """
 
-from typing import List, Tuple
+from typing import List
 
 import numpy as np
 
@@ -125,31 +124,6 @@ def root_candidates(search) -> np.ndarray:
     _, cand, bounds = node_children(search, np.full(n, -1, dtype=np.intp),
                                     np.ones(H, dtype=bool), 0.0)
     return cand[np.argsort(-bounds, kind="stable")]
-
-
-def prefix_tasks(search) -> List[Tuple[int, ...]]:
-    """Depth-2 portfolio prefixes in canonical first-visit order."""
-    root_cols = root_candidates(search)
-    if search.m.n_vars < 2:
-        return [(int(c),) for c in root_cols]
-    assigned = np.full(search.m.n_vars, -1, dtype=np.intp)
-    free = np.ones(search.m.n_cols, dtype=bool)
-    root = search.root_var()
-    out: List[Tuple[int, ...]] = []
-    for c0 in root_cols:
-        c0 = int(c0)
-        _, token = search._fact_push(root, c0)
-        assigned[root] = c0
-        free[c0] = False
-        children = node_children(search, assigned, free, 0.0)
-        if children is not None:
-            _, cand, bounds = children
-            order = np.argsort(-bounds, kind="stable")
-            out.extend((c0, int(c)) for c in cand[order])
-        assigned[root] = -1
-        free[c0] = True
-        search._fact_pop(root, token)
-    return out
 
 
 def _oriented(m, i: int, j: int) -> np.ndarray:
