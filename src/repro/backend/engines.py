@@ -10,8 +10,7 @@ editing ``executor.py``.
 Built-ins, all sampling one law from the same lowered
 :class:`~repro.simulator.trace.ProgramTrace`:
 
-* ``"batched"`` — vectorized dense Monte-Carlo (the default), on a
-  pluggable array backend (``array_backend=``/``--array-backend``);
+* ``"batched"`` — vectorized dense Monte-Carlo (the default);
 * ``"stabilizer"`` — polynomial-time CHP tableau sampler for
   Clifford-only programs (hundreds of qubits; see
   :mod:`repro.simulator.stabilizer`);
@@ -37,8 +36,8 @@ DEFAULT_ENGINE = "batched"
 
 
 def unknown_name_message(kind: str, name: str, known) -> str:
-    """A did-you-mean lookup error, shared by the engine, backend and
-    array-backend registries."""
+    """A did-you-mean lookup error, shared by the engine and backend
+    registries."""
     matches = difflib.get_close_matches(str(name).lower(), sorted(known),
                                         n=3, cutoff=0.5)
     hint = ""
@@ -53,18 +52,10 @@ class ExecutionEngine:
 
     Subclasses set :attr:`name` (the string accepted by
     ``execute(engine=...)`` and ``SweepCell.engine``), implement
-    :meth:`run`, and optionally declare:
-
-    * :attr:`accepts_array_backend` — the engine runs its statevector
-      contraction on a pluggable
-      :class:`~repro.simulator.xp.ArrayBackend` and its :meth:`run`
-      takes an ``array_backend=`` keyword; :func:`execute` forwards
-      the caller's selection only to such engines (and warns once when
-      a selection is made against an engine without one).
-    * :attr:`family` — capability class shown by ``repro engines``:
-      ``"dense"`` (statevector, exponential in qubits), ``"stabilizer"``
-      (tableau, polynomial but Clifford-only) or ``"router"``
-      (dispatches to other engines).
+    :meth:`run`, and optionally declare :attr:`family`, the capability
+    class shown by ``repro engines``: ``"dense"`` (statevector,
+    exponential in qubits), ``"stabilizer"`` (tableau, polynomial but
+    Clifford-only) or ``"router"`` (dispatches to other engines).
 
     Engines must be stateless: one shared instance serves every call,
     including concurrent pool workers (determinism comes from the seed
@@ -72,15 +63,14 @@ class ExecutionEngine:
     """
 
     name: str = ""
-    accepts_array_backend: bool = False
     family: str = "dense"
 
     def capacity_note(self) -> str:
         """Practical qubit ceiling, for the ``repro engines`` listing."""
         if self.family == "dense":
-            from repro.simulator.xp import resolve_array_backend
+            from repro.simulator.batch import amplitude_budget
 
-            budget = resolve_array_backend("numpy").amplitude_budget()
+            budget = amplitude_budget()
             return (f"<= {max(1, budget).bit_length() - 1} qubits "
                     f"(amplitude budget)")
         return "unbounded"

@@ -64,6 +64,7 @@ from repro.ir import parse_scaffir, qasm_to_circuit
 from repro.mitigation import strategy_from_spec
 from repro.programs import benchmark_names, expected_output, get_benchmark
 from repro.simulator import execute
+from repro.simulator.batch import CHUNK_ENV
 
 _VARIANT_CHOICES = ("qiskit", "t-smt", "t-smt*", "r-smt*", "greedyv*",
                     "greedye*")
@@ -100,6 +101,17 @@ def _positive_float(text: str) -> float:
         raise argparse.ArgumentTypeError(
             f"must be a finite positive number, got {value}")
     return value
+
+
+def _port_type(lowest: int):
+    """Argparse type factory: a TCP port in ``lowest``-65535."""
+    def port(text: str) -> int:
+        value = int(text)
+        if not lowest <= value <= 65535:
+            raise argparse.ArgumentTypeError(
+                f"must be a port in {lowest}-65535, got {value}")
+        return value
+    return port
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -169,20 +181,13 @@ def build_parser() -> argparse.ArgumentParser:
                        help="persist the compile/stage cache in this "
                             "directory (reused across invocations)")
 
-    def add_array_backend_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--array-backend", default=None, metavar="NAME",
-                       help="array backend for the statevector "
-                            "contraction (numpy/torch/cupy; see `repro "
-                            "engines`). Counts are bit-identical across "
-                            "backends; unavailable ones warn and fall "
-                            "back to numpy")
+    def add_chunk_arg(p: argparse.ArgumentParser) -> None:
         p.add_argument("--chunk-mib", type=_positive_int, default=None,
                        metavar="MIB",
                        help="cap the per-chunk statevector buffer at "
                             "this many MiB of complex128 (sets "
-                            "REPRO_CHUNK_MIB; default: 64 MiB on host "
-                            "backends, a fraction of free device memory "
-                            "on CUDA). Results are chunk-invariant")
+                            "REPRO_CHUNK_MIB; default: 64). Results are "
+                            "chunk-invariant")
 
     run_p = sub.add_parser("run", help="compile and simulate")
     add_machine_args(run_p)
@@ -197,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--expected", default=None,
                        help="expected outcome string (default: the "
                             "benchmark's registered answer)")
-    add_array_backend_args(run_p)
+    add_chunk_arg(run_p)
     add_cache_dir(run_p)
 
     cal_p = sub.add_parser("calibration", help="print calibration data")
@@ -218,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     exp_p.add_argument("--workers", type=_nonnegative_int, default=0,
                        help="sweep worker processes (0 = in-process; "
                             "ignored by fig1/table2)")
-    add_array_backend_args(exp_p)
+    add_chunk_arg(exp_p)
 
     sweep_p = sub.add_parser(
         "sweep",
@@ -289,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="watchdog: kill and resubmit a worker "
                               "making no progress for this long "
                               "(default: disabled)")
-    add_array_backend_args(sweep_p)
+    add_chunk_arg(sweep_p)
     add_cache_dir(sweep_p)
 
     mit_p = sub.add_parser(
@@ -355,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="interface to bind (default: loopback; "
                               "the protocol carries pickled payloads — "
                               "bind trusted interfaces only)")
-    serve_p.add_argument("--port", type=int, default=7781,
+    serve_p.add_argument("--port", type=_port_type(0), default=7781,
                          help="TCP port (default: 7781; 0 = OS-picked, "
                               "announced on stderr)")
     serve_p.add_argument("--health", action="store_true",
@@ -402,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "resubmission, and a circuit breaker. Results are "
                     "bit-identical to running the grid in-process.")
     submit_p.add_argument("--host", default="127.0.0.1")
-    submit_p.add_argument("--port", type=int, default=7781)
+    submit_p.add_argument("--port", type=_port_type(1), default=7781)
     submit_p.add_argument("--tenant", default="cli",
                           help="admission-control identity "
                                "(default: cli)")
@@ -439,8 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("backends",
                    help="list registered machine targets")
 
-    sub.add_parser("engines",
-                   help="list execution engines and array backends")
+    sub.add_parser("engines", help="list execution engines")
 
     sub.add_parser("passes",
                    help="list registered compiler passes and variants")
@@ -544,23 +548,11 @@ def _compile_cache(args: argparse.Namespace):
     return make_compile_cache(getattr(args, "cache_dir", None))
 
 
-def _array_backend_setup(args: argparse.Namespace) -> Optional[str]:
-    """Apply ``--chunk-mib``/``--array-backend`` and return the
-    validated array-backend name (``None`` when unset).
-
-    An unknown backend name fails in milliseconds (did-you-mean), not
-    after the SMT solve; an unavailable one warns here — once per
-    process — and the run proceeds on numpy with identical counts.
-    """
-    from repro.simulator import resolve_array_backend
-
-    chunk_mib = getattr(args, "chunk_mib", None)
-    if chunk_mib is not None:
-        os.environ["REPRO_CHUNK_MIB"] = str(chunk_mib)
-    name = getattr(args, "array_backend", None)
-    if name is not None:
-        resolve_array_backend(name)
-    return name
+def _chunk_setup(args: argparse.Namespace) -> None:
+    """Apply ``--chunk-mib`` as ``REPRO_CHUNK_MIB`` (inherited by
+    fork-spawned pool workers)."""
+    if args.chunk_mib is not None:
+        os.environ[CHUNK_ENV] = str(args.chunk_mib)
 
 
 def _cmd_run(args: argparse.Namespace, out) -> int:
@@ -572,7 +564,7 @@ def _cmd_run(args: argparse.Namespace, out) -> int:
     # in milliseconds, not after the SMT solve.
     engine = args.engine or backend.default_engine
     get_engine(engine)
-    array_backend = _array_backend_setup(args)
+    _chunk_setup(args)
     calibration = backend.calibration(args.day)
     program, cache_hit = _compile_cache(args).get_or_compile(
         circuit, calibration, _options(args), backend=backend)
@@ -580,8 +572,7 @@ def _cmd_run(args: argparse.Namespace, out) -> int:
         print("compilation served from cache", file=sys.stderr)
     expected = args.expected or registered_answer
     result = execute(program, calibration, trials=args.trials,
-                     seed=args.seed, expected=expected, engine=engine,
-                     array_backend=array_backend)
+                     seed=args.seed, expected=expected, engine=engine)
     out.write(program.summary() + "\n")
     if expected is not None:
         out.write(f"success rate: {result.success_rate:.4f} "
@@ -612,12 +603,8 @@ def _cmd_calibration(args: argparse.Namespace, out) -> int:
 
 def _cmd_experiment(args: argparse.Namespace, out) -> int:
     from repro import experiments
-    from repro.simulator import set_default_array_backend
 
-    # The harnesses build their own sweeps internally, so the selection
-    # travels as the process-wide default (inherited by fork-spawned
-    # pool workers) instead of per-harness plumbing.
-    set_default_array_backend(_array_backend_setup(args))
+    _chunk_setup(args)
     name = args.name
     workers = args.workers
     device = args.device
@@ -665,18 +652,13 @@ def _grid_cells(args: argparse.Namespace):
     backends = [_backend(name, args) for name in args.device]
     specs = {name: get_benchmark(name) for name in args.benchmarks}
     circuits = {name: spec.build() for name, spec in specs.items()}
-    # `repro submit` has no --array-backend (the server picks its own
-    # arrays), hence the getattr; either way the choice stays out of
-    # cell fingerprints, so journals are shared across backends.
-    array_backend = getattr(args, "array_backend", None)
     return [SweepCell(circuit=circuits[bench],
                       backend=backend, day=day,
                       options=_variant_options(variant, args.omega,
                                                args.routing),
                       expected=specs[bench].expected_output,
                       trials=args.trials, seed=args.seed + s,
-                      engine=getattr(args, "engine", None),
-                      array_backend=array_backend,
+                      engine=args.engine,
                       key=(backend.name, bench, variant, day,
                            args.seed + s))
             for backend in backends
@@ -709,7 +691,7 @@ def _grid_table(results, out) -> None:
 def _cmd_sweep(args: argparse.Namespace, out) -> int:
     from repro.runtime import FaultPlan, run_sweep
 
-    _array_backend_setup(args)
+    _chunk_setup(args)
     cells = _grid_cells(args)
     sweep = run_sweep(cells, workers=args.workers,
                       cache_dir=args.cache_dir, strict=args.strict,
@@ -838,22 +820,16 @@ def _cmd_backends(out) -> int:
 
 def _cmd_engines(out) -> int:
     from repro.backend import get_engine
-    from repro.simulator import array_backend_status
 
     out.write("registered execution engines:\n")
-    out.write(f"  {'name':10s} {'family':10s} {'arrays':>6s}  "
-              f"{'capacity':34s} description\n")
+    out.write(f"  {'name':10s} {'family':10s} {'capacity':34s} "
+              f"description\n")
     for name in registered_engines():
         engine = get_engine(name)
         doc = (type(engine).__doc__ or "").strip()
         first_line = doc.splitlines()[0] if doc else ""
-        arrays = "yes" if engine.accepts_array_backend else "-"
-        out.write(f"  {name:10s} {engine.family:10s} {arrays:>6s}  "
+        out.write(f"  {name:10s} {engine.family:10s} "
                   f"{engine.capacity_note():34s} {first_line}\n")
-    out.write("\narray backends (statevector contraction; counts are "
-              "bit-identical across them):\n")
-    for name, status in array_backend_status().items():
-        out.write(f"  {name:10s} {status}\n")
     return 0
 
 

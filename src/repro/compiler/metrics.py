@@ -36,10 +36,6 @@ class ReliabilityEstimate:
     readout_score: float
     swap_count: int
 
-    @property
-    def log_score(self) -> float:
-        return math.log(max(self.score, 1e-300))
-
 
 def estimate_reliability(logical: Circuit, schedule: Schedule,
                          placement: Dict[int, int],

@@ -15,7 +15,7 @@ Implements the paper's three policies plus the baseline:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Tuple
 
 from repro.compiler.options import (
     ROUTE_BEST_PATH,
@@ -117,10 +117,3 @@ class Router:
         """Noise-unaware: x-first one-bend path, deterministic."""
         return self.tables.one_bend(control, target, 0)
 
-
-def reserved_region(policy: str, tables: ReliabilityTables,
-                    path: List[int]) -> Tuple[int, ...]:
-    """The region a CNOT along *path* blocks under *policy*."""
-    if policy == ROUTE_RECTANGLE:
-        return tuple(tables.topology.bounding_rectangle(path[0], path[-1]))
-    return tuple(path)

@@ -75,9 +75,6 @@ class Schedule:
         """Total one-way SWAPs across all routed CNOTs."""
         return sum(g.route.n_swaps for g in self.gates if g.route is not None)
 
-    def by_index(self) -> Dict[int, ScheduledGate]:
-        return {g.index: g for g in self.gates}
-
 
 def gate_durations(circuit: Circuit, placement: Dict[int, int],
                    router: Router, calibration: Calibration,

@@ -42,10 +42,6 @@ class SolverError(ReproError):
     """Constraint-model construction or solving failure."""
 
 
-class InfeasibleError(SolverError):
-    """The constraint model admits no solution."""
-
-
 class CompilationError(ReproError):
     """The compiler could not produce a valid executable."""
 
@@ -131,10 +127,10 @@ class SimulationCapacityError(SimulationError):
     """The program exceeds the engine's practical capacity.
 
     Raised by the dense-statevector engines when ``2**n_qubits``
-    amplitudes would exceed the array backend's
-    :meth:`~repro.simulator.xp.ArrayBackend.amplitude_budget` —
-    a clear refusal instead of an out-of-memory allocation. The
-    message suggests ``--engine stabilizer`` for Clifford circuits.
+    amplitudes would exceed
+    :func:`~repro.simulator.batch.amplitude_budget` — a clear refusal
+    instead of an out-of-memory allocation. The message suggests
+    ``--engine stabilizer`` for Clifford circuits.
     """
 
 

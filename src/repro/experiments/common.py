@@ -128,7 +128,6 @@ def compile_and_run(circuit: Circuit, expected: str,
                     trials: int = DEFAULT_TRIALS, seed: int = 7,
                     simulate: bool = True,
                     engine: Optional[str] = None,
-                    array_backend: Optional[str] = None,
                     compile_cache: Optional[CompileCache] = None,
                     trace_cache: Optional[TraceCache] = None,
                     backend: BackendLike = None) -> BenchmarkRun:
@@ -143,8 +142,6 @@ def compile_and_run(circuit: Circuit, expected: str,
     repeated single-cell calls. ``backend=`` (name or
     :class:`~repro.backend.Backend`) supplies the machine axis;
     ``calibration`` may then be ``None`` to use its day-0 snapshot.
-    ``array_backend=`` selects the statevector array backend (``None``
-    = the process default); counts never depend on it.
     """
     resolved = resolve_backend(backend)
     if calibration is None and resolved is not None:
@@ -160,7 +157,6 @@ def compile_and_run(circuit: Circuit, expected: str,
     cell = SweepCell(circuit=circuit, calibration=calibration,
                      options=options, expected=expected, trials=trials,
                      seed=seed, simulate=simulate, engine=engine,
-                     array_backend=array_backend,
                      backend=resolved, key=circuit.name)
     if trace_cache is None:
         from repro.runtime.diskcache import make_trace_cache
@@ -193,13 +189,3 @@ def run_benchmark_grid(cells: Sequence[SweepCell], workers: int = 0
             benchmark=bench, variant=label, compiled=result.compiled,
             execution=result.execution)
     return runs, sweep
-
-
-def variant_label(options: CompilerOptions) -> str:
-    """Figure-style label, e.g. ``r-smt*(w=0.5,1bp)``."""
-    bits = [options.variant]
-    extra = []
-    if options.variant == "r-smt*":
-        extra.append(f"w={options.omega:g}")
-    extra.append(options.routing)
-    return f"{bits[0]}({','.join(extra)})"

@@ -18,7 +18,7 @@ engines refuse outright — those points carry a ``success`` column.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.compiler import CompilerOptions
 from repro.hardware import CalibrationGenerator, square_topology
@@ -51,10 +51,6 @@ class ScalePoint:
     compile_time: float
     truncated: bool
     success: Optional[float] = None
-
-    @property
-    def compile_time_usec(self) -> float:
-        return self.compile_time * 1e6
 
 
 @dataclass

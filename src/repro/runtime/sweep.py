@@ -114,16 +114,11 @@ class SweepCell:
             :class:`~repro.backend.engines.ExecutionEngine`). Defaults
             to the backend's ``default_engine``, or ``"batched"``
             without a backend.
-        array_backend: Optional registered
-            :class:`~repro.simulator.xp.ArrayBackend` name for the
-            statevector contraction (``"numpy"``/``"torch"``/
-            ``"cupy"``; ``None`` = the process default). Counts are
-            bit-identical across array backends — which is why no
-            cache key or fingerprint includes it (see
-            :func:`cell_fingerprint`): sweeps varying only
-            ``array_backend`` share every compile/trace/journal
-            artifact. An unavailable backend warns once and runs on
-            numpy.
+        array_backend: ``None`` or ``"numpy"``, the one array library
+            the dense engine runs on; anything else raises
+            :class:`~repro.exceptions.ReproError`. Accepted so grids
+            that name it keep working; it changes nothing, so no cache
+            key or fingerprint includes it.
         mitigation: Optional error-mitigation strategy
             (:mod:`repro.mitigation`) applied on top of the baseline
             execution. The strategy's extra executions (noise-scaled
@@ -158,6 +153,10 @@ class SweepCell:
     def __post_init__(self) -> None:
         if self.options is None:
             raise ReproError("SweepCell needs compiler options")
+        if self.array_backend not in (None, "numpy"):
+            raise ReproError(
+                f"SweepCell.array_backend must be None or 'numpy', got "
+                f"{self.array_backend!r}")
         if self.calibration is None:
             if self.backend is None:
                 raise ReproError(
@@ -200,11 +199,8 @@ def cell_fingerprint(cell: SweepCell) -> str:
     guaranteed identical results, so a journaled result can stand in
     for re-execution bit-for-bit. The cell's free-form ``key`` is
     deliberately excluded — it names the result, it doesn't determine
-    it. ``array_backend`` is excluded too, for the same reason
-    ``Backend.content_id()`` excludes ``default_engine``: counts are
-    bit-identical across array backends (host RNG, device-independent
-    law), so a result journaled under numpy legitimately serves a
-    torch re-run — and resumed sweeps stay backend-agnostic.
+    it. ``array_backend`` is excluded too: it has one accepted value
+    and changes nothing.
     """
     return "|".join((
         "cell-v1",
@@ -465,8 +461,7 @@ def run_cell(cell: SweepCell, compile_cache: CompileCache,
         hits_before = trace_cache.stats.hits
         execution = execute(compiled, cell.calibration, trials=cell.trials,
                             seed=cell.seed, expected=cell.expected,
-                            engine=cell.engine, trace_cache=cell_traces,
-                            array_backend=cell.array_backend)
+                            engine=cell.engine, trace_cache=cell_traces)
         trace_hit = trace_cache.stats.hits > hits_before
         if cell.mitigation is not None:
             # Imported here, not at module top: the mitigation package

@@ -91,7 +91,7 @@ class ServiceClient:
 
     Args:
         host: Server host.
-        port: Server port.
+        port: Server port, 1-65535.
         tenant: Admission-control identity sent with every submit.
         deadline: Default per-request wall-clock budget in seconds
             (``None`` = wait indefinitely, modulo the retry budget).
@@ -104,6 +104,10 @@ class ServiceClient:
                  deadline: Optional[float] = None,
                  retry: RetryPolicy = RetryPolicy(),
                  jitter_seed: int = 0) -> None:
+        # getaddrinfo wraps an out-of-range port modulo 2**16, so the
+        # client would talk to whatever listens there.
+        if not 1 <= port <= 65535:
+            raise ServiceError(f"port must be in 1-65535, got {port}")
         self.host = host
         self.port = port
         self.tenant = tenant

@@ -51,7 +51,7 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.exceptions import ProtocolError
+from repro.exceptions import ProtocolError, ServiceError
 from repro.runtime.diskcache import make_compile_cache
 from repro.runtime.sweep import (
     CellFailure,
@@ -77,8 +77,8 @@ class ServerConfig:
         host: Interface to bind. Loopback by default — the wire
             protocol carries pickle bodies, so only trusted interfaces
             may listen (see :mod:`repro.service.protocol`).
-        port: TCP port; ``0`` lets the OS pick (tests) — the bound
-            port is reported by :meth:`ReproServer.start`.
+        port: TCP port in 0-65535; ``0`` lets the OS pick (tests) —
+            the bound port is reported by :meth:`ReproServer.start`.
         cache_dir: Optional persistent compile/stage/journal store.
             Strongly recommended for production: it is what makes the
             server restartable (resume from journal) and cross-process
@@ -110,6 +110,12 @@ class ServerConfig:
     max_retries: int = 2
     batch_timeout: Optional[float] = None
     drain_grace: float = 10.0
+
+    def __post_init__(self) -> None:
+        if not 0 <= self.port <= 65535:
+            raise ServiceError(
+                f"port must be in 0-65535 (0 = OS-picked), got "
+                f"{self.port}")
 
 
 class ReproServer:
@@ -153,14 +159,25 @@ class ReproServer:
 
     def start(self) -> Tuple[str, int]:
         """Bind, spawn the accept and executor threads, and return the
-        bound ``(host, port)`` (the OS-picked port when ``port=0``)."""
+        bound ``(host, port)`` (the OS-picked port when ``port=0``).
+
+        Raises:
+            ServiceError: The address cannot be resolved or bound
+                (unknown host, port in use, no permission).
+        """
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         # A restarted server must rebind the port its predecessor's
         # dying sockets still hold in TIME_WAIT — the restart drill
         # depends on this.
         listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        listener.bind((self.config.host, self.config.port))
-        listener.listen(128)
+        try:
+            listener.bind((self.config.host, self.config.port))
+            listener.listen(128)
+        except OSError as exc:
+            listener.close()
+            raise ServiceError(
+                f"cannot listen on {self.config.host}:{self.config.port}: "
+                f"{exc.strerror or exc}") from exc
         self._listener = listener
         self._started_at = time.monotonic()
         self._executor_thread = threading.Thread(

@@ -4,10 +4,8 @@ Execution is Monte-Carlo over stochastic Pauli errors, under one
 sampling law lowered once per (program, noise model) pair into a
 :class:`~repro.simulator.trace.ProgramTrace`. ``execute(engine=
 "batched")`` (the default, :mod:`repro.simulator.batch`) samples it on
-a dense statevector whose contraction runs on a pluggable array backend
-(:mod:`repro.simulator.xp`: numpy always, torch/cupy when installed)
-with host-side RNG, so counts are bit-identical across backends.
-Clifford programs additionally have a polynomial-time path:
+a dense numpy statevector, one batched pass over the distinct noisy
+error plans. Clifford programs additionally have a polynomial-time path:
 ``execute(engine="stabilizer")`` runs the symbolic CHP tableau
 subsystem (:mod:`repro.simulator.stabilizer`) over the same lowered
 trace, and ``engine="auto"`` routes each circuit to stabilizer or
@@ -15,17 +13,6 @@ dense automatically.
 """
 
 from repro.simulator.batch import run_batched
-from repro.simulator.xp import (
-    ArrayBackend,
-    array_backend_available,
-    array_backend_status,
-    default_array_backend,
-    get_array_backend,
-    register_array_backend,
-    registered_array_backends,
-    resolve_array_backend,
-    set_default_array_backend,
-)
 from repro.simulator.executor import ExecutionResult, execute
 from repro.simulator.stabilizer import (
     CLIFFORD_GATES,

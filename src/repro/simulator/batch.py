@@ -12,12 +12,11 @@ of a per-trial Python loop:
    ``np.unique`` over their padded (site, choice) codes, in order of
    first occurrence. Each distinct trajectory is simulated once, all of
    them **batched**: every plan shares the program's gate sequence, so
-   each gate is one contraction (``ArrayBackend.apply_matrix``) over a
-   ``(plans, 2, ..., 2)`` state tensor. A Pauli injection is an exact
-   signed basis permutation (a bit flip for X and Y, a ±1/±i phase for
-   Z and Y), applied with one backend call per (gate, event position
-   within that gate) to every plan injecting there, each plan keeping
-   its own event order. All
+   each gate is one contraction over a ``(plans, 2, ..., 2)`` state
+   tensor. A Pauli injection is an exact signed basis permutation (a
+   bit flip for X and Y, a ±1/±i phase for Z and Y), applied with one
+   numpy call per (gate, event position within that gate) to every
+   plan injecting there, each plan keeping its own event order. All
    noisy trials' outcomes then come from one ``rng.random`` draw taken
    in plan order and counted against each plan's CDF — the stream and
    the results of one ``rng.choice`` per plan. The numpy call count
@@ -26,15 +25,9 @@ of a per-trial Python loop:
 4. readout bit flips are applied as one vectorized operation over the
    whole ``(trials, measures)`` outcome array.
 
-The statevector contraction of step 3 runs on a pluggable
-:class:`~repro.simulator.xp.ArrayBackend` (numpy by default; torch or
-cupy when installed) — all RNG draws stay in numpy on the host, so
-counts are **bit-identical** across array backends for the same seeds.
-Chunking is sized by the backend's device-memory-aware
-:meth:`~repro.simulator.xp.ArrayBackend.amplitude_budget` (64 MiB of
-complex128 on host backends, a fraction of free device memory on CUDA,
-``REPRO_CHUNK_MIB`` override everywhere) instead of the fixed
-``1 << 22`` amplitude constant it replaced.
+Plans are simulated in chunks of at most :func:`amplitude_budget`
+amplitudes (64 MiB of complex128 unless ``REPRO_CHUNK_MIB`` says
+otherwise); chunks only bound peak memory.
 
 Each step matches a per-trial loop's sampling law exactly (two
 conditionally independent trials with the same error plan are i.i.d.
@@ -46,17 +39,22 @@ plans.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional, Tuple, Union
+import math
+import os
+from typing import Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
 from repro.exceptions import SimulationError
 from repro.simulator.trace import CHOICE_STRIDE, PAULI_CODES, ProgramTrace
-from repro.simulator.xp import ArrayBackend, resolve_array_backend
 
-#: What run_batched/batch_plan_probabilities accept as a backend
-#: selector: a registered name, an instance, or None (process default).
-ArrayBackendLike = Union[str, ArrayBackend, None]
+#: Environment override for the chunk budget, in MiB of complex128
+#: amplitudes (also settable via the CLI's ``--chunk-mib``).
+CHUNK_ENV = "REPRO_CHUNK_MIB"
+
+#: Default chunk budget: 64 MiB of complex128 amplitudes (16 bytes
+#: each).
+_DEFAULT_BUDGET_AMPLITUDES = 1 << 22
 
 #: ``Generator.choice``'s tolerance on the sum of a probability vector.
 _SUM_TOLERANCE = float(np.sqrt(np.finfo(np.float64).eps))
@@ -66,24 +64,42 @@ _SUM_TOLERANCE = float(np.sqrt(np.finfo(np.float64).eps))
 _DRAW_BUDGET = 1 << 20
 
 
+def amplitude_budget() -> int:
+    """Amplitudes the batched pass may hold per chunk.
+
+    64 MiB of complex128 by default; the ``REPRO_CHUNK_MIB``
+    environment variable overrides it.
+
+    Raises:
+        SimulationError: ``REPRO_CHUNK_MIB`` is not a finite positive
+            number.
+    """
+    raw = os.environ.get(CHUNK_ENV, "").strip()
+    if not raw:
+        return _DEFAULT_BUDGET_AMPLITUDES
+    try:
+        mib = float(raw)
+    except ValueError:
+        raise SimulationError(
+            f"{CHUNK_ENV} must be a number of MiB, got {raw!r}")
+    if not math.isfinite(mib):
+        raise SimulationError(
+            f"{CHUNK_ENV} must be a finite number of MiB, got {raw!r}")
+    if mib <= 0:
+        raise SimulationError(
+            f"{CHUNK_ENV} must be positive MiB, got {raw!r}")
+    return max(1, int(mib * (1 << 20)) // 16)
+
+
 def run_batched(trace: ProgramTrace, trials: int,
-                rng: np.random.Generator,
-                array_backend: ArrayBackendLike = None) -> Dict[str, int]:
+                rng: np.random.Generator) -> Dict[str, int]:
     """Sample *trials* shots from *trace*; returns string counts.
 
     Args:
         trace: The lowered program.
         trials: Shot count.
-        rng: Host RNG — every draw comes from it, whatever the array
-            backend, which is what makes counts backend-independent.
-        array_backend: Registered array-backend name (or instance) for
-            the statevector contraction; ``None`` uses the process
-            default (numpy unless
-            :func:`~repro.simulator.xp.set_default_array_backend`
-            says otherwise). Unavailable backends warn once and fall
-            back to numpy.
+        rng: Every random draw comes from it.
     """
-    xb = resolve_array_backend(array_backend)
     codes = np.zeros(trials, dtype=np.int64)
     if trace.n_sites:
         occurred = rng.random((trials, trace.n_sites)) < \
@@ -101,8 +117,7 @@ def run_batched(trace: ProgramTrace, trials: int,
 
     noisy_rows = np.nonzero(noisy)[0]
     if noisy_rows.size:
-        _sample_noisy(trace, occurred[noisy_rows], noisy_rows, codes, rng,
-                      xb)
+        _sample_noisy(trace, occurred[noisy_rows], noisy_rows, codes, rng)
 
     rendered = _apply_readout_flips(trace, codes, rng)
     outcomes, counts = np.unique(rendered, return_counts=True)
@@ -112,7 +127,7 @@ def run_batched(trace: ProgramTrace, trials: int,
 
 def _sample_noisy(trace: ProgramTrace, occurred: np.ndarray,
                   noisy_rows: np.ndarray, codes: np.ndarray,
-                  rng: np.random.Generator, xb: ArrayBackend) -> None:
+                  rng: np.random.Generator) -> None:
     """Fill ``codes[noisy_rows]`` by deduplicated trajectory simulation."""
     trial_idx, site_idx = np.nonzero(occurred)  # row-major: sorted by trial
     uniforms = rng.random(trial_idx.size)
@@ -120,7 +135,7 @@ def _sample_noisy(trace: ProgramTrace, occurred: np.ndarray,
                >= trace.site_cum[site_idx, :]).sum(axis=1).astype(np.int64)
     plans, plan_of_row = _distinct_plans(
         trial_idx, site_idx * CHOICE_STRIDE + choices, occurred.shape[0])
-    patterns = batch_plan_probabilities(trace, plans, array_backend=xb)
+    patterns = batch_plan_probabilities(trace, plans)
     # One vectorized row-normalize instead of a per-plan divide: each
     # row's sum is the same contiguous pairwise reduction the per-plan
     # `probs / probs.sum()` performed, so the draws are bit-identical.
@@ -194,7 +209,6 @@ def _draw_outcomes(patterns: np.ndarray, plan_of_row: np.ndarray,
 
 
 def batch_plan_probabilities(trace: ProgramTrace, plans: np.ndarray,
-                             array_backend: ArrayBackendLike = None,
                              chunk: Optional[int] = None) -> np.ndarray:
     """Measured-pattern distributions of many error plans, batched.
 
@@ -208,62 +222,105 @@ def batch_plan_probabilities(trace: ProgramTrace, plans: np.ndarray,
         plans: ``(P, K)`` integer matrix, one error plan per row: the
             codes ``site * CHOICE_STRIDE + choice`` of its events in
             site order, padded with -1.
-        array_backend: Backend for the contraction (name, instance, or
-            ``None`` for the process default).
-        chunk: Plans per simulation chunk. Defaults to the backend's
-            :meth:`~repro.simulator.xp.ArrayBackend.amplitude_budget`
-            divided by the state size. Chunks only bound peak memory:
-            on traces of three or more qubits the result is
-            bit-identical at every chunk size (the test suite pins BV4,
-            Toffoli and random traces at chunk sizes 1, 3, and
-            default). On a two-qubit trace a two-qubit gate leaves each
-            plan one column of its BLAS product, and a chunk holding an
-            odd number of plans may round a last bit differently.
+        chunk: Plans per simulation chunk. Defaults to
+            :func:`amplitude_budget` divided by the state size. Chunks
+            only bound peak memory: on traces of three or more qubits
+            the result is bit-identical at every chunk size (the test
+            suite pins BV4, Toffoli and random traces at chunk sizes 1,
+            3, and default). On a two-qubit trace a two-qubit gate
+            leaves each plan one column of its BLAS product, and a chunk
+            holding an odd number of plans may round a last bit
+            differently.
     """
-    xb = resolve_array_backend(array_backend)
     plans = np.asarray(plans, dtype=np.int64)
     total = len(plans)
     width = 1 << trace.n_measures
     out = np.empty((total, width), dtype=np.float64)
     if chunk is None:
-        chunk = max(1, xb.amplitude_budget() >> trace.n_qubits)
+        chunk = max(1, amplitude_budget() >> trace.n_qubits)
     elif chunk < 1:
         raise ValueError(f"chunk must be >= 1, got {chunk}")
     for lo in range(0, total, chunk):
         part = plans[lo:lo + chunk]
-        out[lo:lo + len(part)] = _simulate_plans(trace, part, xb)
+        out[lo:lo + len(part)] = _simulate_plans(trace, part)
     return out
 
 
-def _simulate_plans(trace: ProgramTrace, plans: np.ndarray,
-                    xb: ArrayBackend) -> np.ndarray:
+def _simulate_plans(trace: ProgramTrace, plans: np.ndarray) -> np.ndarray:
     """One batched statevector pass over all *plans* trajectories."""
     batch = len(plans)
     n = trace.n_qubits
-    state = xb.zeros((batch,) + (2,) * n)
+    state = np.zeros((batch,) + (2,) * n, dtype=np.complex128)
     state[(slice(None),) + (0,) * n] = 1.0
     injections = _injection_groups(trace, plans)
     pending = next(injections, None)
     for i, op in enumerate(trace.ops):
         if op is not None:
             matrix, dense = op
-            state = xb.apply_matrix(state, xb.stage(matrix),
-                                    tuple(q + 1 for q in dense))
+            state = _apply_matrix(state, matrix,
+                                  tuple(q + 1 for q in dense))
         while pending is not None and pending[0] == i:
-            xb.apply_paulis(state, *pending[1:])
+            _apply_paulis(state, *pending[1:])
             pending = next(injections, None)
-    # Measured qubits are distinct, so after ordering the basis by
-    # pattern code every code owns an equal contiguous block: collapse
-    # to pattern distributions with one reshape+sum (the chunk's single
-    # device-to-host transfer).
-    return xb.pattern_reduce(state, trace.pattern_order,
-                             1 << trace.n_measures)
+    return _pattern_reduce(state, trace.pattern_order,
+                           1 << trace.n_measures)
+
+
+def _apply_matrix(state: np.ndarray, matrix: np.ndarray,
+                  axes: Tuple[int, ...]) -> np.ndarray:
+    """*state* with the ``2**k x 2**k`` *matrix* applied to its *axes*
+    (k of them, most significant first); may return a view.
+
+    ``np.tensordot``'s transpose, reshape and dot on the same operands,
+    without its argument handling: the same BLAS call, so the same
+    amplitudes.
+    """
+    order = list(axes) + [a for a in range(state.ndim) if a not in axes]
+    moved = state.transpose(order)
+    out = np.dot(matrix, moved.reshape(matrix.shape[1], -1))
+    return out.reshape(moved.shape).transpose(np.argsort(order))
+
+
+def _apply_paulis(state: np.ndarray, rows: np.ndarray, flips: np.ndarray,
+                  signs: np.ndarray, phases: np.ndarray) -> None:
+    """Apply one single-qubit Pauli to each of *rows*, in place.
+
+    Indexing a row's basis states as the flattened ``(2, ..., 2)``
+    tensor does, row ``rows[k]`` maps amplitude *j* to
+    ``phases[k] * (-1 if j & signs[k] else 1) * amp[j ^ flips[k]]`` —
+    X flips the qubit's bit, Z signs it, Y does both under a ``-1j``
+    phase. The products are with 0, ±1 and ±i, so they are exact.
+    *rows* are distinct.
+    """
+    count = rows.size
+    sub = state[rows].reshape(count, -1)
+    basis = np.arange(sub.shape[1])
+    moved = sub[np.arange(count)[:, np.newaxis],
+                basis ^ flips[:, np.newaxis]]
+    moved *= phases[:, np.newaxis]
+    np.negative(moved, out=moved,
+                where=(basis & signs[:, np.newaxis]) != 0)
+    state[rows] = moved.reshape((count,) + state.shape[1:])
+
+
+def _pattern_reduce(state: np.ndarray, order: np.ndarray,
+                    n_patterns: int) -> np.ndarray:
+    """The ``(batch, n_patterns)`` measured-pattern distributions.
+
+    Measured qubits are distinct, so after *order* sorts the basis
+    columns by pattern code every code owns an equal contiguous block:
+    squared magnitudes collapse to pattern distributions with one
+    reshape+sum.
+    """
+    probs = np.abs(state.reshape(state.shape[0], -1)) ** 2
+    return probs[:, order].reshape(
+        state.shape[0], n_patterns, -1).sum(axis=2)
 
 
 def _injection_groups(trace: ProgramTrace, plans: np.ndarray
                       ) -> Iterator[Tuple[int, np.ndarray, np.ndarray,
                                           np.ndarray, np.ndarray]]:
-    """The Pauli events of *plans*, batched for ``apply_paulis``.
+    """The Pauli events of *plans*, batched for :func:`_apply_paulis`.
 
     Yields ``(gate, rows, flips, signs, phases)`` per (gate, position)
     pair, where an event's position counts the events its plan injects

@@ -26,9 +26,8 @@ probability accessors:
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Set
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -41,11 +40,10 @@ from repro.backend.engines import (
 from repro.compiler.compile import CompiledProgram
 from repro.exceptions import SimulationCapacityError, SimulationError
 from repro.hardware.calibration import Calibration
-from repro.simulator.batch import run_batched
+from repro.simulator.batch import amplitude_budget, run_batched
 from repro.simulator.noise import NoiseModel
 from repro.simulator.success import distribution_overlap
 from repro.simulator.trace import CompactProgram, ProgramTrace
-from repro.simulator.xp import resolve_array_backend
 
 
 @dataclass
@@ -77,45 +75,23 @@ class ExecutionResult:
         empirical = {o: c / self.trials for o, c in self.counts.items()}
         return distribution_overlap(self.ideal_distribution, empirical)
 
-    def top_outcome(self) -> str:
-        """Most frequent measured string."""
-        return max(self.counts, key=lambda o: (self.counts[o], o))
-
-
-#: Engine names already warned about dropping an explicit array-backend
-#: selection (engines without a dense contraction have nothing to run
-#: on it; the selection is harmless but worth saying once).
-_WARNED_ARRAY_IGNORED: Set[str] = set()
-
-
-def _warn_array_backend_ignored(engine_name: str) -> None:
-    if engine_name in _WARNED_ARRAY_IGNORED:
-        return
-    _WARNED_ARRAY_IGNORED.add(engine_name)
-    warnings.warn(
-        f"engine={engine_name!r} does not run a pluggable array-backend "
-        f"contraction; the array_backend selection is ignored (results "
-        f"are unaffected — counts are array-backend-independent).",
-        RuntimeWarning, stacklevel=3)
-
 
 def check_dense_capacity(n_qubits: int, budget: int,
                          engine_name: str) -> None:
     """Refuse a dense run that cannot fit the amplitude budget.
 
     A ``2**n_qubits`` complex statevector beyond
-    :meth:`~repro.simulator.xp.ArrayBackend.amplitude_budget` would
-    die in the allocator (or swap the host to death) long after the
-    user could do anything about it; fail fast with the remedy
-    instead.
+    :func:`~repro.simulator.batch.amplitude_budget` would die in the
+    allocator (or swap the host to death) long after the user could do
+    anything about it; fail fast with the remedy instead.
     """
     if (1 << n_qubits) > budget:
         ceiling = max(0, budget).bit_length() - 1
         raise SimulationCapacityError(
             f"engine={engine_name!r} needs a dense statevector of "
             f"2**{n_qubits} amplitudes for this {n_qubits}-qubit "
-            f"program, but the array backend's amplitude budget allows "
-            f"at most {ceiling} qubits (raise it with REPRO_CHUNK_MIB "
+            f"program, but the amplitude budget allows at most "
+            f"{ceiling} qubits (raise it with REPRO_CHUNK_MIB "
             f"or --chunk-mib); try `--engine stabilizer` for Clifford "
             f"circuits, or `--engine auto` to route automatically.")
 
@@ -126,22 +102,17 @@ class BatchedEngine(ExecutionEngine):
 
     Lowers error sites from the noise model's probability accessors and
     samples every trial with array-level operations; see
-    :mod:`repro.simulator.batch`. The statevector contraction runs on
-    the selected :class:`~repro.simulator.xp.ArrayBackend` (numpy by
-    default) while every RNG draw stays on the host, so counts are
-    bit-identical across array backends.
+    :mod:`repro.simulator.batch`.
     """
 
     name = "batched"
-    accepts_array_backend = True
 
     def run(self, compiled: CompiledProgram, calibration: Calibration,
             noise: NoiseModel, *, trials: int, seed: int,
             expected: Optional[str] = None,
-            trace_cache=None, array_backend=None) -> ExecutionResult:
-        xb = resolve_array_backend(array_backend)
+            trace_cache=None) -> ExecutionResult:
         check_dense_capacity(len(compiled.physical.circuit.used_qubits()),
-                             xb.amplitude_budget(), self.name)
+                             amplitude_budget(), self.name)
         rng = np.random.default_rng(seed)
         trace = (trace_cache.get(compiled, noise, calibration)
                  if trace_cache is not None else None)
@@ -157,7 +128,7 @@ class BatchedEngine(ExecutionEngine):
                 # cost — not just the site tables.
                 _ = trace.ideal_distribution
                 trace_cache.put(compiled, noise, calibration, trace)
-        counts = run_batched(trace, trials, rng, array_backend=xb)
+        counts = run_batched(trace, trials, rng)
         return ExecutionResult(counts=counts, trials=trials,
                                expected=expected,
                                ideal_distribution=trace.ideal_distribution)
@@ -168,7 +139,7 @@ def execute(compiled: CompiledProgram, calibration: Calibration,
             expected: Optional[str] = None,
             noise_model: Optional[NoiseModel] = None,
             engine: str = DEFAULT_ENGINE,
-            trace_cache=None, array_backend=None) -> ExecutionResult:
+            trace_cache=None) -> ExecutionResult:
     """Run *compiled* for *trials* shots on the noisy simulator.
 
     Args:
@@ -192,17 +163,6 @@ def execute(compiled: CompiledProgram, calibration: Calibration,
             :class:`ProgramTrace` for the same (compiled program, noise
             model) pair instead of re-lowering, which is the dominant
             per-call cost when sweeping seeds or trial counts.
-        array_backend: Registered
-            :class:`~repro.simulator.xp.ArrayBackend` name (or
-            instance) for engines that run their statevector
-            contraction on a pluggable array library (``batched``, and
-            ``auto`` when it routes there). ``None`` means the process
-            default (numpy unless
-            :func:`~repro.simulator.xp.set_default_array_backend` says
-            otherwise); counts are bit-identical across backends, only
-            throughput differs. Engines that don't contract dense
-            statevectors (``stabilizer``) ignore it with a one-time
-            warning.
 
     Returns:
         Counts plus success-rate/overlap accessors.
@@ -211,13 +171,6 @@ def execute(compiled: CompiledProgram, calibration: Calibration,
         raise SimulationError("need at least one trial")
     resolved = get_engine(engine)
     noise = noise_model or NoiseModel(calibration)
-    if resolved.accepts_array_backend:
-        return resolved.run(compiled, calibration, noise, trials=trials,
-                            seed=seed, expected=expected,
-                            trace_cache=trace_cache,
-                            array_backend=array_backend)
-    if array_backend is not None:
-        _warn_array_backend_ignored(resolved.name)
     return resolved.run(compiled, calibration, noise, trials=trials,
                         seed=seed, expected=expected,
                         trace_cache=trace_cache)

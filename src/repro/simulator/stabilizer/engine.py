@@ -111,15 +111,13 @@ class AutoEngine(ExecutionEngine):
     """
 
     name = "auto"
-    accepts_array_backend = True
     family = "router"
 
     def capacity_note(self) -> str:
         return "Clifford -> stabilizer, else dense"
 
     def run(self, compiled, calibration, noise, *, trials: int, seed: int,
-            expected: Optional[str] = None, trace_cache=None,
-            array_backend=None):
+            expected: Optional[str] = None, trace_cache=None):
         gate = first_non_clifford(compiled.physical.circuit)
         if gate is None:
             return get_engine("stabilizer").run(
@@ -128,5 +126,4 @@ class AutoEngine(ExecutionEngine):
         _warn_dense_routing(gate)
         return get_engine("batched").run(
             compiled, calibration, noise, trials=trials, seed=seed,
-            expected=expected, trace_cache=trace_cache,
-            array_backend=array_backend)
+            expected=expected, trace_cache=trace_cache)

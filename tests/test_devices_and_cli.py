@@ -11,7 +11,7 @@ from repro.backend import get_backend
 from repro.cli import main
 from repro.exceptions import TopologyError
 from repro.hardware import ibmq5_topology, ibmq20_topology, linear_topology
-from repro.simulator.xp import CHUNK_ENV
+from repro.simulator.batch import CHUNK_ENV
 
 
 class TestDevices:

@@ -795,6 +795,12 @@ class TestValidation:
         ["serve", "--workers", "-1"],
         ["submit", "--max-attempts", "0"],
         ["submit", "--deadline", "-1"],
+        ["serve", "--port", "70000"],
+        ["serve", "--port", "-1"],
+        ["serve", "--health", "--port", "70000"],
+        ["submit", "--port", "70000"],
+        ["submit", "--port", "-1"],
+        ["submit", "--port", "0"],
     ])
     def test_cli_rejects_bad_values_at_parse_time(self, argv, capsys):
         from repro.cli import build_parser
@@ -803,3 +809,39 @@ class TestValidation:
             build_parser().parse_args(argv)
         assert excinfo.value.code == 2
         assert "must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("port", [70000, -1, 0])
+    def test_client_rejects_out_of_range_port(self, port):
+        # getaddrinfo would wrap 70000 to 4464 and connect there.
+        with pytest.raises(ServiceError, match="port must be in 1-65535"):
+            ServiceClient("127.0.0.1", port)
+
+    @pytest.mark.parametrize("port", [70000, -1])
+    def test_server_config_rejects_out_of_range_port(self, port):
+        with pytest.raises(ServiceError, match="port must be in 0-65535"):
+            ServerConfig(port=port)
+
+    def test_busy_port_is_a_clean_error(self):
+        """Serving on a port another socket listens on exits 1 with one
+        ``error:`` line naming host:port, not a traceback."""
+        with socket.socket() as holder:
+            holder.bind(("127.0.0.1", 0))
+            holder.listen(1)
+            port = holder.getsockname()[1]
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro", "serve", "--port",
+                 str(port)],
+                env=dict(os.environ, PYTHONPATH=_src_path()),
+                capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith(
+            f"error: cannot listen on 127.0.0.1:{port}: ")
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.splitlines()) == 1
+
+    def test_unbindable_host_is_a_clean_error(self):
+        # 192.0.2.0/24 is reserved for documentation: no local
+        # interface holds it, so bind fails without any traffic.
+        with pytest.raises(ServiceError,
+                           match="cannot listen on 192.0.2.1:0"):
+            ReproServer(ServerConfig(host="192.0.2.1")).start()

@@ -35,7 +35,7 @@ from repro.simulator import (
     is_clifford,
     total_variation_distance,
 )
-from repro.simulator.xp import CHUNK_ENV
+from repro.simulator.batch import CHUNK_ENV
 
 from trial_reference import reference_execute
 

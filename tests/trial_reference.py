@@ -23,8 +23,8 @@ from repro.simulator import (
     ExecutionResult,
     NoiseModel,
     StateVector,
-    resolve_array_backend,
 )
+from repro.simulator.batch import amplitude_budget
 from repro.simulator.executor import check_dense_capacity
 from repro.simulator.noise import _PAULIS_1Q, _PAULIS_2Q
 
@@ -137,9 +137,8 @@ def reference_execute(compiled: CompiledProgram, calibration: Calibration,
     """Run *compiled* for *trials* shots, one statevector per noisy
     trial."""
     noise = noise_model or NoiseModel(calibration)
-    check_dense_capacity(
-        len(compiled.physical.circuit.used_qubits()),
-        resolve_array_backend("numpy").amplitude_budget(), "trial")
+    check_dense_capacity(len(compiled.physical.circuit.used_qubits()),
+                         amplitude_budget(), "trial")
     rng = np.random.default_rng(seed)
     compact = CompactProgram(compiled.physical.circuit,
                              compiled.physical.times,
