@@ -11,10 +11,10 @@ Two registries make "which machine" and "which executor" pluggable:
   ``execute(engine=...)``; the built-ins (``batched``, ``stabilizer``,
   ``auto``) register themselves from the simulator package.
 
-The sweep runtime treats a cell's backend as a first-class axis: cache
-keys are scoped by backend content id and ``run_sweep`` groups cells
-per device, so cross-device sweeps never alias and per-device routing
-tables are shared.
+The sweep runtime treats a cell's backend as a first-class axis: the
+backend supplies the cell's calibration, whose content id is the only
+machine identity in cache keys, and ``run_sweep`` groups cells per
+device, so per-device routing tables are shared.
 """
 
 from repro.backend.base import (

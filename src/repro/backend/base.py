@@ -87,14 +87,13 @@ class Backend:
         *machine* — name, topology, noise profile, calibration seed.
 
         Two backends serializing identically share an id regardless of
-        object identity (or pickling round-trips); the sweep runtime
-        scopes its compile/stage/trace cache keys by this value so
-        cross-device sweeps can never alias. ``default_engine`` is
-        deliberately excluded: it selects execution dispatch, not any
-        cached artifact, so an engine-comparison sweep over
-        ``backend.with_(default_engine=...)`` variants keeps sharing
-        compilations and lowered traces. Memoized — backends are
-        frozen and treated as immutable.
+        object identity (or pickling round-trips); the process-wide
+        generator and snapshot memos key on it, and the sweep
+        scheduler groups cells by it. Cache keys do not: they hold the
+        snapshot's own :meth:`~repro.hardware.Calibration.content_id`.
+        ``default_engine`` is deliberately excluded: it selects
+        execution dispatch, not the calibration stream. Memoized —
+        backends are frozen and treated as immutable.
         """
         cached = getattr(self, "_content_id", None)
         if cached is None:

@@ -165,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     profile_p = sub.add_parser(
         "profile",
-        help="compile under the profiler and report per-pass wall time, "
+        help="compile once and report per-pass wall time, "
              "allocations, and solver search counters")
     add_machine_args(profile_p)
     add_compile_args(profile_p)
@@ -232,8 +232,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "calibration-day x seed) grid through the sweep "
                     "runtime. Cells sharing a configuration reuse one "
                     "compilation and one lowered execution trace (cache "
-                    "keys are scoped per device, so cross-device cells "
-                    "never alias); --workers >= 2 fans the grid out "
+                    "keys hold each device's calibration content, so "
+                    "devices with different snapshots never share an "
+                    "entry); --workers >= 2 fans the grid out "
                     "over a process pool with results bit-identical to "
                     "the serial run.")
     sweep_p.add_argument("--device", nargs="+", default=["ibmq16"],
@@ -518,26 +519,59 @@ def _cmd_compile(args: argparse.Namespace, out) -> int:
 
 def _cmd_profile(args: argparse.Namespace, out) -> int:
     import json as _json
-
-    from repro.profiling import Profiler
+    import tracemalloc
 
     circuit, _ = _load_circuit(args)
     calibration = _backend(args.device, args).calibration(args.day)
     options = _options(args)
-    pipeline = build_pipeline(options)
-    with Profiler(trace_allocations=not args.no_alloc) as profiler:
-        program = pipeline.run(circuit, calibration, options,
-                               profiler=profiler)
+    # The pipeline logs allocations while tracemalloc traces; stop only
+    # tracing this command started.
+    started = not args.no_alloc and not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        program = build_pipeline(options).run(circuit, calibration, options)
+    finally:
+        if started:
+            tracemalloc.stop()
+    timings = program.pass_timings
     solver_stats = program.mapping.stats if program.mapping else None
     if args.json:
-        out.write(_json.dumps({"passes": profiler.as_dict(),
-                               "solver": solver_stats,
+        passes = {t.name: {"calls": int(not t.cached), "seconds": t.seconds,
+                           "alloc_bytes": t.alloc_bytes,
+                           "peak_bytes": t.peak_bytes,
+                           "cache_hits": int(t.cached)} for t in timings}
+        out.write(_json.dumps({"passes": passes, "solver": solver_stats,
                                "compile_time": program.compile_time},
                               indent=2) + "\n")
         return 0
     print(program.summary(), file=sys.stderr)
-    out.write(profiler.report(solver_stats=solver_stats) + "\n")
+    width = max([len("total")] + [len(t.name) for t in timings])
+    header = (f"{'pass':<{width}} {'calls':>5} {'hits':>5} "
+              f"{'seconds':>9} {'alloc':>10} {'peak':>10}")
+    lines = [header, "-" * len(header)]
+    total = 0.0
+    for t in sorted(timings, key=lambda t: -t.seconds):
+        total += t.seconds
+        lines.append(
+            f"{t.name:<{width}} {int(not t.cached):>5} {int(t.cached):>5} "
+            f"{t.seconds:>9.4f} {_fmt_bytes(t.alloc_bytes):>10} "
+            f"{_fmt_bytes(t.peak_bytes):>10}")
+    lines.append(f"{'total':<{width}} {'':>5} {'':>5} {total:>9.4f}")
+    if solver_stats:
+        lines += ["", "solver: " + ", ".join(
+            f"{k}={v}" for k, v in solver_stats.items())]
+    out.write("\n".join(lines) + "\n")
     return 0
+
+
+def _fmt_bytes(n: int) -> str:
+    if n < 1024:
+        return f"{n}B"
+    for unit in ("KiB", "MiB", "GiB"):
+        n /= 1024.0
+        if n < 1024.0 or unit == "GiB":
+            return f"{n:.1f}{unit}"
 
 
 def _compile_cache(args: argparse.Namespace):
@@ -567,7 +601,7 @@ def _cmd_run(args: argparse.Namespace, out) -> int:
     _chunk_setup(args)
     calibration = backend.calibration(args.day)
     program, cache_hit = _compile_cache(args).get_or_compile(
-        circuit, calibration, _options(args), backend=backend)
+        circuit, calibration, _options(args))
     if cache_hit:
         print("compilation served from cache", file=sys.stderr)
     expected = args.expected or registered_answer

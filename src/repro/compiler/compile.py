@@ -28,17 +28,23 @@ from repro.ir.qasm import circuit_to_qasm
 
 @dataclass(frozen=True)
 class PassTiming:
-    """Wall-clock record of one pipeline stage.
+    """Cost record of one pipeline stage.
 
     Attributes:
         name: The pass's registered name (e.g. ``mapping[r-smt*]``).
         seconds: Time spent inside the pass (0 when served from cache).
         cached: Whether the stage-prefix cache supplied the artifact.
+        alloc_bytes: Net bytes the pass left allocated, when
+            :mod:`tracemalloc` was tracing during the run; else 0.
+        peak_bytes: Its traced-memory peak above its starting point,
+            under the same condition; else 0.
     """
 
     name: str
     seconds: float
     cached: bool = False
+    alloc_bytes: int = 0
+    peak_bytes: int = 0
 
 
 @dataclass
@@ -56,7 +62,7 @@ class CompiledProgram:
         compile_time: End-to-end compilation seconds (near zero when
             the program was served from a compile cache).
         calibration_label: Which calibration snapshot was used.
-        pass_timings: Per-pass wall-clock breakdown, pipeline order.
+        pass_timings: Per-pass cost log (:class:`PassTiming`), in order.
         cache_hit: Whether this value came from a compile cache rather
             than a fresh pipeline run.
         verification: Report of the verify pass, when it was in the

@@ -1,7 +1,8 @@
 """Optimization-based mapping (the paper's §4, "Optimal Compilation").
 
 Builds a constraint model per the paper's formulation and hands it to
-the branch-and-bound engine (the Z3 substitute, see DESIGN.md):
+the branch-and-bound engine (the Z3 substitute, see the README's
+"Substitutions"):
 
 * Constraint 1 — every program qubit maps inside the grid: encoded in
   the variable domains (all hardware qubit ids).

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import hashlib
 import time
+import tracemalloc
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -84,7 +85,7 @@ class PipelineContext:
         physical: Hardware-level program (SWAPs expanded, timed).
         reliability: Compile-time reliability estimate.
         verification: Report of the optional verify pass.
-        timings: Per-pass wall-clock log, in pass order.
+        timings: Per-pass cost log (:class:`PassTiming`), in pass order.
     """
 
     circuit: Circuit
@@ -419,7 +420,7 @@ class PassManager:
     def run(self, circuit: Circuit, calibration: Calibration,
             options: CompilerOptions,
             tables: Optional[ReliabilityTables] = None,
-            stage_cache=None, profiler=None) -> CompiledProgram:
+            stage_cache=None) -> CompiledProgram:
         """Execute the pipeline and assemble the compiled artifact.
 
         Args:
@@ -440,16 +441,14 @@ class PassManager:
                 after; cached artifacts are shared objects, so their
                 wall-clock diagnostics (e.g. ``MappingResult.solve_time``)
                 describe the original computation.
-            profiler: Optional :class:`repro.profiling.Profiler`;
-                each executed pass is measured under its name and
-                stage-cache hits are counted. ``None`` (the default)
-                keeps the hot path free of instrumentation.
 
         Returns:
             The compiled artifact; its ``pass_timings`` records each
-            stage's seconds and whether it was served from the cache.
+            stage's seconds, whether it was served from the cache and,
+            when :mod:`tracemalloc` is tracing, its allocation deltas.
         """
         start = time.perf_counter()
+        tracing = tracemalloc.is_tracing()
         if tables is None:
             tables = ReliabilityTables(calibration)
         ctx = PipelineContext(circuit=circuit, calibration=calibration,
@@ -460,27 +459,27 @@ class PassManager:
             artifact = stage_cache.get(key) if stage_cache is not None \
                 else None
             if artifact is None:
+                if tracing:
+                    tracemalloc.reset_peak()
+                    before, _ = tracemalloc.get_traced_memory()
                 tick = time.perf_counter()
-                if profiler is not None:
-                    with profiler.measure(p.name):
-                        artifact = p.run(ctx)
-                else:
-                    artifact = p.run(ctx)
+                artifact = p.run(ctx)
                 seconds = time.perf_counter() - tick
+                alloc = peak = 0
+                if tracing:
+                    after, high = tracemalloc.get_traced_memory()
+                    alloc, peak = max(0, after - before), max(0, high - before)
                 if artifact is None:
                     raise CompilationError(
                         f"pass {p.name!r} produced no artifact")
                 if stage_cache is not None:
                     stage_cache.put(key, artifact)
-                cached = False
+                timing = PassTiming(name=p.name, seconds=seconds,
+                                    alloc_bytes=alloc, peak_bytes=peak)
             else:
-                seconds = 0.0
-                cached = True
-                if profiler is not None:
-                    profiler.record_cache_hit(p.name)
+                timing = PassTiming(name=p.name, seconds=0.0, cached=True)
             setattr(ctx, p.produces, artifact)
-            ctx.timings.append(PassTiming(name=p.name, seconds=seconds,
-                                          cached=cached))
+            ctx.timings.append(timing)
         return _assemble(ctx, compile_time=time.perf_counter() - start)
 
 

@@ -3,7 +3,6 @@
 from repro.experiments.common import (
     DEFAULT_TRIALS,
     BenchmarkRun,
-    compile_and_run,
     format_table,
     geometric_mean,
     run_benchmark_grid,
@@ -54,7 +53,6 @@ __all__ = [
     "MitigationStudyResult",
     "ScalePoint",
     "Table2Result",
-    "compile_and_run",
     "format_table",
     "geometric_mean",
     "run_benchmark_grid",

@@ -1,4 +1,5 @@
-"""Ablation studies for the design choices DESIGN.md calls out.
+"""Ablation studies for the design choices the README's "Substitutions"
+lists.
 
 Not figures from the paper — these quantify the repo's own knobs:
 

@@ -4,8 +4,7 @@ Since the sweep runtime landed, every harness expresses its grid as
 :class:`~repro.runtime.SweepCell` lists executed by
 :func:`~repro.runtime.run_sweep` (serially by default; pass
 ``workers >= 2`` to fan out over a process pool — results are
-bit-identical either way). :func:`compile_and_run` survives as the
-single-cell wrapper so pre-sweep call sites keep working.
+bit-identical either way).
 """
 
 from __future__ import annotations
@@ -15,22 +14,9 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
 
 from repro.backend import Backend, get_backend
-from repro.compiler import CompiledProgram, CompilerOptions
-from repro.hardware import (
-    Calibration,
-    ReliabilityTables,
-    default_ibmq16_calibration,
-)
-from repro.ir.circuit import Circuit
-from repro.runtime import (
-    DEFAULT_TRIALS,
-    CompileCache,
-    SweepCell,
-    SweepResult,
-    TraceCache,
-    run_cell,
-    run_sweep,
-)
+from repro.compiler import CompiledProgram
+from repro.hardware import Calibration, default_ibmq16_calibration
+from repro.runtime import DEFAULT_TRIALS, SweepCell, SweepResult, run_sweep
 from repro.simulator import ExecutionResult
 
 #: What every harness's ``backend=`` parameter accepts: a Backend, a
@@ -119,54 +105,6 @@ class BenchmarkRun:
     @property
     def compile_time(self) -> float:
         return self.compiled.compile_time
-
-
-def compile_and_run(circuit: Circuit, expected: str,
-                    calibration: Optional[Calibration],
-                    options: CompilerOptions,
-                    tables: Optional[ReliabilityTables] = None,
-                    trials: int = DEFAULT_TRIALS, seed: int = 7,
-                    simulate: bool = True,
-                    engine: Optional[str] = None,
-                    compile_cache: Optional[CompileCache] = None,
-                    trace_cache: Optional[TraceCache] = None,
-                    backend: BackendLike = None) -> BenchmarkRun:
-    """Compile a benchmark and (optionally) execute it on the simulator.
-
-    A thin single-cell wrapper over the sweep runtime
-    (:mod:`repro.runtime`): multi-cell grids should build
-    :class:`~repro.runtime.SweepCell` lists and call
-    :func:`~repro.runtime.run_sweep` instead, which adds cross-cell
-    compile/trace caching and parallel execution. Pass a shared
-    ``compile_cache``/``trace_cache`` here to get the same reuse across
-    repeated single-cell calls. ``backend=`` (name or
-    :class:`~repro.backend.Backend`) supplies the machine axis;
-    ``calibration`` may then be ``None`` to use its day-0 snapshot.
-    """
-    resolved = resolve_backend(backend)
-    if calibration is None and resolved is not None:
-        # Resolve the backend's snapshot here (the cell would anyway)
-        # so an explicit tables= argument still seeds the cache.
-        calibration = resolved.calibration()
-    compile_cache = compile_cache if compile_cache is not None \
-        else CompileCache()
-    if tables is not None and calibration is not None:
-        # calibration can still be None here (no backend either) —
-        # fall through so SweepCell raises its clear ReproError.
-        compile_cache.seed_tables(calibration, tables)
-    cell = SweepCell(circuit=circuit, calibration=calibration,
-                     options=options, expected=expected, trials=trials,
-                     seed=seed, simulate=simulate, engine=engine,
-                     backend=resolved, key=circuit.name)
-    if trace_cache is None:
-        from repro.runtime.diskcache import make_trace_cache
-
-        # A persistent compile cache extends its disk store to traces.
-        trace_cache = make_trace_cache(
-            store=getattr(compile_cache, "_store", None))
-    result = run_cell(cell, compile_cache, trace_cache)
-    return BenchmarkRun(benchmark=circuit.name, variant=options.variant,
-                        compiled=result.compiled, execution=result.execution)
 
 
 def run_benchmark_grid(cells: Sequence[SweepCell], workers: int = 0

@@ -54,7 +54,7 @@ def generate_report(out: TextIO, trials: int = REPORT_TRIALS,
     out.write(
         "Regenerated by `python -m repro.experiments.report`. Absolute\n"
         "numbers come from the noisy simulator driven by synthetic\n"
-        "IBMQ16 calibration (see DESIGN.md for the substitutions); the\n"
+        "IBMQ16 calibration (see the README's \"Substitutions\"); the\n"
         "*shape* of each result is what reproduces the paper.\n"
         f"Executions use {trials} simulated trials (paper: 8192\n"
         "hardware shots).\n")
@@ -77,7 +77,8 @@ def generate_report(out: TextIO, trials: int = REPORT_TRIALS,
         "12 benchmarks, 2-8 qubits, 12-42 gates, 2-10 CNOTs.",
         table2.to_text(),
         "Qubit counts match exactly; CNOT counts match except Adder "
-        "(13 vs 10 — our Cuccaro/Margolus construction; see DESIGN.md); "
+        "(13 vs 10 — our Cuccaro/Margolus construction; see the README's "
+        "\"Substitutions\"); "
         "gate totals are within a few gates (we count measurements and "
         "use textbook decompositions).")
 

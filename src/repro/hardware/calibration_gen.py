@@ -1,7 +1,8 @@
 """Synthetic calibration-data generator.
 
-Stands in for the daily calibration logs of IBMQ16 (see DESIGN.md). The
-generator reproduces the distributional facts the paper reports in §2:
+Stands in for the daily calibration logs of IBMQ16 (see the README's
+"Substitutions"). The generator reproduces the distributional facts the
+paper reports in §2:
 
 * mean T2 about 70 us, varying up to ~9.2x across qubits and days;
 * mean CNOT error 0.04, varying up to ~9x;

@@ -4,10 +4,17 @@ The compiler's final deliverable, as in the paper, is OpenQASM 2.0 text
 targeting the IBM machines. Only the subset the IR can represent is
 supported (one quantum and one classical register, the IR gate set).
 
+A bare register name broadcasts as in OpenQASM 2.0: ``measure q -> c;``
+measures ``q[i] -> c[i]`` for every index, a one-qubit gate on ``q``
+applies once per qubit, and ``barrier q;`` spans the whole register. A
+multi-qubit gate may not take a register argument: with one quantum
+register the broadcast would pair each qubit with itself.
+
 Parsing is an input boundary: every malformed, oversized or
 out-of-range program raises :class:`~repro.exceptions.QasmError`, and
 no register may exceed :data:`MAX_REGISTER_SIZE` nor a program
-:data:`MAX_STATEMENTS` statements. The ScaffIR parser shares both caps.
+:data:`MAX_STATEMENTS` statements, counting each gate a broadcast
+expands to. The ScaffIR parser shares both caps.
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ MAX_STATEMENTS = 100_000
 
 _QREG_RE = re.compile(r"^qreg\s+(\w+)\s*\[\s*(\d+)\s*\]$")
 _CREG_RE = re.compile(r"^creg\s+(\w+)\s*\[\s*(\d+)\s*\]$")
-_ARG_RE = re.compile(r"^(\w+)\s*\[\s*(\d+)\s*\]$")
+_ARG_RE = re.compile(r"^(\w+)(?:\s*\[\s*(\d+)\s*\])?$")
 # The parameter list runs to the last ")", so it may nest parentheses;
 # the arguments after it hold none. The word boundary and the arguments'
 # non-space first character leave one way to split a statement, so a
@@ -104,11 +111,14 @@ def qasm_to_circuit(text: str, name: str = "qasm") -> Circuit:
             raise QasmError(f"gate before qreg declaration: {stmt!r}")
         m = _MEASURE_RE.match(stmt)
         if m:
-            q = _parse_arg(m.group(1), qreg_name, "quantum")
-            c = _parse_arg(m.group(2), creg_name, "classical")
-            gates.append(Gate("measure", (q,), cbit=c))
-            continue
-        gates.append(_parse_gate(stmt, qreg_name))
+            new = _parse_measure(m.group(1), m.group(2), qreg_name,
+                                 creg_name, n_qubits, n_cbits)
+        else:
+            new = _parse_gate(stmt, qreg_name, n_qubits)
+        if len(gates) + len(new) > MAX_STATEMENTS:
+            raise QasmError(f"more than {MAX_STATEMENTS} statements "
+                            f"after register broadcasts")
+        gates.extend(new)
 
     if n_qubits is None:
         raise QasmError("no qreg declaration found")
@@ -148,30 +158,59 @@ def _split_statements(text: str) -> List[str]:
     return [s.strip() for s in no_comments.split(";") if s.strip()]
 
 
-def _parse_arg(token: str, reg_name: Optional[str], kind: str) -> int:
+def _parse_arg(token: str, reg_name: Optional[str],
+               kind: str) -> Optional[int]:
+    """The index of ``name[i]``, or ``None`` for a bare register name."""
     m = _ARG_RE.match(token.strip())
     if not m:
         raise QasmError(f"cannot parse {kind} argument {token!r}")
     if reg_name is not None and m.group(1) != reg_name:
         raise QasmError(f"unknown {kind} register {m.group(1)!r}")
+    if m.group(2) is None:
+        return None
     return _register_int(m.group(2), f"{kind} index", QasmError)
 
 
-def _parse_gate(stmt: str, qreg_name: Optional[str]) -> Gate:
+def _parse_measure(q_text: str, c_text: str, qreg_name: Optional[str],
+                   creg_name: Optional[str], n_qubits: int,
+                   n_cbits: int) -> List[Gate]:
+    q = _parse_arg(q_text, qreg_name, "quantum")
+    c = _parse_arg(c_text, creg_name, "classical")
+    if q is not None and c is not None:
+        return [Gate("measure", (q,), cbit=c)]
+    if q is not None or c is not None or n_qubits != n_cbits:
+        raise QasmError(f"cannot measure {q_text.strip()} -> "
+                        f"{c_text.strip()}: a register measures into a "
+                        f"register of its size ({n_qubits} qubits, "
+                        f"{n_cbits} bits)")
+    return [Gate("measure", (i,), cbit=i) for i in range(n_qubits)]
+
+
+def _parse_gate(stmt: str, qreg_name: Optional[str],
+                n_qubits: int) -> List[Gate]:
     m = _GATE_RE.match(stmt)
     if not m:
         raise QasmError(f"cannot parse statement {stmt!r}")
     op, param_text, args_text = m.group(1), m.group(2), m.group(3)
     op = op.lower()
-    qubits = tuple(_parse_arg(a, qreg_name, "quantum")
-                   for a in args_text.split(","))
+    args = [_parse_arg(a, qreg_name, "quantum")
+            for a in args_text.split(",")]
     param = None
     if param_text is not None:
         if op not in PARAMETRIC_GATES:
             raise QasmError(f"{op} does not take a parameter")
         param = _eval_param(param_text)
+    if None not in args:
+        operands = [tuple(args)]
+    elif op == "barrier":
+        operands = [tuple(range(n_qubits))]
+    elif len(args) == 1:
+        operands = [(i,) for i in range(n_qubits)]
+    else:
+        raise QasmError(f"cannot broadcast {op!r} over a register: "
+                        f"{stmt!r} would pair a qubit with itself")
     try:
-        return Gate(op, qubits, param=param)
+        return [Gate(op, qubits, param=param) for qubits in operands]
     except Exception as exc:  # re-raise as a parse error with context
         raise QasmError(f"invalid gate {stmt!r}: {exc}") from exc
 

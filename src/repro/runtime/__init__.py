@@ -16,7 +16,6 @@ from repro.runtime.cache import (
     StageCache,
     TraceCache,
     compile_key,
-    machine_id,
     mapping_prefix_key,
 )
 from repro.runtime.diskcache import (
@@ -61,7 +60,6 @@ __all__ = [
     "cell_fingerprint",
     "compile_key",
     "faults_armed",
-    "machine_id",
     "make_compile_cache",
     "mapping_prefix_key",
     "run_cell",

@@ -30,13 +30,17 @@ independent of the worker count.
 
 Keys are content hashes, not object identities, so a cache can be
 (re)used across harnesses: fig5 and fig7 both compiling the T-SMT*
-baseline for BV4 on day 0 share one compilation.
+baseline for BV4 on day 0 share one compilation. The machine enters
+every key only as ``Calibration.content_id()`` (topology, every qubit
+and edge record, label): each artifact is a pure function of (circuit,
+calibration, options), so content-equal snapshots share entries
+whichever backend produced them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.compiler import (
     CompiledProgram,
@@ -48,42 +52,22 @@ from repro.hardware import Calibration, ReliabilityTables
 from repro.ir.circuit import Circuit
 from repro.simulator import NoiseModel, noise_content_key
 
-if TYPE_CHECKING:
-    from repro.backend import Backend
-
-#: (circuit fingerprint, machine id, options fingerprint).
+#: (circuit fingerprint, calibration content id, options fingerprint).
 CompileKey = Tuple[str, str, str]
 
-#: (circuit fingerprint, machine id, mapping fingerprint).
+#: (circuit fingerprint, calibration content id, mapping fingerprint).
 PrefixKey = Tuple[str, str, str]
 
 
-def machine_id(calibration: Calibration,
-               backend: Optional["Backend"] = None) -> str:
-    """The machine component of content keys.
-
-    The calibration snapshot id alone when no backend is known (the
-    pre-backend contract, preserved bit-for-bit), scoped by the owning
-    :meth:`~repro.backend.Backend.content_id` otherwise — so two
-    backends that happen to produce identical snapshots still occupy
-    disjoint key spaces and cross-device sweeps can never alias.
-    """
-    if backend is None:
-        return calibration.content_id()
-    return f"{backend.content_id()}:{calibration.content_id()}"
-
-
 def compile_key(circuit: Circuit, calibration: Calibration,
-                options: CompilerOptions,
-                backend: Optional["Backend"] = None) -> CompileKey:
+                options: CompilerOptions) -> CompileKey:
     """The content-addressed identity of one compilation."""
-    return (circuit.fingerprint(), machine_id(calibration, backend),
+    return (circuit.fingerprint(), calibration.content_id(),
             options.fingerprint())
 
 
 def mapping_prefix_key(circuit: Circuit, calibration: Calibration,
-                       options: CompilerOptions,
-                       backend: Optional["Backend"] = None) -> PrefixKey:
+                       options: CompilerOptions) -> PrefixKey:
     """The content-addressed identity of one *mapping* computation.
 
     Strictly coarser than :func:`compile_key`: cells sharing a compile
@@ -92,7 +76,7 @@ def mapping_prefix_key(circuit: Circuit, calibration: Calibration,
     key — exactly the set that can reuse a mapping artifact through the
     stage cache.
     """
-    return (circuit.fingerprint(), machine_id(calibration, backend),
+    return (circuit.fingerprint(), calibration.content_id(),
             mapping_stage_fingerprint(options))
 
 
@@ -151,47 +135,6 @@ class StageCache:
     def put(self, key: str, artifact: object) -> None:
         self._artifacts[key] = artifact
 
-    def scoped(self, scope: Optional[str]) -> "StageCache":
-        """A view of this cache whose keys are namespaced by *scope*.
-
-        The sweep runtime scopes stage lookups by backend content id
-        (``None`` — no backend — returns this cache unchanged), so
-        cross-device sweeps can never share a stage artifact even when
-        their calibrations happen to serialize identically. The view
-        shares storage and counters with its parent.
-        """
-        if scope is None:
-            return self
-        return _ScopedStageCache(self, scope)
-
-
-class _ScopedStageCache:
-    """Key-namespacing view over a :class:`StageCache`."""
-
-    def __init__(self, parent: StageCache, scope: str) -> None:
-        self._parent = parent
-        self._scope = scope
-
-    @property
-    def stats(self) -> CacheStats:
-        return self._parent.stats
-
-    def __len__(self) -> int:
-        return len(self._parent)
-
-    def get(self, key: str):
-        return self._parent.get(f"{self._scope}|{key}")
-
-    def put(self, key: str, artifact: object) -> None:
-        self._parent.put(f"{self._scope}|{key}", artifact)
-
-    def scoped(self, scope: Optional[str]):
-        # Scopes don't nest: re-scoping from the same backend is a
-        # no-op and nothing re-scopes across backends.
-        if scope is None or scope == self._scope:
-            return self
-        return _ScopedStageCache(self._parent, scope)
-
 
 class CompileCache:
     """Memoizes ``compile_circuit`` results by content key.
@@ -224,11 +167,6 @@ class CompileCache:
             tables = self._tables[key] = ReliabilityTables(calibration)
         return tables
 
-    def seed_tables(self, calibration: Calibration,
-                    tables: ReliabilityTables) -> None:
-        """Adopt externally built tables (legacy call sites pass them)."""
-        self._tables.setdefault(calibration.content_id(), tables)
-
     def _lookup(self, key: CompileKey) -> Optional[CompiledProgram]:
         """Storage hook: the cached program for *key*, or ``None``.
 
@@ -241,12 +179,6 @@ class CompileCache:
     def _insert(self, key: CompileKey, program: CompiledProgram) -> None:
         """Storage hook: record a freshly compiled program."""
         self._programs[key] = program
-
-    def stages_for(self, backend: Optional["Backend"] = None):
-        """The stage cache, scoped to *backend* when one is given."""
-        if backend is None:
-            return self.stages
-        return self.stages.scoped(backend.content_id())
 
     def disk_stats(self) -> Dict[str, "object"]:
         """Per-tier persistent-store counters (empty: no disk tier).
@@ -268,8 +200,7 @@ class CompileCache:
         return True
 
     def get_or_compile(self, circuit: Circuit, calibration: Calibration,
-                       options: CompilerOptions,
-                       backend: Optional["Backend"] = None
+                       options: CompilerOptions
                        ) -> Tuple[CompiledProgram, bool]:
         """Return the compiled program and whether it was a cache hit.
 
@@ -277,12 +208,8 @@ class CompileCache:
         ``compile_time`` is zero — the stored program's wall clock
         describes the original compilation, and replaying it would make
         sweep timing reports count the same work once per cell.
-
-        With *backend*, both the whole-program key and the nested
-        stage-cache keys are scoped by its content id (see
-        :func:`machine_id`).
         """
-        key = compile_key(circuit, calibration, options, backend)
+        key = compile_key(circuit, calibration, options)
         program = self._lookup(key)
         if program is not None:
             self.stats.hits += 1
@@ -294,7 +221,7 @@ class CompileCache:
         self.stats.misses += 1
         program = compile_circuit(circuit, calibration, options,
                                   tables=self.tables_for(calibration),
-                                  stage_cache=self.stages_for(backend))
+                                  stage_cache=self.stages)
         self._insert(key, program)
         return program, False
 
@@ -318,8 +245,7 @@ class TraceCache:
 
     @staticmethod
     def _key(compiled: CompiledProgram, noise: NoiseModel,
-             calibration: Calibration,
-             scope: Optional[str] = None) -> Optional[tuple]:
+             calibration: Calibration) -> Optional[tuple]:
         noise_key = noise_content_key(noise)
         if noise_key is None:
             # Unknown subclass state (or an explicit trace_key() of
@@ -329,13 +255,12 @@ class TraceCache:
         # noise model's: its topology shapes the trace's crosstalk
         # sites, and execute() supports running under a different
         # snapshot than the noise model was built on.
-        key = (compiled.fingerprint(), calibration.content_id(), noise_key)
-        return key if scope is None else (scope,) + key
+        return (compiled.fingerprint(), calibration.content_id(), noise_key)
 
     def get(self, compiled: CompiledProgram, noise: NoiseModel,
-            calibration: Calibration, scope: Optional[str] = None):
+            calibration: Calibration):
         """The cached trace, or ``None`` (counted as a miss)."""
-        key = self._key(compiled, noise, calibration, scope)
+        key = self._key(compiled, noise, calibration)
         if key is None:
             return None
         trace = self._traces.get(key)
@@ -346,47 +271,7 @@ class TraceCache:
         return trace
 
     def put(self, compiled: CompiledProgram, noise: NoiseModel,
-            calibration: Calibration, trace,
-            scope: Optional[str] = None) -> None:
-        key = self._key(compiled, noise, calibration, scope)
+            calibration: Calibration, trace) -> None:
+        key = self._key(compiled, noise, calibration)
         if key is not None:
             self._traces[key] = trace
-
-    def scoped(self, backend: Optional["Backend"]) -> "TraceCache":
-        """A view whose keys are namespaced by *backend*'s content id.
-
-        ``None`` returns this cache unchanged (the pre-backend key
-        layout). The view satisfies the ``get``/``put`` contract of
-        :func:`repro.simulator.execute`'s ``trace_cache`` argument and
-        shares storage and counters with its parent — the sweep runtime
-        hands each cell a view scoped to its backend so cross-device
-        grids never alias a lowered trace.
-        """
-        if backend is None:
-            return self
-        return _ScopedTraceCache(self, backend.content_id())
-
-
-class _ScopedTraceCache:
-    """Key-namespacing view over a :class:`TraceCache`."""
-
-    def __init__(self, parent: TraceCache, scope: str) -> None:
-        self._parent = parent
-        self._scope = scope
-
-    @property
-    def stats(self) -> CacheStats:
-        return self._parent.stats
-
-    def __len__(self) -> int:
-        return len(self._parent)
-
-    def get(self, compiled: CompiledProgram, noise: NoiseModel,
-            calibration: Calibration):
-        return self._parent.get(compiled, noise, calibration,
-                                scope=self._scope)
-
-    def put(self, compiled: CompiledProgram, noise: NoiseModel,
-            calibration: Calibration, trace) -> None:
-        self._parent.put(compiled, noise, calibration, trace,
-                         scope=self._scope)

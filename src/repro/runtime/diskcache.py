@@ -442,11 +442,11 @@ class PersistentTraceCache(TraceCache):
         super().__init__()
         self._store = store
 
-    def get(self, compiled, noise, calibration, scope=None):
-        trace = super().get(compiled, noise, calibration, scope)
+    def get(self, compiled, noise, calibration):
+        trace = super().get(compiled, noise, calibration)
         if trace is not None:
             return trace
-        key = self._key(compiled, noise, calibration, scope)
+        key = self._key(compiled, noise, calibration)
         if key is None:
             return None
         blob = self._store.load_blob(self.KIND, repr(key))
@@ -466,14 +466,13 @@ class PersistentTraceCache(TraceCache):
         self._traces[key] = trace
         return trace
 
-    def put(self, compiled, noise, calibration, trace,
-            scope=None) -> None:
-        super().put(compiled, noise, calibration, trace, scope)
+    def put(self, compiled, noise, calibration, trace) -> None:
+        super().put(compiled, noise, calibration, trace)
         from repro.simulator.trace import ProgramTrace
 
         if type(trace) is not ProgramTrace:
             return
-        key = self._key(compiled, noise, calibration, scope)
+        key = self._key(compiled, noise, calibration)
         if key is None:
             return
         import io
@@ -508,8 +507,8 @@ class PersistentCompileCache(CompileCache):
     """A :class:`CompileCache` whose programs and stages persist on disk.
 
     Drop-in replacement accepted everywhere a ``CompileCache`` is
-    (``run_sweep(compile_cache=...)``, ``compile_and_run``); the CLI
-    builds one from ``--cache-dir``.
+    (``run_sweep(compile_cache=...)``, ``run_cell``); the CLI builds one
+    from ``--cache-dir``.
 
     Args:
         root: Cache directory, shared freely between processes.

@@ -9,10 +9,11 @@ across a process pool and returns per-cell results in grid order.
 :class:`~repro.backend.Backend` instead of (or in addition to) a
 concrete calibration — the calibration and engine fields are then
 derived from the backend (day-*day* snapshot, default engine) but
-remain overridable. Cells carrying a backend get cache keys scoped by
-``Backend.content_id()`` on every tier (compile, stage, trace), so
-cross-device sweeps can never alias, and the parallel scheduler groups
-cells by backend before mapping-prefix so per-device
+remain overridable. Cache keys see the backend only through that
+calibration's ``content_id()``, so content-equal snapshots share
+entries on every tier (compile, stage, trace) whichever backend made
+them, and the parallel scheduler groups cells by machine before
+mapping-prefix so per-device
 :class:`~repro.hardware.ReliabilityTables` memos are shared within a
 worker.
 
@@ -77,7 +78,6 @@ from repro.runtime.cache import (
     PrefixKey,
     TraceCache,
     compile_key,
-    machine_id,
     mapping_prefix_key,
 )
 from repro.simulator import ExecutionResult, execute
@@ -127,9 +127,9 @@ class SweepCell:
             cells amortize them like any other artifact. Requires
             ``simulate=True`` and an ``expected`` outcome.
         backend: Optional :class:`~repro.backend.Backend` — the cell's
-            machine axis. Scopes every cache key by the backend's
-            content id and supplies the derived calibration/engine
-            defaults above.
+            machine axis. Supplies the derived calibration/engine
+            defaults above and the scheduler's machine grouping; cache
+            keys see it only through the calibration.
         day: Calibration day used when the calibration is derived from
             the backend (ignored when ``calibration`` is explicit).
         key: Free-form hashable identifier the harness uses to file the
@@ -170,22 +170,22 @@ class SweepCell:
     def machine_key(self) -> str:
         """Content identity of the cell's machine (backend when set,
         bare calibration otherwise) — the scheduler's outer grouping
-        level and the cache-key scope."""
+        level, so one worker builds a device's tables for all its
+        days."""
         if self.backend is not None:
             return self.backend.content_id()
         return self.calibration.content_id()
 
     def compile_key(self) -> CompileKey:
         """Content key of this cell's compilation stage."""
-        return compile_key(self.circuit, self.calibration, self.options,
-                           self.backend)
+        return compile_key(self.circuit, self.calibration, self.options)
 
     def prefix_key(self) -> PrefixKey:
         """Content key of this cell's mapping stage (coarser than
         :meth:`compile_key`): cells sharing it reuse one mapping
         artifact even when their post-mapping options differ."""
         return mapping_prefix_key(self.circuit, self.calibration,
-                                  self.options, self.backend)
+                                  self.options)
 
 
 def cell_fingerprint(cell: SweepCell) -> str:
@@ -193,19 +193,19 @@ def cell_fingerprint(cell: SweepCell) -> str:
     key.
 
     Covers everything a :class:`CellResult` is a pure function of:
-    circuit, machine (backend-scoped calibration), compiler options,
-    expected outcome, trial count, seed, simulate flag, engine, and
-    mitigation strategy. Two cells with equal fingerprints are
-    guaranteed identical results, so a journaled result can stand in
-    for re-execution bit-for-bit. The cell's free-form ``key`` is
-    deliberately excluded — it names the result, it doesn't determine
-    it. ``array_backend`` is excluded too: it has one accepted value
-    and changes nothing.
+    circuit, calibration content, compiler options, expected outcome,
+    trial count, seed, simulate flag, engine, and mitigation strategy.
+    Two cells with equal fingerprints are guaranteed identical results,
+    so a journaled result can stand in for re-execution bit-for-bit.
+    The cell's free-form ``key`` is deliberately excluded — it names
+    the result, it doesn't determine it, so a stored result is served
+    under the requesting cell's key. The backend enters only through its
+    calibration, and ``array_backend`` not at all: it has one value.
     """
     return "|".join((
         "cell-v1",
         cell.circuit.fingerprint(),
-        machine_id(cell.calibration, cell.backend),
+        cell.calibration.content_id(),
         cell.options.fingerprint(),
         repr(cell.expected),
         str(cell.trials),
@@ -445,15 +445,12 @@ def run_cell(cell: SweepCell, compile_cache: CompileCache,
              trace_cache: TraceCache) -> CellResult:
     """Execute one cell against the given caches.
 
-    Cells carrying a backend see every cache tier through a view
-    scoped by ``Backend.content_id()`` (see
-    :meth:`~repro.runtime.cache.TraceCache.scoped`), so mixed-device
-    grids share the cache *objects* without ever sharing entries
-    across devices.
+    Every tier is keyed by calibration content (see
+    :mod:`repro.runtime.cache`), so cells of a mixed-device grid share
+    the cache objects and an entry only when their snapshots are equal.
     """
     compiled, compile_hit = compile_cache.get_or_compile(
-        cell.circuit, cell.calibration, cell.options, backend=cell.backend)
-    cell_traces = trace_cache.scoped(cell.backend)
+        cell.circuit, cell.calibration, cell.options)
     execution = None
     trace_hit = False
     mitigation = None
@@ -461,7 +458,7 @@ def run_cell(cell: SweepCell, compile_cache: CompileCache,
         hits_before = trace_cache.stats.hits
         execution = execute(compiled, cell.calibration, trials=cell.trials,
                             seed=cell.seed, expected=cell.expected,
-                            engine=cell.engine, trace_cache=cell_traces)
+                            engine=cell.engine, trace_cache=trace_cache)
         trace_hit = trace_cache.stats.hits > hits_before
         if cell.mitigation is not None:
             # Imported here, not at module top: the mitigation package
@@ -475,8 +472,8 @@ def run_cell(cell: SweepCell, compile_cache: CompileCache,
                 baseline=execution, circuit=cell.circuit,
                 options=cell.options, trials=cell.trials, seed=cell.seed,
                 expected=cell.expected, engine=cell.engine,
-                trace_cache=cell_traces,
-                stage_cache=compile_cache.stages_for(cell.backend),
+                trace_cache=trace_cache,
+                stage_cache=compile_cache.stages,
                 tables=compile_cache.tables_for(cell.calibration))
             mitigation = cell.mitigation.mitigate(context)
     return CellResult(key=cell.key, compiled=compiled, execution=execution,
@@ -559,18 +556,22 @@ def _partition(cells: Sequence[SweepCell], workers: int,
     """
     if indexes is None:
         indexes = range(len(cells))
-    groups: Dict[Tuple[str, PrefixKey], List[Tuple[int, SweepCell]]] = {}
-    machine_totals: Dict[str, int] = {}
+    groups: Dict[PrefixKey, List[Tuple[int, SweepCell]]] = {}
+    per_machine: Dict[str, List[List[Tuple[int, SweepCell]]]] = {}
     machine_first: Dict[str, int] = {}
     for index, cell in zip(indexes, cells):
-        machine = cell.machine_key()
-        groups.setdefault((machine, cell.prefix_key()), []) \
-            .append((index, cell))
-        machine_totals[machine] = machine_totals.get(machine, 0) + 1
-        machine_first.setdefault(machine, index)
-    per_machine: Dict[str, List[List[Tuple[int, SweepCell]]]] = {}
-    for (machine, _prefix), group in groups.items():
-        per_machine.setdefault(machine, []).append(group)
+        prefix = cell.prefix_key()
+        group = groups.get(prefix)
+        if group is None:
+            # A group belongs to its first cell's machine, so content-
+            # equal snapshots of differently named backends share it.
+            group = groups[prefix] = []
+            machine = cell.machine_key()
+            per_machine.setdefault(machine, []).append(group)
+            machine_first.setdefault(machine, index)
+        group.append((index, cell))
+    machine_totals = {machine: sum(len(g) for g in machine_groups)
+                      for machine, machine_groups in per_machine.items()}
     machines = sorted(per_machine,
                       key=lambda m: (-machine_totals[m], machine_first[m]))
     batches: List[List[Tuple[int, SweepCell]]] = \
@@ -718,7 +719,9 @@ def run_sweep(cells: Sequence[SweepCell], workers: int = 0,
         for index, cell in todo:
             stored = journal.load(cell_fingerprint(cell))
             if stored is not None:
-                results[index] = replace(stored, resumed=True)
+                # The fingerprint leaves the key out, so the stored
+                # result may carry another content-equal cell's key.
+                results[index] = replace(stored, key=cell.key, resumed=True)
                 resumed += 1
             else:
                 remaining.append((index, cell))

@@ -48,8 +48,8 @@ import signal
 import socket
 import threading
 import time
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Hashable, List, Optional, Tuple
 
 from repro.exceptions import ProtocolError, ServiceError
 from repro.runtime.diskcache import make_compile_cache
@@ -347,13 +347,19 @@ class ReproServer:
                 return False
             if action == "trunc":
                 send_truncated(conn, self._result_envelope(
-                    request, decision))
+                    request, decision, cell.key))
                 return False
-        send_message(conn, self._result_envelope(request, decision))
+        send_message(conn, self._result_envelope(request, decision,
+                                                 cell.key))
         return True
 
-    def _result_envelope(self, request: Request, decision) -> dict:
+    def _result_envelope(self, request: Request, decision,
+                         key: Hashable) -> dict:
+        # Coalesced submits and journal hits share a result keyed by
+        # whichever content-equal cell ran; each gets its own key back.
         result: CellResult = request.result
+        failure = result.failure and replace(result.failure, key=key)
+        result = replace(result, key=key, failure=failure)
         return {
             "type": "result",
             "fingerprint": request.fingerprint,

@@ -2,13 +2,7 @@
 
 from repro.solver.bnb import BranchAndBoundSolver, SolveResult, SolverStats
 from repro.solver.bounds import AssignmentMatrices, compile_assignment
-from repro.solver.constraints import (
-    AllDifferent,
-    BinaryPredicate,
-    LinearLE,
-    TableConstraint,
-    UnaryPredicate,
-)
+from repro.solver.constraints import AllDifferent
 from repro.solver.model import Assignment, Constraint, Model, Objective, Variable
 from repro.solver.objective import (
     CallableObjective,
@@ -24,19 +18,15 @@ __all__ = [
     "AssignmentMatrices",
     "compile_assignment",
     "SolverStats",
-    "BinaryPredicate",
     "BranchAndBoundSolver",
     "CallableObjective",
     "Constraint",
-    "LinearLE",
     "Model",
     "Objective",
     "PairTerm",
     "SolveResult",
     "SumObjective",
-    "TableConstraint",
     "Term",
-    "UnaryPredicate",
     "UnaryTerm",
     "Variable",
 ]

@@ -1,14 +1,13 @@
 """Constraint library for the finite-domain solver.
 
 Covers what the paper's formulation needs: distinct qubit locations
-(Constraint 2 — :class:`AllDifferent`), domain restriction (Constraint 1
-is encoded directly in variable domains), and generic relational/table
-constraints used by tests and extensions.
+(Constraint 2 — :class:`AllDifferent`); domain restriction (Constraint 1)
+is encoded directly in variable domains.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.solver.model import Assignment, Constraint
 
@@ -50,92 +49,3 @@ class AllDifferent(Constraint):
                         domains[name].add(val)
                     return None
         return removed
-
-
-class BinaryPredicate(Constraint):
-    """An arbitrary predicate over two variables.
-
-    Args:
-        a: First variable name.
-        b: Second variable name.
-        predicate: ``predicate(value_a, value_b) -> bool``.
-    """
-
-    def __init__(self, a: str, b: str,
-                 predicate: Callable[[int, int], bool]) -> None:
-        self.scope = (a, b)
-        self.predicate = predicate
-
-    def is_satisfied(self, assignment: Assignment) -> bool:
-        return self.predicate(assignment[self.scope[0]],
-                              assignment[self.scope[1]])
-
-    def prune(self, var: str, value: int, assignment: Assignment,
-              domains: Dict[str, set]) -> Optional[List[Tuple[str, int]]]:
-        if var not in self.scope:
-            return []
-        other = self.scope[1] if var == self.scope[0] else self.scope[0]
-        if other in assignment:
-            return []
-        ordered = ((value, o) if var == self.scope[0] else (o, value)
-                   for o in list(domains[other]))
-        removed: List[Tuple[str, int]] = []
-        for va, vb in ordered:
-            o = vb if var == self.scope[0] else va
-            if not self.predicate(va, vb):
-                domains[other].discard(o)
-                removed.append((other, o))
-        if not domains[other]:
-            for name, val in removed:
-                domains[name].add(val)
-            return None
-        return removed
-
-
-class UnaryPredicate(Constraint):
-    """An arbitrary predicate over a single variable."""
-
-    def __init__(self, name: str, predicate: Callable[[int], bool]) -> None:
-        self.scope = (name,)
-        self.predicate = predicate
-
-    def is_satisfied(self, assignment: Assignment) -> bool:
-        return self.predicate(assignment[self.scope[0]])
-
-    def check_partial(self, assignment: Assignment) -> bool:
-        name = self.scope[0]
-        if name in assignment:
-            return self.predicate(assignment[name])
-        return True
-
-
-class TableConstraint(Constraint):
-    """Scope tuple must appear in an explicit set of allowed tuples."""
-
-    def __init__(self, names: Sequence[str],
-                 allowed: Sequence[Tuple[int, ...]]) -> None:
-        self.scope = tuple(names)
-        self.allowed = frozenset(tuple(t) for t in allowed)
-        for t in self.allowed:
-            if len(t) != len(self.scope):
-                raise ValueError("tuple arity mismatch in table constraint")
-
-    def is_satisfied(self, assignment: Assignment) -> bool:
-        return tuple(assignment[n] for n in self.scope) in self.allowed
-
-
-class LinearLE(Constraint):
-    """``sum(coeff_i * var_i) <= bound`` over integer variables."""
-
-    def __init__(self, names: Sequence[str], coeffs: Sequence[float],
-                 bound: float) -> None:
-        if len(names) != len(coeffs):
-            raise ValueError("coefficient count mismatch")
-        self.scope = tuple(names)
-        self.coeffs = tuple(coeffs)
-        self.bound = bound
-
-    def is_satisfied(self, assignment: Assignment) -> bool:
-        total = sum(c * assignment[n]
-                    for n, c in zip(self.scope, self.coeffs))
-        return total <= self.bound + 1e-9

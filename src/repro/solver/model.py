@@ -1,7 +1,7 @@
 """Finite-domain constraint-optimization models.
 
 This package is the repo's stand-in for the Z3 SMT solver the paper uses
-(see DESIGN.md): a model holds integer variables with explicit finite
+(see the README's "Substitutions"): a model holds integer variables with explicit finite
 domains, constraints, and a maximization objective; the branch-and-bound
 engine in :mod:`repro.solver.bnb` searches for a provably optimal
 assignment.

@@ -26,7 +26,7 @@ from repro.exceptions import (
 )
 from repro.hardware import GridTopology
 from repro.programs import get_benchmark
-from repro.runtime import SweepCell, TraceCache, run_sweep
+from repro.runtime import SweepCell, run_sweep
 from repro.simulator import execute
 
 TRIALS = 128
@@ -189,21 +189,30 @@ class TestCrossDeviceIsolation:
         assert sweep.compile_stats.hits == len(cells) - 1
         assert sweep.trace_stats.hits == len(cells) - 1
 
-    def test_trace_cache_scoping(self, bv4):
-        """Two backends with *identical* calibrations still occupy
-        disjoint trace-key spaces once scoped."""
-        a = get_backend("ibmq16")
-        b = a.with_(name="ibmq16-prime")
-        cal = a.calibration()
-        compiled = compile_circuit(bv4.build(), cal,
-                                   CompilerOptions.qiskit())
-        cache = TraceCache()
-        execute(compiled, cal, trials=8, seed=0,
-                trace_cache=cache.scoped(a))
-        execute(compiled, cal, trials=8, seed=0,
-                trace_cache=cache.scoped(b))
-        assert cache.stats.hits == 0 and cache.stats.misses == 2
-        assert len(cache) == 2
+    def test_content_equal_backends_share_entries(self, bv4):
+        """A renamed copy of ibmq16 yields snapshots equal in content:
+        its cells share ibmq16's compile and trace, at every worker
+        count, and each result keeps its own cell's key."""
+        backends = [get_backend("ibmq16"),
+                    get_backend("ibmq16").with_(name="ibmq16-prime")]
+        assert backends[0].content_id() != backends[1].content_id()
+        cells = make_device_cells(backends, bv4)
+        assert cells[0].compile_key() == cells[1].compile_key()
+        serial = run_sweep(cells)
+        assert serial.compile_stats.misses == 1
+        assert serial.compile_stats.hits == 1
+        assert serial.trace_stats.misses == 1
+        assert serial.trace_stats.hits == 1
+        assert [r.key for r in serial] == [("ibmq16", 0),
+                                           ("ibmq16-prime", 0)]
+        assert serial.results[0].execution.counts == \
+            serial.results[1].execution.counts
+        grid = cells + make_device_cells([get_backend("aspen16")], bv4)
+        parallel = run_sweep(grid, workers=2)
+        assert parallel.workers == 2
+        assert parallel.compile_stats.misses == 2
+        assert parallel.trace_stats.hits == 1
+        assert [r.key for r in parallel] == [c.key for c in grid]
 
     def test_mixed_device_grid_parallel_bit_identical(self, bv4):
         backends = [get_backend(n)

@@ -1,5 +1,6 @@
 """Tests for OpenQASM and ScaffIR emit/parse round-trips."""
 
+import io
 import math
 import time
 
@@ -112,6 +113,73 @@ class TestQasmParsing:
             original = build_benchmark(name)
             back = qasm_to_circuit(circuit_to_qasm(original))
             assert len(back) == len(original)
+
+
+def ghz17(register_wide):
+    """A 17-qubit GHZ program, its measures spelled out or as one
+    register-wide ``measure q -> c;``."""
+    measures = (["measure q -> c;"] if register_wide else
+                [f"measure q[{i}] -> c[{i}];" for i in range(17)])
+    return "\n".join(
+        ["OPENQASM 2.0;", 'include "qelib1.inc";', "qreg q[17];",
+         "creg c[17];", "h q[0];"]
+        + [f"cx q[{i}],q[{i + 1}];" for i in range(16)] + measures + [""])
+
+
+class TestRegisterArguments:
+    """OpenQASM 2.0 broadcasts a bare register name over its indices."""
+
+    def test_register_wide_ghz_equals_spelled_out(self):
+        wide = qasm_to_circuit(ghz17(register_wide=True))
+        spelled = qasm_to_circuit(ghz17(register_wide=False))
+        assert list(wide) == list(spelled)
+        assert wide.fingerprint() == spelled.fingerprint()
+
+    def test_register_wide_ghz_runs_end_to_end(self, tmp_path):
+        from repro.cli import main
+
+        path = tmp_path / "ghz17.qasm"
+        path.write_text(ghz17(register_wide=True))
+        code = main(["run", "--qasm", str(path), "--device", "falcon27",
+                     "--variant", "greedye*", "--trials", "64"],
+                    out=io.StringIO())
+        assert code == 0
+
+    def test_one_qubit_gates_apply_per_index(self):
+        circuit = qasm_to_circuit("qreg q[3]; h q; rz(pi/2) q;")
+        assert [(g.name, g.qubits) for g in circuit] == [
+            ("h", (0,)), ("h", (1,)), ("h", (2,)),
+            ("rz", (0,)), ("rz", (1,)), ("rz", (2,))]
+        assert {g.param for g in circuit if g.name == "rz"} == {math.pi / 2}
+
+    def test_barrier_spans_the_register(self):
+        circuit = qasm_to_circuit("qreg q[3]; barrier q;")
+        assert [(g.name, g.qubits) for g in circuit] == [
+            ("barrier", (0, 1, 2))]
+
+    @pytest.mark.parametrize("text,match", [
+        ("qreg q[3]; creg c[2]; measure q -> c;", "of its size"),
+        ("qreg q[3]; creg c[3]; measure q -> c[0];", "of its size"),
+        ("qreg q[2]; cx q, q;", "pair a qubit with itself"),
+        ("qreg q[2]; cx q, q[1];", "pair a qubit with itself"),
+    ], ids=["size-mismatch", "mixed-measure", "cx-q-q", "cx-q-index"])
+    def test_unrepresentable_broadcasts_rejected(self, text, match):
+        with pytest.raises(QasmError, match=match):
+            qasm_to_circuit(text)
+
+    def test_expanded_gates_count_toward_the_statement_cap(self):
+        copies = MAX_STATEMENTS // MAX_REGISTER_SIZE + 1
+        text = f"qreg q[{MAX_REGISTER_SIZE}];" + "h q;" * copies
+        with pytest.raises(QasmError, match="statements"):
+            qasm_to_circuit(text)
+
+    def test_broadcast_flood_rejected_quickly(self):
+        text = (f"qreg q[{MAX_REGISTER_SIZE}];"
+                + "h q;" * (MAX_STATEMENTS - 1))
+        start = time.perf_counter()
+        with pytest.raises(QasmError, match="statements"):
+            qasm_to_circuit(text)
+        assert time.perf_counter() - start < 2.0
 
 
 #: Tokens of the supported QASM subset plus near misses, for the fuzz

@@ -8,6 +8,7 @@ stage-prefix cache must reuse exactly the stages whose inputs agree.
 """
 
 import dataclasses
+import tracemalloc
 
 import pytest
 
@@ -119,6 +120,29 @@ class TestPipelineEquivalence:
         assert all(t.seconds >= 0 and not t.cached
                    for t in program.pass_timings)
         assert "mapping[r-smt*]" in program.timing_report()
+
+    def test_pass_timings_carry_allocations_only_when_tracing(self, cal,
+                                                              tables):
+        options = CompilerOptions.r_smt_star()
+        circuit = build_benchmark("BV4")
+        assert not tracemalloc.is_tracing()
+        plain = compile_circuit(circuit, cal, options, tables=tables)
+        assert all(t.alloc_bytes == 0 and t.peak_bytes == 0
+                   for t in plain.pass_timings)
+        stages = StageCache()
+        tracemalloc.start()
+        try:
+            traced = compile_circuit(circuit, cal, options, tables=tables,
+                                     stage_cache=stages)
+            served = compile_circuit(circuit, cal, options, tables=tables,
+                                     stage_cache=stages)
+        finally:
+            tracemalloc.stop()
+        mapping = traced.pass_timings[0]
+        assert mapping.name == "mapping[r-smt*]" and mapping.peak_bytes > 0
+        assert all(t.cached and t.seconds == 0.0 and t.alloc_bytes == 0
+                   and t.peak_bytes == 0 for t in served.pass_timings)
+        assert traced.fingerprint() == plain.fingerprint()
 
     def test_verify_pass_attaches_report(self, cal, tables):
         options = CompilerOptions.greedy_e()

@@ -84,7 +84,8 @@ class TestRegistry:
         assert names == benchmark_names()
 
     def test_cnot_counts_match_table2(self):
-        """CNOT counts equal Table 2 for all but Adder (see DESIGN.md)."""
+        """CNOT counts equal Table 2 for all but Adder (see the README's
+        "Substitutions")."""
         for name in benchmark_names():
             spec = get_benchmark(name)
             if name == "Adder":

@@ -18,6 +18,7 @@ import subprocess
 import sys
 import threading
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -323,6 +324,47 @@ class TestServedSweep:
         assert stats["journal_hits"] == len(cells)
         assert health["journal"] is True
         assert health["served"] == 2 * len(cells)
+
+    def test_each_submit_gets_its_own_cells_key(self, cal, tmp_path):
+        """Cells equal but for ``key`` share a fingerprint, so the second
+        is a journal hit; its result still carries its own key."""
+        cell = make_cells(cal, benchmarks=("BV4",), seeds=(0,))[0]
+        cells = [replace(cell, key=key) for key in ("first", "second")]
+        with running_server(cache_dir=tmp_path / "store") as \
+                (_server, host, port):
+            with ServiceClient(host, port) as client:
+                results = [client.submit(c, deadline=60.0) for c in cells]
+                journal_hits = client.stats["journal_hits"]
+        assert [r.key for r in results] == ["first", "second"]
+        assert journal_hits == 1
+        assert results[0].execution.counts == results[1].execution.counts
+
+    @pytest.mark.parametrize("raise_in", [(), (0,)], ids=["ok", "failed"])
+    def test_coalesced_submit_gets_its_own_cells_key(self, cal, raise_in):
+        cell = make_cells(cal, benchmarks=("BV4",), seeds=(0,))[0]
+        renamed = replace(cell, key="renamed")
+        faults = FaultPlan(delay={0: 0.8}, raise_in=raise_in)
+        with running_server(faults=faults) as (_server, host, port):
+            outcome = {}
+
+            def first():
+                with ServiceClient(host, port, tenant="a") as client:
+                    outcome["a"] = client.submit(cell, deadline=60.0)
+
+            thread = threading.Thread(target=first)
+            thread.start()
+            time.sleep(0.25)  # let the submit be admitted and batched
+            with ServiceClient(host, port, tenant="b") as client:
+                outcome["b"] = client.submit(renamed, deadline=60.0)
+                coalesced = client.stats["coalesced"]
+            thread.join()
+        assert coalesced == 1
+        assert (outcome["a"].key, outcome["b"].key) == (cell.key, "renamed")
+        if raise_in:
+            assert outcome["b"].failure.key == "renamed"
+        else:
+            assert outcome["a"].execution.counts == \
+                outcome["b"].execution.counts
 
     def test_concurrent_identical_submits_coalesce(self, cal, baseline):
         # The cell-level delay fault holds the batch in the executor

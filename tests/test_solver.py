@@ -9,15 +9,11 @@ from hypothesis import strategies as st
 from repro.exceptions import SolverError
 from repro.solver import (
     AllDifferent,
-    BinaryPredicate,
     BranchAndBoundSolver,
     CallableObjective,
-    LinearLE,
     Model,
     PairTerm,
     SumObjective,
-    TableConstraint,
-    UnaryPredicate,
     UnaryTerm,
     Variable,
 )
@@ -74,39 +70,6 @@ class TestSatisfaction:
         result = BranchAndBoundSolver().solve(m)
         assert not result.feasible
         assert result.optimal  # exhausted => infeasibility proof
-
-    def test_binary_predicate(self):
-        m = Model()
-        m.add_variable("x", [0, 1, 2])
-        m.add_variable("y", [0, 1, 2])
-        m.add_constraint(BinaryPredicate("x", "y", lambda a, b: a < b))
-        result = BranchAndBoundSolver(first_solution_only=True).solve(m)
-        assert result.assignment["x"] < result.assignment["y"]
-
-    def test_unary_predicate(self):
-        m = Model()
-        m.add_variable("x", [0, 1, 2, 3])
-        m.add_constraint(UnaryPredicate("x", lambda v: v % 2 == 1))
-        result = BranchAndBoundSolver(first_solution_only=True).solve(m)
-        assert result.assignment["x"] % 2 == 1
-
-    def test_table_constraint(self):
-        m = Model()
-        m.add_variable("x", [0, 1])
-        m.add_variable("y", [0, 1])
-        m.add_constraint(TableConstraint(["x", "y"], [(0, 1)]))
-        result = BranchAndBoundSolver().solve(m)
-        assert result.assignment == {"x": 0, "y": 1}
-
-    def test_linear_le(self):
-        m = Model()
-        m.add_variable("x", [0, 1, 2, 3])
-        m.add_variable("y", [0, 1, 2, 3])
-        m.add_constraint(LinearLE(["x", "y"], [1.0, 1.0], 1.0))
-        m.objective = SumObjective([UnaryTerm("x", float),
-                                    UnaryTerm("y", float)])
-        result = BranchAndBoundSolver().solve(m)
-        assert result.objective == pytest.approx(1.0)
 
     def test_no_variables_rejected(self):
         with pytest.raises(SolverError):

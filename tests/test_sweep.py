@@ -1,11 +1,12 @@
 """Sweep-runtime tests: fingerprints, caches, parallel determinism."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.compiler import CompilerOptions, compile_circuit
 from repro.exceptions import ReproError
 from repro.experiments import run_fig6
-from repro.experiments.common import compile_and_run
 from repro.hardware import (
     CalibrationGenerator,
     default_ibmq16_calibration,
@@ -219,29 +220,20 @@ class TestRunSweep:
         sweep = run_sweep(make_cells(cal, benchmarks=("BV4",), seeds=(0,)))
         assert "compile cache" in sweep.summary()
 
-
-class TestCompileAndRunWrapper:
-    def test_matches_direct_pipeline(self, cal):
-        spec = get_benchmark("BV4")
-        options = CompilerOptions.r_smt_star()
-        run = compile_and_run(spec.build(), spec.expected_output, cal,
-                              options, trials=TRIALS, seed=5)
-        compiled = compile_circuit(spec.build(), cal, options)
-        direct = execute(compiled, cal, trials=TRIALS, seed=5,
-                         expected=spec.expected_output)
-        assert run.execution.counts == direct.counts
-        assert run.benchmark == "BV4" and run.variant == "r-smt*"
-
-    def test_shared_caches_across_calls(self, cal):
-        spec = get_benchmark("BV4")
-        compile_cache, trace_cache = CompileCache(), TraceCache()
-        for seed in (0, 1):
-            compile_and_run(spec.build(), spec.expected_output, cal,
-                            CompilerOptions.qiskit(), trials=TRIALS,
-                            seed=seed, compile_cache=compile_cache,
-                            trace_cache=trace_cache)
-        assert compile_cache.stats.hits == 1
-        assert trace_cache.stats.hits == 1
+    def test_resumed_results_keep_their_own_keys(self, cal, tmp_path):
+        """Cells equal but for ``key`` share one journal entry; each
+        resumed result still names the cell that asked for it."""
+        cell = make_cells(cal, benchmarks=("BV4",), seeds=(0,),
+                          variants=[CompilerOptions.qiskit()])[0]
+        cells = [replace(cell, key=key) for key in ("first", "second")]
+        fresh = run_sweep(cells, cache_dir=tmp_path)
+        resumed = run_sweep(cells, cache_dir=tmp_path, resume=True)
+        assert [r.key for r in fresh] == ["first", "second"]
+        assert [r.key for r in resumed] == ["first", "second"]
+        assert resumed.resumed == 2
+        assert sorted(resumed.by_key()) == ["first", "second"]
+        assert resumed.results[0].execution.counts == \
+            fresh.results[1].execution.counts
 
 
 class TestHarnessParallelism:
