@@ -6,6 +6,12 @@ on BV4 (the headline acceptance bar for the vectorized engine). The
 per-trial loop is ``reference_execute`` from ``tests/trial_reference.py``,
 the batched engine's test oracle. A 12-qubit random circuit checks that
 squeezing the chunk budget leaves the counts unchanged.
+
+The exact-law rung keeps the evidence for ``EXACT_MAX_QUBITS``: for
+each trace size from 2 qubits to one past the cap, on Table-2 traces
+and random circuits, it times one exact-law pass against one
+trajectory pass at 1024 shots. Outside smoke mode it asserts the exact
+law is no slower at every size up to the cap.
 """
 
 import statistics
@@ -16,10 +22,15 @@ from pathlib import Path
 
 import pytest
 
+import numpy as np
+
+import repro.simulator.batch as batch
 from repro.compiler import CompilerOptions, compile_circuit
-from repro.programs import build_benchmark, expected_output, random_circuit
-from repro.simulator import execute
-from repro.simulator.batch import CHUNK_ENV
+from repro.programs import (benchmark_names, build_benchmark,
+                            expected_output, random_circuit)
+from repro.simulator import CompactProgram, NoiseModel, ProgramTrace, execute
+from repro.simulator.batch import CHUNK_ENV, EXACT_MAX_QUBITS, run_batched
+from repro.simulator.exact import outcome_law
 
 from conftest import SMOKE, record
 
@@ -106,3 +117,75 @@ def test_chunk_budget_invariance(benchmark, program_12q, calibration,
     record(benchmark,
            f"chunk-budget invariance: {sum(reference.counts.values())} "
            f"trials identical at default vs 1 MiB budget")
+
+
+#: Exact-law rung: trace sizes (one past the cap), shots per trajectory
+#: pass, gates per random circuit, and timing rounds per trace.
+LAW_QUBITS = range(2, EXACT_MAX_QUBITS + 2)
+LAW_SHOTS = 1024
+LAW_GATES = 24 if SMOKE else 48
+LAW_ROUNDS = 1 if SMOKE else 5
+
+
+def _median_seconds(run, rounds):
+    run()  # warm the gate-matrix caches
+    samples = []
+    for _ in range(rounds):
+        start = time.perf_counter()
+        run()
+        samples.append(time.perf_counter() - start)
+    return statistics.median(samples)
+
+
+def _law_subjects(calibration, tables):
+    """Lowered Table-2 traces (R-SMT*) and one random circuit per size
+    (GreedyE*), grouped by trace qubit count."""
+    programs = [compile_circuit(build_benchmark(name), calibration,
+                                CompilerOptions.r_smt_star(), tables=tables)
+                for name in benchmark_names()]
+    programs += [compile_circuit(random_circuit(n, LAW_GATES, seed=n),
+                                 calibration, CompilerOptions.greedy_e(),
+                                 tables=tables)
+                 for n in LAW_QUBITS]
+    by_size = {}
+    for program in programs:
+        compact = CompactProgram(program.physical.circuit,
+                                 program.physical.times,
+                                 topology=calibration.topology)
+        trace = ProgramTrace(compact, NoiseModel(calibration))
+        _ = trace.ideal_distribution  # both paths' shared setup
+        if trace.n_qubits in LAW_QUBITS:
+            by_size.setdefault(trace.n_qubits, []).append(trace)
+    return by_size
+
+
+def test_exact_law_vs_trajectories(benchmark, calibration, tables,
+                                   monkeypatch):
+    """Per trace size: summed median seconds of one exact-law pass and
+    of one trajectory pass at 1024 shots."""
+    by_size = _law_subjects(calibration, tables)
+    # run_batched samples trajectories; outcome_law is timed directly.
+    monkeypatch.setattr(batch, "EXACT_MAX_QUBITS", 0)
+
+    def sweep():
+        return {n: (sum(_median_seconds(lambda: outcome_law(t), LAW_ROUNDS)
+                        for t in traces),
+                    sum(_median_seconds(
+                        lambda: run_batched(t, LAW_SHOTS,
+                                            np.random.default_rng(0)),
+                        LAW_ROUNDS) for t in traces),
+                    len(traces))
+                for n, traces in sorted(by_size.items())}
+
+    rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    benchmark.extra_info["exact_vs_trajectory_s"] = {
+        n: [exact, traj] for n, (exact, traj, _) in rows.items()}
+    record(benchmark, "\n".join(
+        f"{n} qubits ({count} traces): exact {exact * 1e3:.2f} ms  "
+        f"trajectories@{LAW_SHOTS} {traj * 1e3:.2f} ms"
+        for n, (exact, traj, count) in rows.items()))
+    assert set(rows) == set(LAW_QUBITS)
+    if not SMOKE:
+        for n, (exact, traj, _) in rows.items():
+            if n <= EXACT_MAX_QUBITS:
+                assert exact <= traj, (n, exact, traj)

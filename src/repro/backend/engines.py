@@ -10,7 +10,8 @@ editing ``executor.py``.
 Built-ins, all sampling one law from the same lowered
 :class:`~repro.simulator.trace.ProgramTrace`:
 
-* ``"batched"`` — vectorized dense Monte-Carlo (the default);
+* ``"batched"`` — vectorized dense sampling (the default): one draw
+  from the exact outcome law on small traces, trajectories above;
 * ``"stabilizer"`` — polynomial-time CHP tableau sampler for
   Clifford-only programs (hundreds of qubits; see
   :mod:`repro.simulator.stabilizer`);

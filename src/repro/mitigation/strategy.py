@@ -49,6 +49,7 @@ from repro.simulator import (
     ProgramTrace,
     execute,
 )
+from repro.simulator.batch import prepare_for_cache
 
 #: A distribution transform: (ctx, {outcome: probability}) -> same shape.
 DistributionTransform = Callable[["MitigationContext", Dict[str, float]],
@@ -179,7 +180,7 @@ class MitigationContext:
             compact = CompactProgram(self.compiled.physical.circuit,
                                      self.compiled.physical.times,
                                      topology=self.calibration.topology)
-            trace = ProgramTrace(compact, self.noise)
+            trace = prepare_for_cache(ProgramTrace(compact, self.noise))
             self.trace_cache.put(self.compiled, self.noise,
                                  self.calibration, trace)
         return trace

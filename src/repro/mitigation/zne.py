@@ -60,6 +60,7 @@ from repro.mitigation.strategy import (
     MitigationContext,
     MitigationStrategy,
 )
+from repro.simulator.batch import prepare_for_cache
 from repro.simulator.noise import IdleRates, NoiseModel, noise_content_key
 
 #: Supported extrapolation fits.
@@ -419,8 +420,9 @@ class ZneStrategy(MitigationStrategy):
         Without this, the first execution per scale would re-lower the
         program from scratch (statevector ideal-distribution pass
         included); with it, the scaled trace is a numpy-array copy of
-        the base trace. Later executions at the same scale hit the
-        cache directly.
+        the base trace, with its own exact outcome law computed before
+        the ``put`` so a persistent tier stores it. Later executions at
+        the same scale hit the cache directly.
         """
         cache = ctx.trace_cache
         if cache is None or ctx.engine != "batched":
@@ -433,5 +435,5 @@ class ZneStrategy(MitigationStrategy):
         if base is None:
             return
         cache.put(ctx.compiled, scaled, ctx.calibration,
-                  base.rescaled(scaled.scale,
-                                scale_readout=scaled.scale_readout))
+                  prepare_for_cache(base.rescaled(
+                      scaled.scale, scale_readout=scaled.scale_readout)))

@@ -423,12 +423,17 @@ class PersistentTraceCache(TraceCache):
 
     Lowering a :class:`~repro.simulator.trace.ProgramTrace` includes a
     dense statevector simulation of the whole program (the ideal
-    distribution), so for the repeated-trials sweeps it is the dominant
-    per-cell cost after compilation. This tier serializes traces to
-    compressed ``.npz`` (flat arrays only — see
-    ``ProgramTrace.to_arrays``; no pickle on the load path) keyed by
-    the same content key the in-memory tier uses, so repeated
-    invocations with ``--cache-dir`` skip straight to sampling.
+    distribution), and on traces of at most
+    :data:`~repro.simulator.batch.EXACT_MAX_QUBITS` qubits a dense pass
+    for the exact outcome law the sampler draws counts from; for the
+    repeated-trials sweeps they are the dominant per-cell cost after
+    compilation. This tier serializes traces to compressed ``.npz``
+    (flat arrays only — see ``ProgramTrace.to_arrays``; no pickle on
+    the load path) with both dense members beside the site tables,
+    keyed by the same content key the in-memory tier uses, so repeated
+    invocations with ``--cache-dir`` skip straight to one multinomial
+    draw per execution. A stored law that is not a probability vector
+    over the trace's rendered codes loads as a miss.
 
     Only exact ``ProgramTrace`` instances go to disk: the stabilizer
     engine parks its own lowered objects in the same cache under the

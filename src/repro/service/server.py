@@ -49,7 +49,7 @@ import socket
 import threading
 import time
 from dataclasses import dataclass, replace
-from typing import Hashable, List, Optional, Tuple
+from typing import Hashable, List, Optional, Set, Tuple
 
 from repro.exceptions import ProtocolError, ServiceError
 from repro.runtime.diskcache import make_compile_cache
@@ -140,6 +140,8 @@ class ReproServer:
         self._accept_thread: Optional[threading.Thread] = None
         self._executor_thread: Optional[threading.Thread] = None
         self._handlers: List[threading.Thread] = []
+        # Open client connections; each handler removes its own.
+        self._connections: Set[socket.socket] = set()
         self._handlers_lock = threading.Lock()
         self._stopping = threading.Event()
         self._drained = threading.Event()
@@ -222,6 +224,12 @@ class ReproServer:
     def _shutdown(self) -> None:
         self._stopping.set()
         if self._listener is not None:
+            # On Linux, close() does not wake a thread blocked in
+            # accept(); shutdown() does.
+            try:
+                self._listener.shutdown(socket.SHUT_RDWR)
+            except OSError:  # some platforms refuse it on a listener
+                pass
             try:
                 self._listener.close()
             except OSError:  # pragma: no cover — already closed
@@ -233,6 +241,15 @@ class ReproServer:
         deadline = time.monotonic() + self.config.drain_grace
         with self._handlers_lock:
             handlers = list(self._handlers)
+            connections = list(self._connections)
+        # Every admitted cell is answered by now. Closing the read half
+        # lets a handler idling on its client's next request read EOF
+        # and exit, while responses still in flight go out.
+        for conn in connections:
+            try:
+                conn.shutdown(socket.SHUT_RD)
+            except OSError:  # the peer already hung up
+                pass
         for handler in handlers:
             handler.join(timeout=max(0.0, deadline - time.monotonic()))
 
@@ -274,6 +291,7 @@ class ReproServer:
                 self._handlers = [t for t in self._handlers
                                   if t.is_alive()]
                 self._handlers.append(handler)
+                self._connections.add(conn)
             handler.start()
 
     def _handle_connection(self, conn: socket.socket) -> None:
@@ -293,6 +311,9 @@ class ReproServer:
                         return
         except OSError:
             return  # peer vanished mid-response; nothing left to say
+        finally:
+            with self._handlers_lock:
+                self._connections.discard(conn)
 
     def _dispatch(self, conn: socket.socket, envelope: dict) -> bool:
         """Handle one envelope; False ends the connection."""

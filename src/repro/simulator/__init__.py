@@ -1,11 +1,13 @@
 """Noisy hardware executor (the IBMQ16 substitute).
 
-Execution is Monte-Carlo over stochastic Pauli errors, under one
-sampling law lowered once per (program, noise model) pair into a
+Execution samples stochastic Pauli errors under one law, lowered once
+per (program, noise model) pair into a
 :class:`~repro.simulator.trace.ProgramTrace`. ``execute(engine=
-"batched")`` (the default, :mod:`repro.simulator.batch`) samples it on
-a dense numpy statevector, one batched pass over the distinct noisy
-error plans. Clifford programs additionally have a polynomial-time path:
+"batched")`` (the default, :mod:`repro.simulator.batch`) draws the
+counts of traces of at most ``EXACT_MAX_QUBITS`` qubits from their
+exact outcome law (:mod:`repro.simulator.exact`), and samples larger
+ones on a dense numpy statevector, one batched pass over the distinct
+noisy error plans. Clifford programs additionally have a polynomial-time path:
 ``execute(engine="stabilizer")`` runs the symbolic CHP tableau
 subsystem (:mod:`repro.simulator.stabilizer`) over the same lowered
 trace, and ``engine="auto"`` routes each circuit to stabilizer or

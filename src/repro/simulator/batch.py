@@ -1,40 +1,55 @@
-"""Vectorized batched Monte-Carlo sampling over a precompiled trace.
+"""Sampling counts from a precompiled trace, without a per-trial loop.
 
-Executes all trials of a noisy run as array-level operations instead
-of a per-trial Python loop:
+Two paths, chosen by the trace's qubit count:
 
-1. the full ``(trials, sites)`` Bernoulli occurrence matrix is drawn in
-   one RNG call against the trace's per-site firing probabilities;
-2. every error-free trial is routed through a **single** vectorized
-   draw from the ideal output distribution;
-3. the noisy trials' Pauli choices are drawn in one batch, and the
-   trials are deduplicated into distinct error plans by one
-   ``np.unique`` over their padded (site, choice) codes, in order of
-   first occurrence. Each distinct trajectory is simulated once, all of
-   them **batched**: every plan shares the program's gate sequence, so
-   each gate is one contraction over a ``(plans, 2, ..., 2)`` state
-   tensor. A Pauli injection is an exact signed basis permutation (a
-   bit flip for X and Y, a ±1/±i phase for Z and Y), applied with one
-   numpy call per (gate, event position within that gate) to every
-   plan injecting there, each plan keeping its own event order. All
-   noisy trials' outcomes then come from one ``rng.random`` draw taken
-   in plan order and counted against each plan's CDF — the stream and
-   the results of one ``rng.choice`` per plan. The numpy call count
-   grows with the program's gates, not with the plans or their
-   distinct event tuples;
-4. readout bit flips are applied as one vectorized operation over the
-   whole ``(trials, measures)`` outcome array.
+* **Exact law** (traces of at most :data:`EXACT_MAX_QUBITS` qubits):
+  the trace's outcome law over rendered-cbit codes, noise and readout
+  included, is computed once (:mod:`repro.simulator.exact`) and cached
+  on the trace, and every execution draws its counts from it with one
+  ``rng.multinomial``. A trace-cache hit (a rerun, another seed or shot
+  count) then costs that one draw. The pass holds ``4**n`` float64
+  coefficients, 128 KiB at the cap, so it never chunks.
+* **Trajectories** (larger traces):
 
-Plans are simulated in chunks of at most :func:`amplitude_budget`
-amplitudes (64 MiB of complex128 unless ``REPRO_CHUNK_MIB`` says
-otherwise); chunks only bound peak memory.
+  1. the full ``(trials, sites)`` Bernoulli occurrence matrix is drawn
+     in one RNG call against the trace's per-site firing
+     probabilities;
+  2. every error-free trial is routed through a **single** vectorized
+     draw from the ideal output distribution;
+  3. the noisy trials' Pauli choices are drawn in one batch, and the
+     trials are deduplicated into distinct error plans by one
+     ``np.unique`` over their padded (site, choice) codes, in order of
+     first occurrence. Each distinct trajectory is simulated once, all
+     of them **batched**: every plan shares the program's gate
+     sequence, so each gate is one contraction over a
+     ``(plans, 2, ..., 2)`` state tensor. A Pauli injection is an exact
+     signed basis permutation (a bit flip for X and Y, a ±1/±i phase
+     for Z and Y), applied with one numpy call per (gate, event
+     position within that gate) to every plan injecting there, each
+     plan keeping its own event order. All noisy trials' outcomes then
+     come from one ``rng.random`` draw taken in plan order and counted
+     against each plan's CDF — the stream and the results of one
+     ``rng.choice`` per plan. The numpy call count grows with the
+     program's gates, not with the plans or their distinct event
+     tuples;
+  4. readout bit flips are applied as one vectorized operation over
+     the whole ``(trials, measures)`` outcome array.
 
-Each step matches a per-trial loop's sampling law exactly (two
-conditionally independent trials with the same error plan are i.i.d.
-draws from the same trajectory distribution), so the batched engine is
-distribution-identical to one statevector run per trial while replacing
-O(trials) statevector runs with one batched run over the distinct noisy
-plans.
+  Plans are simulated in chunks of at most :func:`amplitude_budget`
+  amplitudes (64 MiB of complex128 unless ``REPRO_CHUNK_MIB`` says
+  otherwise); chunks only bound peak memory.
+
+  Each step matches a per-trial loop's sampling law exactly (two
+  conditionally independent trials with the same error plan are
+  i.i.d. draws from the same trajectory distribution), so the path is
+  distribution-identical to one statevector run per trial while
+  replacing O(trials) statevector runs with one batched run over the
+  distinct noisy plans.
+
+Both paths sample the same law; the exact one is cheaper on every
+trace up to the cap (``benchmarks/bench_executor.py`` times the two at
+each size). Counts are a deterministic function of (trace, trials,
+seed) on either path.
 """
 
 from __future__ import annotations
@@ -46,6 +61,7 @@ from typing import Dict, Iterator, Optional, Tuple
 import numpy as np
 
 from repro.exceptions import SimulationError
+from repro.simulator.exact import SUM_TOLERANCE
 from repro.simulator.trace import CHOICE_STRIDE, PAULI_CODES, ProgramTrace
 
 #: Environment override for the chunk budget, in MiB of complex128
@@ -56,8 +72,15 @@ CHUNK_ENV = "REPRO_CHUNK_MIB"
 #: each).
 _DEFAULT_BUDGET_AMPLITUDES = 1 << 22
 
-#: ``Generator.choice``'s tolerance on the sum of a probability vector.
-_SUM_TOLERANCE = float(np.sqrt(np.finfo(np.float64).eps))
+#: Traces of at most this many qubits draw their counts from the
+#: exact outcome law; larger ones sample trajectories. At 1024 shots the
+#: exact pass is the cheaper of the two at every trace size from 2 to 8
+#: qubits (``benchmarks/bench_executor.py`` times both). The cap stops
+#: at 7 because BV8 is the only trace above it in perfbench's dense
+#: workloads, and its trajectories fire the ``simulator.plan_sim`` span
+#: the traced run requires; raising the cap waits for the exact pass to
+#: get its own span there.
+EXACT_MAX_QUBITS = 7
 
 #: CDF entries compared at once while drawing noisy outcomes (bounds
 #: the gathered ``(trials, 2**n_measures)`` temporaries).
@@ -100,6 +123,10 @@ def run_batched(trace: ProgramTrace, trials: int,
         trials: Shot count.
         rng: Every random draw comes from it.
     """
+    if trace.n_qubits <= EXACT_MAX_QUBITS:
+        drawn = rng.multinomial(trials, trace.outcome_law)
+        return {trace.outcome_string(int(c)): int(drawn[c])
+                for c in np.flatnonzero(drawn)}
     codes = np.zeros(trials, dtype=np.int64)
     if trace.n_sites:
         occurred = rng.random((trials, trace.n_sites)) < \
@@ -123,6 +150,20 @@ def run_batched(trace: ProgramTrace, trials: int,
     outcomes, counts = np.unique(rendered, return_counts=True)
     return {trace.outcome_string(int(c)): int(n)
             for c, n in zip(outcomes, counts)}
+
+
+def prepare_for_cache(trace: ProgramTrace) -> ProgramTrace:
+    """*trace*, with the dense members a cached trace carries computed.
+
+    The ideal distribution always, and the exact outcome law at or
+    under :data:`EXACT_MAX_QUBITS`. Every ``put`` of a dense trace goes
+    through here, so a persistent trace tier stores both and a later
+    hit, in this process or a fresh one, recomputes neither.
+    """
+    _ = trace.ideal_distribution
+    if trace.n_qubits <= EXACT_MAX_QUBITS:
+        _ = trace.outcome_law
+    return trace
 
 
 def _sample_noisy(trace: ProgramTrace, occurred: np.ndarray,
@@ -190,7 +231,7 @@ def _draw_outcomes(patterns: np.ndarray, plan_of_row: np.ndarray,
     """
     if not (np.isfinite(patterns).all() and (patterns >= 0.0).all()
             and (np.abs(patterns.sum(axis=1) - 1.0)
-                 <= _SUM_TOLERANCE).all()):
+                 <= SUM_TOLERANCE).all()):
         raise SimulationError(
             "a noisy trajectory's outcome distribution is not a "
             "probability vector (non-finite, negative, or not summing "

@@ -1,11 +1,13 @@
-"""Monte-Carlo noisy execution of compiled programs.
+"""Noisy execution of compiled programs.
 
 Stands in for the paper's 8192-trial runs on IBMQ16: each trial executes
-the physical circuit on a statevector, with stochastic Pauli errors
-sampled per gate, idle decoherence sampled per waiting window (computed
-from the compiled schedule's start times), and readout bit flips on
-measurement. The fraction of trials returning the benchmark's known
-answer is the measured success rate.
+the physical circuit under stochastic Pauli errors per gate, idle
+decoherence per waiting window (computed from the compiled schedule's
+start times), and readout bit flips on measurement. The fraction of
+trials returning the benchmark's known answer is the measured success
+rate. The trials' counts are drawn either from the program's exact
+outcome law or by simulating trajectories, whichever the trace's size
+calls for; both sample the same law.
 
 Engines are strategies registered with
 :func:`repro.backend.engines.register_engine`; :func:`execute` resolves
@@ -16,9 +18,11 @@ probability accessors:
 
 * ``engine="batched"`` (default, :class:`BatchedEngine`) samples all
   trials with array-level operations (:mod:`repro.simulator.batch`):
-  one Bernoulli matrix for every error site, a single vectorized draw
-  for all error-free trials, and one statevector simulation per
-  *distinct* noisy error plan;
+  on traces of at most ``EXACT_MAX_QUBITS`` qubits, one multinomial
+  draw from the trace's exact outcome law, computed once and cached on
+  the trace; on larger ones, one Bernoulli matrix for every error
+  site, a single vectorized draw for all error-free trials, and one
+  statevector simulation per *distinct* noisy error plan;
 * ``engine="stabilizer"`` samples Clifford programs from the same trace
   in polynomial time, and ``engine="auto"`` routes each circuit to it or
   to ``batched`` (:mod:`repro.simulator.stabilizer.engine`).
@@ -40,7 +44,8 @@ from repro.backend.engines import (
 from repro.compiler.compile import CompiledProgram
 from repro.exceptions import SimulationCapacityError, SimulationError
 from repro.hardware.calibration import Calibration
-from repro.simulator.batch import amplitude_budget, run_batched
+from repro.simulator.batch import (amplitude_budget, prepare_for_cache,
+                                   run_batched)
 from repro.simulator.noise import NoiseModel
 from repro.simulator.success import distribution_overlap
 from repro.simulator.trace import CompactProgram, ProgramTrace
@@ -98,11 +103,13 @@ def check_dense_capacity(n_qubits: int, budget: int,
 
 @register_engine
 class BatchedEngine(ExecutionEngine):
-    """Vectorized Monte-Carlo over a lowered :class:`ProgramTrace`.
+    """Vectorized sampling of a lowered :class:`ProgramTrace`.
 
     Lowers error sites from the noise model's probability accessors and
     samples every trial with array-level operations; see
-    :mod:`repro.simulator.batch`.
+    :mod:`repro.simulator.batch`. A trace it caches carries its ideal
+    distribution and, at or under ``EXACT_MAX_QUBITS``, its exact
+    outcome law, so a cache hit draws counts with no dense pass.
     """
 
     name = "batched"
@@ -122,12 +129,12 @@ class BatchedEngine(ExecutionEngine):
                                      topology=calibration.topology)
             trace = ProgramTrace(compact, noise)
             if trace_cache is not None:
-                # Materialize the ideal distribution (needed below
-                # anyway) before caching, so a persistent trace tier
-                # captures the dense simulation — the dominant lowering
-                # cost — not just the site tables.
-                _ = trace.ideal_distribution
-                trace_cache.put(compiled, noise, calibration, trace)
+                # Materialize the ideal distribution and the exact law
+                # (both needed below anyway) before caching, so a
+                # persistent trace tier captures the dense passes, not
+                # just the site tables.
+                trace_cache.put(compiled, noise, calibration,
+                                prepare_for_cache(trace))
         counts = run_batched(trace, trials, rng)
         return ExecutionResult(counts=counts, trials=trials,
                                expected=expected,

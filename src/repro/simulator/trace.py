@@ -17,9 +17,13 @@ Bernoulli matrix in a handful of vectorized RNG calls:
   qubit before a gate, or the gate's own depolarizing channel) with a
   precomputed firing probability, the cumulative boundaries of its
   conditional Pauli-choice distribution, and the concrete Pauli events
-  each choice applies. The trace also caches the per-gate unitaries,
-  the dense-qubit measure map, the ideal output distribution, and the
-  per-measure readout flip probabilities.
+  each choice applies. The trace also holds the per-gate unitaries,
+  the dense-qubit measure map and the per-measure readout flip
+  probabilities, and computes two dense members lazily, once, on
+  first use: the ideal output distribution and the exact outcome law
+  (:mod:`repro.simulator.exact`) that the sampler draws small traces'
+  counts from. Both are exponential in the qubit count, so neither is
+  built for the large Clifford traces the stabilizer engine shares.
 
 Sampling a trial from the trace is identical in law to the per-trial
 loop: an idle window that fires with probability ``p_x + p_y + p_z``
@@ -261,10 +265,10 @@ class ProgramTrace:
         reconstructed — unitaries themselves live in the process-wide
         :func:`cached_unitary` cache, not the file), the error-site
         table, readout flip probabilities, and — only if already
-        computed — the ideal output distribution, whose dense
-        statevector simulation is the expensive part of lowering. No
-        object arrays: the format round-trips with
-        ``np.load(allow_pickle=False)``.
+        computed — the two dense members: the ideal output
+        distribution, whose statevector simulation is the expensive
+        part of lowering, and the exact outcome law. No object arrays:
+        the format round-trips with ``np.load(allow_pickle=False)``.
         """
         compact = self.compact
         gates = compact.gates
@@ -298,6 +302,8 @@ class ProgramTrace:
             "readout_p0": self.readout_p0,
             "readout_p1": self.readout_p1,
         }
+        if "outcome_law" in self.__dict__:
+            data["outcome_law"] = self.outcome_law
         if "_ideal" in self.__dict__:
             codes, probs, distribution = self._ideal
             data["ideal_codes"] = np.asarray(codes, dtype=np.int64)
@@ -314,11 +320,13 @@ class ProgramTrace:
         The result is functionally identical to the originally lowered
         trace: same arrays, same unitary schedule (re-fetched from the
         unitary cache), same lazily-computable dense members. Raises on
-        malformed input (missing keys, shape mismatches) — the disk
-        tier treats any exception as a cache miss and re-lowers.
+        malformed input (missing keys, shape mismatches, an outcome law
+        that is not a probability vector over the rendered codes) — the
+        disk tier treats any exception as a cache miss and re-lowers.
         """
         from repro.ir.circuit import Circuit
         from repro.ir.gates import Gate
+        from repro.simulator.exact import stored_law
 
         n_hw, n_cbits = (int(x) for x in data["circuit_shape"])
         circuit = Circuit(n_hw, n_cbits=n_cbits, name="trace")
@@ -376,6 +384,9 @@ class ProgramTrace:
                                       dtype=np.float64)
         trace._strings = {}
         trace._outcome_strings = {}
+        if "outcome_law" in data:
+            trace.__dict__["outcome_law"] = stored_law(
+                data["outcome_law"], 1 << len(trace.measured_cbits))
         if "ideal_codes" in data:
             distribution = {
                 str(s): float(v)
@@ -393,7 +404,8 @@ class ProgramTrace:
     # stabilizer engine shares cached traces with programs far beyond
     # any dense budget. The values are byte-identical to the eager
     # computation they replaced (same construction, same ordering), and
-    # ``rescaled`` clones share them via ``__dict__.update``.
+    # ``rescaled`` clones share them via ``__dict__.update`` — all but
+    # the outcome law, which depends on the rescaled probabilities.
 
     @cached_property
     def basis_codes(self) -> np.ndarray:
@@ -457,6 +469,16 @@ class ProgramTrace:
             distribution[string] = distribution.get(string, 0.0) + float(p)
         return keep, probs / probs.sum(), distribution
 
+    @cached_property
+    def outcome_law(self) -> np.ndarray:
+        """Exact law over rendered-cbit codes, noise and readout
+        included (:func:`repro.simulator.exact.outcome_law`). Holds
+        ``4**n_qubits`` floats while it is computed, so only traces at
+        or under :data:`repro.simulator.batch.EXACT_MAX_QUBITS` build
+        it."""
+        from repro.simulator.exact import outcome_law
+        return outcome_law(self)
+
     @property
     def ideal_codes(self) -> np.ndarray:
         return self._ideal[0]
@@ -480,7 +502,9 @@ class ProgramTrace:
         everything structural (unitary schedule, Pauli-choice
         cumulatives, ideal distribution, measure maps) is shared with
         the original, so rescaling costs one clipped numpy multiply
-        instead of a full lowering. Because lowering multiplies each
+        instead of a full lowering. The exact outcome law depends on
+        the rescaled arrays, so the copy drops it and computes its own
+        on first use. Because lowering multiplies each
         site's firing probability uniformly (conditional Pauli choices
         are scale-invariant), the result is array-identical to freshly
         lowering the same program under a
@@ -501,6 +525,7 @@ class ProgramTrace:
                 f"noise scale must be finite and non-negative, got {scale}")
         clone = object.__new__(ProgramTrace)
         clone.__dict__.update(self.__dict__)
+        clone.__dict__.pop("outcome_law", None)
         clone.site_prob = np.minimum(self.site_prob * scale, 1.0)
         if scale_readout:
             clone.readout_p0 = np.minimum(self.readout_p0 * scale, 1.0)

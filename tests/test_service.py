@@ -794,6 +794,43 @@ class TestGracefulDrain:
         assert journal.load(cell_fingerprint(cells[0])) is not None
 
 
+    def test_stop_with_an_idle_client_returns_promptly(self):
+        """An idle connected client does not hold stop() for the
+        default drain_grace (10 s), nor the listener for 2 s."""
+        server = ReproServer(ServerConfig())
+        host, port = server.start()
+        with ServiceClient(host, port) as idle:
+            idle.health()  # connected, then idle
+            start = time.monotonic()
+            server.stop()
+            assert time.monotonic() - start < 1.5
+
+    def test_response_in_flight_at_stop_still_arrives(self, cal,
+                                                      baseline):
+        cell = make_cells(cal, benchmarks=("BV4",), seeds=(0,))[0]
+        server = ReproServer(ServerConfig())
+        host, port = server.start()
+        outcome = {}
+        with ServiceClient(host, port) as idle, \
+                ServiceClient(host, port) as busy:
+            idle.health()
+
+            def submit_in_flight():
+                outcome["result"] = busy.submit(cell, deadline=60.0)
+
+            thread = threading.Thread(target=submit_in_flight)
+            thread.start()
+            deadline = time.monotonic() + 30.0
+            while server.health()["admitted"] < 1 \
+                    and time.monotonic() < deadline:
+                time.sleep(0.005)
+            server.stop()
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+        ref = {r.key: r for r in baseline}[cell.key]
+        assert outcome["result"].execution.counts == ref.execution.counts
+
+
 def _src_path() -> str:
     import repro
 
