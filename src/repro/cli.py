@@ -32,8 +32,9 @@ Every executing subcommand takes ``--device`` (a registered backend
 name; ``repro sweep`` accepts several and runs the grid per device),
 and ``repro run`` takes ``--engine`` (any registered execution
 engine). ``repro run``, ``repro sweep`` and ``repro mitigate`` accept
-``--cache-dir DIR`` to persist the compile/stage cache on disk, so
-repeated invocations reuse compilations across processes.
+``--cache-dir DIR`` to persist the compile, stage and trace caches on
+disk, so repeated invocations reuse compilations and lowered traces
+across processes.
 
 ``repro sweep`` runs on the fault-tolerant runtime: failed cells are
 reported, not fatal (``--strict`` restores abort-on-first-error with a
@@ -114,6 +115,47 @@ def _port_type(lowest: int):
     return port
 
 
+def add_grid_args(parser: argparse.ArgumentParser) -> None:
+    """The (device x benchmark x variant x day x seed) grid flags that
+    ``repro sweep`` and ``repro submit`` share; :func:`_grid_cells`
+    builds the grid from them."""
+    parser.add_argument("--device", nargs="+", default=["ibmq16"],
+                        metavar="NAME",
+                        help="registered backends — the same grid runs "
+                             "per device (default: ibmq16)")
+    parser.add_argument("--calibration-seed", type=int, default=None,
+                        help="calibration generator seed (default: "
+                             "each backend's own)")
+    parser.add_argument("--benchmarks", nargs="+", metavar="NAME",
+                        default=["BV4", "HS6", "Toffoli"],
+                        choices=benchmark_names(include_large_n=True),
+                        help="benchmarks to sweep (default: BV4 HS6 "
+                             "Toffoli)")
+    parser.add_argument("--variants", nargs="+", metavar="VARIANT",
+                        default=["t-smt*", "r-smt*"],
+                        choices=_VARIANT_CHOICES,
+                        help="compiler variants (default: t-smt* r-smt*)")
+    parser.add_argument("--routing", default=None,
+                        choices=("rr", "1bp", "best", "shortest"),
+                        help="routing policy override (default: each "
+                             "variant's own)")
+    parser.add_argument("--days", type=_positive_int, default=1,
+                        help="calibration days 0..N-1 (default: 1)")
+    parser.add_argument("--seeds", type=_positive_int, default=1,
+                        help="executor seeds per configuration "
+                             "(default: 1)")
+    parser.add_argument("--seed", type=int, default=7,
+                        help="base executor seed (default: 7)")
+    parser.add_argument("--trials", type=_positive_int, default=1024)
+    parser.add_argument("--engine", default=None,
+                        help="execution engine for every cell "
+                             "(default: each backend's own; "
+                             "stabilizer/auto unlock the large-n "
+                             "Clifford tier)")
+    parser.add_argument("--omega", type=float, default=0.5,
+                        help="readout weight for r-smt* (default: 0.5)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -178,8 +220,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_cache_dir(p: argparse.ArgumentParser) -> None:
         p.add_argument("--cache-dir", type=Path, default=None,
-                       help="persist the compile/stage cache in this "
-                            "directory (reused across invocations)")
+                       help="persist the caches (and a sweep's cell "
+                            "journal) in this directory, reused across "
+                            "invocations")
 
     def add_chunk_arg(p: argparse.ArgumentParser) -> None:
         p.add_argument("--chunk-mib", type=_positive_int, default=None,
@@ -237,41 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "entry); --workers >= 2 fans the grid out "
                     "over a process pool with results bit-identical to "
                     "the serial run.")
-    sweep_p.add_argument("--device", nargs="+", default=["ibmq16"],
-                         metavar="NAME",
-                         help="registered backends to sweep — the same "
-                              "grid runs per device (default: ibmq16)")
-    sweep_p.add_argument("--calibration-seed", type=int, default=None,
-                         help="calibration generator seed (default: "
-                              "each backend's own)")
-    sweep_p.add_argument("--benchmarks", nargs="+", metavar="NAME",
-                         default=["BV4", "HS6", "Toffoli"],
-                         choices=benchmark_names(include_large_n=True),
-                         help="benchmarks to sweep (default: BV4 HS6 "
-                              "Toffoli)")
-    sweep_p.add_argument("--variants", nargs="+", metavar="VARIANT",
-                         default=["t-smt*", "r-smt*"],
-                         choices=_VARIANT_CHOICES,
-                         help="compiler variants (default: t-smt* r-smt*)")
-    sweep_p.add_argument("--routing", default=None,
-                         choices=("rr", "1bp", "best", "shortest"),
-                         help="routing policy override (default: each "
-                              "variant's own)")
-    sweep_p.add_argument("--days", type=_positive_int, default=1,
-                         help="calibration days 0..N-1 (default: 1)")
-    sweep_p.add_argument("--seeds", type=_positive_int, default=1,
-                         help="executor seeds per configuration "
-                              "(default: 1)")
-    sweep_p.add_argument("--seed", type=int, default=7,
-                         help="base executor seed (default: 7)")
-    sweep_p.add_argument("--trials", type=_positive_int, default=1024)
-    sweep_p.add_argument("--engine", default=None,
-                         help="execution engine for every cell "
-                              "(default: each backend's own; "
-                              "stabilizer/auto unlock the large-n "
-                              "Clifford tier)")
-    sweep_p.add_argument("--omega", type=float, default=0.5,
-                         help="readout weight for r-smt* (default: 0.5)")
+    add_grid_args(sweep_p)
     sweep_p.add_argument("--workers", type=_nonnegative_int,
                          default=0,
                          help="worker processes (0 = in-process serial)")
@@ -420,27 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
                           default=8,
                           help="tries per request, first included "
                                "(default: 8)")
-    submit_p.add_argument("--device", nargs="+", default=["ibmq16"],
-                          metavar="NAME",
-                          help="registered backends — the same grid "
-                               "runs per device (default: ibmq16)")
-    submit_p.add_argument("--calibration-seed", type=int, default=None)
-    submit_p.add_argument("--benchmarks", nargs="+", metavar="NAME",
-                          default=["BV4", "HS6", "Toffoli"],
-                          choices=benchmark_names(include_large_n=True))
-    submit_p.add_argument("--variants", nargs="+", metavar="VARIANT",
-                          default=["t-smt*", "r-smt*"],
-                          choices=_VARIANT_CHOICES)
-    submit_p.add_argument("--routing", default=None,
-                          choices=("rr", "1bp", "best", "shortest"))
-    submit_p.add_argument("--days", type=_positive_int, default=1)
-    submit_p.add_argument("--seeds", type=_positive_int, default=1)
-    submit_p.add_argument("--seed", type=int, default=7)
-    submit_p.add_argument("--trials", type=_positive_int, default=1024)
-    submit_p.add_argument("--engine", default=None,
-                          help="execution engine for every cell "
-                               "(default: each backend's own)")
-    submit_p.add_argument("--omega", type=float, default=0.5)
+    add_grid_args(submit_p)
 
     sub.add_parser("backends",
                    help="list registered machine targets")
@@ -521,6 +510,8 @@ def _cmd_profile(args: argparse.Namespace, out) -> int:
     import json as _json
     import tracemalloc
 
+    from repro.runtime.diskcache import format_bytes
+
     circuit, _ = _load_circuit(args)
     calibration = _backend(args.device, args).calibration(args.day)
     options = _options(args)
@@ -555,8 +546,8 @@ def _cmd_profile(args: argparse.Namespace, out) -> int:
         total += t.seconds
         lines.append(
             f"{t.name:<{width}} {int(not t.cached):>5} {int(t.cached):>5} "
-            f"{t.seconds:>9.4f} {_fmt_bytes(t.alloc_bytes):>10} "
-            f"{_fmt_bytes(t.peak_bytes):>10}")
+            f"{t.seconds:>9.4f} {format_bytes(t.alloc_bytes):>10} "
+            f"{format_bytes(t.peak_bytes):>10}")
     lines.append(f"{'total':<{width}} {'':>5} {'':>5} {total:>9.4f}")
     if solver_stats:
         lines += ["", "solver: " + ", ".join(
@@ -565,21 +556,13 @@ def _cmd_profile(args: argparse.Namespace, out) -> int:
     return 0
 
 
-def _fmt_bytes(n: int) -> str:
-    if n < 1024:
-        return f"{n}B"
-    for unit in ("KiB", "MiB", "GiB"):
-        n /= 1024.0
-        if n < 1024.0 or unit == "GiB":
-            return f"{n:.1f}{unit}"
-
-
 def _compile_cache(args: argparse.Namespace):
     """The compile cache an invocation should use (disk-backed when
     ``--cache-dir`` was given, fresh in-memory otherwise)."""
-    from repro.runtime import make_compile_cache
+    from repro.runtime import CompileCache, DiskStore
 
-    return make_compile_cache(getattr(args, "cache_dir", None))
+    return CompileCache(DiskStore(args.cache_dir)
+                        if args.cache_dir is not None else None)
 
 
 def _chunk_setup(args: argparse.Namespace) -> None:

@@ -139,7 +139,8 @@ def run_mitigation_study(
         trials: Shots per execution (scaled executions included).
         seed: Base executor seed.
         workers: Sweep worker processes.
-        cache_dir: Optional persistent compile/stage cache directory.
+        cache_dir: Optional disk store directory for the sweep's
+            caches and cell journal.
         backend: Machine to run on — a registered preset name or a
             :class:`~repro.backend.Backend` (default: IBMQ16).
     """

@@ -18,14 +18,7 @@ from repro.runtime.cache import (
     compile_key,
     mapping_prefix_key,
 )
-from repro.runtime.diskcache import (
-    DiskStore,
-    PersistentCompileCache,
-    PersistentStageCache,
-    ResultJournal,
-    StoreStats,
-    make_compile_cache,
-)
+from repro.runtime.diskcache import DiskStore, ResultJournal, StoreStats
 from repro.runtime.faults import FaultPlan, faults_armed
 from repro.runtime.sweep import (
     DEFAULT_TRIALS,
@@ -48,8 +41,6 @@ __all__ = [
     "DEFAULT_TRIALS",
     "DiskStore",
     "FaultPlan",
-    "PersistentCompileCache",
-    "PersistentStageCache",
     "PrefixKey",
     "ResultJournal",
     "StageCache",
@@ -60,7 +51,6 @@ __all__ = [
     "cell_fingerprint",
     "compile_key",
     "faults_armed",
-    "make_compile_cache",
     "mapping_prefix_key",
     "run_cell",
     "run_cell_guarded",

@@ -22,11 +22,17 @@ Three cache layers, mirroring the expensive stages of a scenario cell:
   :func:`repro.simulator.execute`, so re-executing the same compiled
   program (new seed, new shot count) skips the flat-array lowering.
 
-All caches are in-process dictionaries. The parallel sweep path gets
-cross-worker sharing not by a shared store but by scheduling: cells
-with the same mapping-prefix key are routed to the same worker (see
-:mod:`repro.runtime.sweep`), which makes hit counts deterministic and
-independent of the worker count.
+Each tier is an in-process dictionary with an optional
+:class:`~repro.runtime.diskcache.DiskStore` behind it: a lookup reads
+memory, then the store, and a store hit is promoted into memory; a put
+writes both. Without a store everything dies with the process. A
+:class:`CompileCache` shares its store with its nested stage cache and
+its checkpoint journal, and the sweep runtime hands the same store to
+the trace tier and to every pool worker, so one ``cache_dir`` persists
+all four. With or without a store, the parallel sweep path shares work
+by scheduling: cells with the same mapping-prefix key are routed to the
+same worker (see :mod:`repro.runtime.sweep`), which makes hit counts
+deterministic and independent of the worker count.
 
 Keys are content hashes, not object identities, so a cache can be
 (re)used across harnesses: fig5 and fig7 both compiling the T-SMT*
@@ -39,8 +45,11 @@ whichever backend produced them.
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass, replace
 from typing import Dict, Optional, Tuple
+
+import numpy as np
 
 from repro.compiler import (
     CompiledProgram,
@@ -50,7 +59,9 @@ from repro.compiler import (
 )
 from repro.hardware import Calibration, ReliabilityTables
 from repro.ir.circuit import Circuit
+from repro.runtime.diskcache import DiskStore, ResultJournal, StoreStats
 from repro.simulator import NoiseModel, noise_content_key
+from repro.simulator.trace import ProgramTrace
 
 #: (circuit fingerprint, calibration content id, options fingerprint).
 CompileKey = Tuple[str, str, str]
@@ -110,22 +121,28 @@ class StageCache:
     fingerprints of every pass up to and including its own), so lookups
     can never alias across option values that drive a pass differently.
     Artifacts are shared objects; treat them as immutable.
+
+    Args:
+        store: Optional disk tier (``"stage"`` kind). A disk-served
+            artifact counts as a hit (the pass run was avoided) and is
+            promoted into memory for the rest of the process.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, store: Optional[DiskStore] = None) -> None:
         self._artifacts: Dict[str, object] = {}
+        self.store = store
         self.stats = CacheStats()
 
     def __len__(self) -> int:
         return len(self._artifacts)
 
-    def _lookup(self, key: str):
-        """Storage hook for subclasses layering extra tiers."""
-        return self._artifacts.get(key)
-
     def get(self, key: str):
         """The cached artifact, or ``None`` (counted as a miss)."""
-        artifact = self._lookup(key)
+        artifact = self._artifacts.get(key)
+        if artifact is None and self.store is not None:
+            artifact = self.store.load("stage", key)
+            if artifact is not None:
+                self._artifacts[key] = artifact
         if artifact is None:
             self.stats.misses += 1
         else:
@@ -134,6 +151,8 @@ class StageCache:
 
     def put(self, key: str, artifact: object) -> None:
         self._artifacts[key] = artifact
+        if self.store is not None:
+            self.store.store("stage", key, artifact)
 
 
 class CompileCache:
@@ -142,19 +161,24 @@ class CompileCache:
     Misses compile through the nested :class:`StageCache`, so even the
     first compilation of a new option value reuses any pipeline prefix
     (typically the mapping stage) computed for a sibling configuration.
+
+    Args:
+        store: Optional disk tier, shared freely between processes:
+            whole programs persist under its ``"compile"`` kind, the
+            nested stage cache under ``"stage"``, and completed cells
+            in its checkpoint :attr:`journal`.
     """
 
-    #: Checkpoint journal of completed cell results
-    #: (:class:`~repro.runtime.diskcache.ResultJournal`); only the
-    #: disk-backed subclass provides one — the sweep runtime journals
-    #: and resumes only when it is non-``None``.
-    journal = None
-
-    def __init__(self) -> None:
+    def __init__(self, store: Optional[DiskStore] = None) -> None:
+        self.store = store
         self._programs: Dict[CompileKey, CompiledProgram] = {}
         self._tables: Dict[str, ReliabilityTables] = {}
         self.stats = CacheStats()
-        self.stages = StageCache()
+        self.stages = StageCache(store)
+        #: Checkpoint journal of completed cell results, ``None``
+        #: without a store; the sweep runtime journals and resumes only
+        #: with one.
+        self.journal = ResultJournal(store) if store is not None else None
 
     def __len__(self) -> int:
         return len(self._programs)
@@ -167,37 +191,23 @@ class CompileCache:
             tables = self._tables[key] = ReliabilityTables(calibration)
         return tables
 
-    def _lookup(self, key: CompileKey) -> Optional[CompiledProgram]:
-        """Storage hook: the cached program for *key*, or ``None``.
+    def disk_stats(self) -> Dict[str, StoreStats]:
+        """Per-kind disk-tier counters of the store (empty without one).
 
-        Subclasses (e.g. the persistent cache in
-        :mod:`repro.runtime.diskcache`) override this to consult
-        additional tiers behind the in-memory dictionary.
+        A snapshot (see :meth:`~repro.runtime.diskcache.DiskStore.snapshot`)
+        of the store's cumulative totals; callers reporting a bounded
+        span (e.g. :func:`~repro.runtime.sweep.run_sweep`, whose result
+        describes one sweep) take one before and after and diff with
+        :meth:`~repro.runtime.diskcache.StoreStats.minus`.
         """
-        return self._programs.get(key)
-
-    def _insert(self, key: CompileKey, program: CompiledProgram) -> None:
-        """Storage hook: record a freshly compiled program."""
-        self._programs[key] = program
-
-    def disk_stats(self) -> Dict[str, "object"]:
-        """Per-tier persistent-store counters (empty: no disk tier).
-
-        Overridden by :class:`repro.runtime.diskcache.PersistentCompileCache`
-        to expose its :class:`~repro.runtime.diskcache.StoreStats` per
-        store kind (``"compile"``, ``"stage"``).
-        """
-        return {}
+        return {} if self.store is None else self.store.snapshot()
 
     def redeem(self) -> bool:
-        """Persistent-store degradation recovery probe.
-
-        No disk tier here, so trivially healthy; the disk-backed
-        subclass probes its store (see
-        :meth:`repro.runtime.diskcache.DiskStore.redeem`). Long-lived
-        callers (the compile service) poll this between batches.
-        """
-        return True
+        """Probe the store out of memory-only degradation (see
+        :meth:`~repro.runtime.diskcache.DiskStore.redeem`); trivially
+        healthy without one. Long-lived callers (the compile service)
+        poll this between batches."""
+        return self.store is None or self.store.redeem()
 
     def get_or_compile(self, circuit: Circuit, calibration: Calibration,
                        options: CompilerOptions
@@ -210,7 +220,11 @@ class CompileCache:
         sweep timing reports count the same work once per cell.
         """
         key = compile_key(circuit, calibration, options)
-        program = self._lookup(key)
+        program = self._programs.get(key)
+        if program is None and self.store is not None:
+            program = self.store.load("compile", "|".join(key))
+            if program is not None:
+                self._programs[key] = program
         if program is not None:
             self.stats.hits += 1
             served = replace(program, compile_time=0.0, cache_hit=True)
@@ -222,7 +236,9 @@ class CompileCache:
         program = compile_circuit(circuit, calibration, options,
                                   tables=self.tables_for(calibration),
                                   stage_cache=self.stages)
-        self._insert(key, program)
+        self._programs[key] = program
+        if self.store is not None:
+            self.store.store("compile", "|".join(key), program)
         return program, False
 
 
@@ -234,10 +250,22 @@ class TraceCache:
     is fully determined by calibration content and the mechanism flags)
     are cached; exotic subclasses bypass the cache unless they provide
     their own ``trace_key()`` describing their full configuration.
+
+    Args:
+        store: Optional disk tier (``"trace"`` kind): traces are saved
+            as compressed ``.npz`` flat arrays (``ProgramTrace.to_arrays``,
+            no pickle on the load path) with their ideal distribution
+            and, on small traces, exact outcome law, so a later process
+            skips lowering and both dense passes. A disk read follows a
+            counted memory miss; an entry that does not decode is a
+            miss. Only exact ``ProgramTrace`` instances are stored: the
+            stabilizer engine's lowered objects and trace subclasses
+            stay memory-only rather than risk a lossy round-trip.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, store: Optional[DiskStore] = None) -> None:
         self._traces: Dict[tuple, object] = {}
+        self.store = store
         self.stats = CacheStats()
 
     def __len__(self) -> int:
@@ -259,19 +287,40 @@ class TraceCache:
 
     def get(self, compiled: CompiledProgram, noise: NoiseModel,
             calibration: Calibration):
-        """The cached trace, or ``None`` (counted as a miss)."""
+        """The cached trace, or ``None`` (a memory miss is counted as a
+        miss even when the store then serves the trace)."""
         key = self._key(compiled, noise, calibration)
         if key is None:
             return None
         trace = self._traces.get(key)
-        if trace is None:
-            self.stats.misses += 1
-        else:
+        if trace is not None:
             self.stats.hits += 1
+            return trace
+        self.stats.misses += 1
+        if self.store is None:
+            return None
+        blob = self.store.load_blob("trace", repr(key))
+        if blob is None:
+            return None
+        try:
+            with np.load(io.BytesIO(blob), allow_pickle=False) as data:
+                trace = ProgramTrace.from_arrays(dict(data))
+        except Exception:
+            return None  # malformed entry: treated as a miss, re-lowered
+        self._traces[key] = trace
         return trace
 
     def put(self, compiled: CompiledProgram, noise: NoiseModel,
             calibration: Calibration, trace) -> None:
         key = self._key(compiled, noise, calibration)
-        if key is not None:
-            self._traces[key] = trace
+        if key is None:
+            return
+        self._traces[key] = trace
+        if self.store is None or type(trace) is not ProgramTrace:
+            return
+        buf = io.BytesIO()
+        try:
+            np.savez_compressed(buf, **trace.to_arrays())
+        except Exception:
+            return
+        self.store.store_blob("trace", repr(key), buf.getvalue())

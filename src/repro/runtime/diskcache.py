@@ -1,13 +1,16 @@
-"""Persistent on-disk compile/stage cache.
+"""The on-disk store behind the runtime's caches, and the cell journal.
 
-The in-process caches of :mod:`repro.runtime.cache` die with the
-process, so every CLI invocation used to recompile from scratch. This
-module layers a small **content-addressed directory store** underneath
-them: compiled programs and pipeline stage artifacts are pickled into
-``<cache-dir>/compile/`` and ``<cache-dir>/stage/`` under the sha256 of
+Without a disk tier, the in-process caches of
+:mod:`repro.runtime.cache` die with the process and every CLI
+invocation recompiles from scratch. This module holds the small
+**content-addressed directory store** each of them can take as an
+optional disk tier: compiled programs, pipeline stage artifacts and
+completed cell results are pickled, and lowered traces saved as
+``.npz``, under ``<cache-dir>/<namespace>/<kind>/`` and the sha256 of
 their content key, so a repeated ``repro run``/``repro sweep``/``repro
 mitigate`` (or a mitigation sweep's folded pipeline variants) reuses
-compilations across processes.
+them across processes. :class:`ResultJournal` is the store's view of
+completed cells that ``resume=True`` serves.
 
 Design points:
 
@@ -20,7 +23,7 @@ Design points:
   written by one version of the code are invisible to an edited one,
   rather than served stale after a pass's behavior changes.
 * **Eviction-free with an integrity check on load** — the store never
-  deletes; every entry embeds the sha256 of its pickled payload plus
+  deletes; every entry embeds the sha256 of its payload plus
   the full (unhashed) content key, and a load that fails either check
   (torn write, bit rot, hash collision) is treated as a miss and
   recompiled, never trusted.
@@ -42,8 +45,6 @@ from pathlib import Path
 from typing import Dict, Optional
 
 import repro
-from repro.runtime.cache import (CompileCache, CompileKey, StageCache,
-                                 TraceCache)
 
 #: Consecutive failed writes after which a store flips to memory-only.
 DEGRADE_AFTER = 3
@@ -107,8 +108,8 @@ class StoreStats:
     def describe(self) -> str:
         """Compact ``hits/lookups hit, read/written`` rendering."""
         text = (f"{self.hits}/{self.lookups} hit, "
-                f"{_format_bytes(self.bytes_read)} read, "
-                f"{_format_bytes(self.bytes_written)} written")
+                f"{format_bytes(self.bytes_read)} read, "
+                f"{format_bytes(self.bytes_written)} written")
         if self.write_errors:
             text += f", {self.write_errors} write errors"
         if self.degraded:
@@ -118,13 +119,15 @@ class StoreStats:
         return text
 
 
-def _format_bytes(n: int) -> str:
+def format_bytes(n: int) -> str:
+    """*n* bytes as ``123B``, ``1.5KiB``, ... ``2.0GiB``."""
     value = float(n)
     for unit in ("B", "KiB", "MiB", "GiB"):
         if value < 1024 or unit == "GiB":
             return f"{value:.0f}B" if unit == "B" else f"{value:.1f}{unit}"
         value /= 1024.0
     return f"{n}B"  # pragma: no cover — unreachable
+
 
 #: Entry-format tag; bump on layout changes.
 _FORMAT = "v1"
@@ -141,7 +144,8 @@ def _layout() -> str:
     fresh directory rather than serving artifacts computed by old
     code. Deliberately conservative — a docstring edit also
     invalidates — because a stale compiled program is silent and a
-    recompile is cheap. Computed once per process.
+    recompile is cheap. Computed once per process; a store keeps the
+    value it saw when it opened (:attr:`DiskStore.namespace`).
     """
     global _layout_cache
     if _layout_cache is None:
@@ -163,7 +167,13 @@ class DiskStore:
 
     def __init__(self, root) -> None:
         self.root = Path(root)
-        #: Per-kind (``"compile"``/``"stage"``/``"cell"``) counters.
+        #: The source digest every entry path carries, fixed when the
+        #: store opens: a long-lived process keeps one namespace
+        #: however the source changes after, and pool workers forked
+        #: from it inherit the digest instead of hashing again.
+        self.namespace = _layout()
+        #: Per-kind (``"compile"``/``"stage"``/``"trace"``/``"cell"``)
+        #: counters.
         self.stats: Dict[str, StoreStats] = {}
         #: True once repeated write failures flipped the store to
         #: memory-only mode (reads still work; writes are skipped).
@@ -178,9 +188,16 @@ class DiskStore:
             stats = self.stats[kind] = StoreStats()
         return stats
 
+    def snapshot(self) -> Dict[str, StoreStats]:
+        """Copies of the per-kind counters, the store's current
+        ``degraded`` and ``redeemed`` state stamped on each."""
+        return {kind: replace(stats, degraded=self.degraded,
+                              redeemed=self.redemptions)
+                for kind, stats in self.stats.items()}
+
     def _path(self, kind: str, key: str) -> Path:
         digest = hashlib.sha256(key.encode()).hexdigest()
-        return self.root / _layout() / kind / digest[:2] / digest
+        return self.root / self.namespace / kind / digest[:2] / digest
 
     def entry_path(self, kind: str, key: str) -> Path:
         """Where *key*'s entry lives on disk (it may not exist yet).
@@ -226,7 +243,7 @@ class DiskStore:
         """
         if not self.degraded:
             return True
-        probe = self.root / _layout() / "redeem.probe"
+        probe = self.root / self.namespace / "redeem.probe"
         try:
             probe.parent.mkdir(parents=True, exist_ok=True)
             fd, tmp = tempfile.mkstemp(dir=probe.parent, suffix=".tmp")
@@ -339,10 +356,6 @@ class DiskStore:
         self.store_blob(kind, key, payload)
 
 
-def _compile_key_string(key: CompileKey) -> str:
-    return "|".join(key)
-
-
 class ResultJournal:
     """Checkpoint journal of completed sweep-cell results.
 
@@ -361,197 +374,21 @@ class ResultJournal:
     KIND = "cell"
 
     def __init__(self, store: DiskStore) -> None:
-        self._store = store
+        self.store = store
 
     @property
     def stats(self) -> StoreStats:
         """The journal's disk-tier counters (hits = resumed cells)."""
-        return self._store.stats_for(self.KIND)
+        return self.store.stats_for(self.KIND)
 
     def load(self, fingerprint: str):
         """The journaled result for a cell fingerprint, or ``None``."""
-        return self._store.load(self.KIND, fingerprint)
+        return self.store.load(self.KIND, fingerprint)
 
     def record(self, fingerprint: str, result) -> None:
         """Journal one completed cell (atomic, idempotent)."""
-        self._store.store(self.KIND, fingerprint, result)
+        self.store.store(self.KIND, fingerprint, result)
 
     def entry_path(self, fingerprint: str) -> Path:
         """The entry's on-disk path (fault-injection corruption hook)."""
-        return self._store.entry_path(self.KIND, fingerprint)
-
-
-def make_compile_cache(cache_dir=None) -> CompileCache:
-    """The one rule for building a compile cache from a ``cache_dir``.
-
-    Used by the serial sweep path, every pool worker, and the CLI, so
-    the three can't drift: ``None`` means a fresh in-memory cache, a
-    path means the persistent store.
-    """
-    if cache_dir is None:
-        return CompileCache()
-    return PersistentCompileCache(cache_dir)
-
-
-class PersistentStageCache(StageCache):
-    """A :class:`StageCache` backed by a :class:`DiskStore`.
-
-    Disk-served artifacts count as hits (the expensive pass run was
-    avoided) and are promoted into the in-memory tier for the rest of
-    the process.
-    """
-
-    def __init__(self, store: DiskStore) -> None:
-        super().__init__()
-        self._store = store
-
-    def _lookup(self, key: str):
-        artifact = self._artifacts.get(key)
-        if artifact is None:
-            artifact = self._store.load("stage", key)
-            if artifact is not None:
-                self._artifacts[key] = artifact
-        return artifact
-
-    def put(self, key: str, artifact: object) -> None:
-        super().put(key, artifact)
-        self._store.store("stage", key, artifact)
-
-
-class PersistentTraceCache(TraceCache):
-    """A :class:`TraceCache` with an npz disk tier for lowered traces.
-
-    Lowering a :class:`~repro.simulator.trace.ProgramTrace` includes a
-    dense statevector simulation of the whole program (the ideal
-    distribution), and on traces of at most
-    :data:`~repro.simulator.batch.EXACT_MAX_QUBITS` qubits a dense pass
-    for the exact outcome law the sampler draws counts from; for the
-    repeated-trials sweeps they are the dominant per-cell cost after
-    compilation. This tier serializes traces to compressed ``.npz``
-    (flat arrays only — see ``ProgramTrace.to_arrays``; no pickle on
-    the load path) with both dense members beside the site tables,
-    keyed by the same content key the in-memory tier uses, so repeated
-    invocations with ``--cache-dir`` skip straight to one multinomial
-    draw per execution. A stored law that is not a probability vector
-    over the trace's rendered codes loads as a miss.
-
-    Only exact ``ProgramTrace`` instances go to disk: the stabilizer
-    engine parks its own lowered objects in the same cache under the
-    same key contract, and those (or any trace subclass) stay
-    memory-only rather than risking a lossy round-trip.
-    """
-
-    KIND = "trace"
-
-    def __init__(self, store: DiskStore) -> None:
-        super().__init__()
-        self._store = store
-
-    def get(self, compiled, noise, calibration):
-        trace = super().get(compiled, noise, calibration)
-        if trace is not None:
-            return trace
-        key = self._key(compiled, noise, calibration)
-        if key is None:
-            return None
-        blob = self._store.load_blob(self.KIND, repr(key))
-        if blob is None:
-            return None
-        import io
-
-        import numpy as np
-
-        from repro.simulator.trace import ProgramTrace
-
-        try:
-            with np.load(io.BytesIO(blob), allow_pickle=False) as data:
-                trace = ProgramTrace.from_arrays(dict(data))
-        except Exception:
-            return None  # malformed entry: treated as a miss, re-lowered
-        self._traces[key] = trace
-        return trace
-
-    def put(self, compiled, noise, calibration, trace) -> None:
-        super().put(compiled, noise, calibration, trace)
-        from repro.simulator.trace import ProgramTrace
-
-        if type(trace) is not ProgramTrace:
-            return
-        key = self._key(compiled, noise, calibration)
-        if key is None:
-            return
-        import io
-
-        import numpy as np
-
-        buf = io.BytesIO()
-        try:
-            np.savez_compressed(buf, **trace.to_arrays())
-        except Exception:
-            return
-        self._store.store_blob(self.KIND, repr(key), buf.getvalue())
-
-
-def make_trace_cache(cache_dir=None, store: Optional[DiskStore] = None
-                     ) -> TraceCache:
-    """The one rule for building a trace cache from a ``cache_dir``.
-
-    Mirrors :func:`make_compile_cache`: ``None`` means in-memory only,
-    a path means the npz-backed persistent tier. Pass ``store`` to
-    share an existing :class:`DiskStore` (and its degradation state /
-    stats) instead of opening a second one on the same directory.
-    """
-    if store is not None:
-        return PersistentTraceCache(store)
-    if cache_dir is None:
-        return TraceCache()
-    return PersistentTraceCache(DiskStore(cache_dir))
-
-
-class PersistentCompileCache(CompileCache):
-    """A :class:`CompileCache` whose programs and stages persist on disk.
-
-    Drop-in replacement accepted everywhere a ``CompileCache`` is
-    (``run_sweep(compile_cache=...)``, ``run_cell``); the CLI builds one
-    from ``--cache-dir``.
-
-    Args:
-        root: Cache directory, shared freely between processes.
-    """
-
-    def __init__(self, root) -> None:
-        super().__init__()
-        self._store = DiskStore(root)
-        self.stages = PersistentStageCache(self._store)
-        self.journal = ResultJournal(self._store)
-
-    def redeem(self) -> bool:
-        """Probe the shared store out of memory-only degradation
-        (see :meth:`DiskStore.redeem`)."""
-        return self._store.redeem()
-
-    def disk_stats(self) -> Dict[str, StoreStats]:
-        """Per-kind disk-tier counters of the shared store.
-
-        Returned as a snapshot (copied counters, current ``degraded``
-        state stamped on) of the cache's cumulative totals; callers
-        reporting a bounded span (e.g.
-        :func:`~repro.runtime.sweep.run_sweep`, whose result describes
-        one sweep) take a snapshot before and after and diff with
-        :meth:`StoreStats.minus`.
-        """
-        return {kind: replace(stats, degraded=self._store.degraded,
-                              redeemed=self._store.redemptions)
-                for kind, stats in self._store.stats.items()}
-
-    def _lookup(self, key: CompileKey):
-        program = super()._lookup(key)
-        if program is None:
-            program = self._store.load("compile", _compile_key_string(key))
-            if program is not None:
-                self._programs[key] = program
-        return program
-
-    def _insert(self, key: CompileKey, program) -> None:
-        super()._insert(key, program)
-        self._store.store("compile", _compile_key_string(key), program)
+        return self.store.entry_path(self.KIND, fingerprint)

@@ -5,16 +5,17 @@ pairs — one batch per worker, with all cells sharing a mapping-prefix
 key placed in the same batch — and this module fans the batches out
 over supervised ``multiprocessing`` processes. Each worker builds its
 own :class:`~repro.runtime.cache.CompileCache`/
-:class:`~repro.runtime.cache.TraceCache` pair, streams back one
-message per completed cell plus a final cache-counter message, and the
-parent merges everything.
+:class:`~repro.runtime.cache.TraceCache` pair (on the parent's disk
+store root, when it has one), streams back one message per completed
+cell plus a final cache-counter message, and the parent merges
+everything.
 
 Unlike the bare ``pool.map`` this replaced, the dispatch loop treats
 worker failure as the common case:
 
 * **Worker death** (``os._exit``, segfault, OOM kill) loses only the
   dead worker's *unfinished* cells — completed cells were already
-  streamed back (and journaled, when a persistent store is open). The
+  streamed back (and journaled, when a disk store is open). The
   unfinished remainder is resubmitted to a fresh worker.
 * **Poison cells** are bisected by construction: cells run in batch
   order, so the first unfinished cell is the prime suspect. Each death
@@ -49,7 +50,8 @@ from collections import deque
 from multiprocessing.connection import wait as _wait_connections
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.runtime.cache import CacheStats, TraceCache
+from repro.runtime.cache import CacheStats, CompileCache, TraceCache
+from repro.runtime.diskcache import DiskStore
 
 #: One unit of pool work: the cell plus its position in the grid.
 IndexedCell = Tuple[int, "SweepCell"]  # noqa: F821 — see runtime.sweep
@@ -60,27 +62,22 @@ _POLL_SECONDS = 0.1
 
 
 def _worker_main(conn, batch: Sequence[IndexedCell],
-                 attempts: Dict[int, int], cache_dir, faults) -> None:
+                 attempts: Dict[int, int], store_root, faults) -> None:
     """Worker entry point: run one batch, streaming results back.
 
     Sends ``("cell", index, CellResult)`` after each cell and a final
     ``("stats", compile, trace, stage, disk)`` message — the parent
     treats the stats message as the clean-completion marker. With
-    *cache_dir*, the worker's compile/stage cache is additionally
-    backed by the shared on-disk store (writes are atomic, so workers
-    race benignly) and every completed cell is checkpoint-journaled;
-    lowered traces stay worker-local either way.
+    *store_root*, every tier (compile, stage, npz trace) is backed by
+    a store on that directory (writes are atomic, so workers race
+    benignly) and every completed cell is checkpoint-journaled.
     """
-    from repro.runtime.diskcache import make_compile_cache, make_trace_cache
     from repro.runtime.sweep import run_cell_guarded
 
     try:
-        compile_cache = make_compile_cache(cache_dir)
-        # Persistent runs share the compile cache's disk store (and its
-        # degradation state) for the npz trace tier; otherwise traces
-        # stay worker-local in memory.
-        trace_cache = make_trace_cache(
-            store=getattr(compile_cache, "_store", None))
+        compile_cache = CompileCache(
+            DiskStore(store_root) if store_root is not None else None)
+        trace_cache = TraceCache(compile_cache.store)
         for index, cell in batch:
             result = run_cell_guarded(
                 index, cell, compile_cache, trace_cache, faults=faults,
@@ -121,8 +118,8 @@ class _Supervised:
 
 
 def run_batches(batches: Sequence[Sequence[IndexedCell]], workers: int,
-                cache_dir=None, faults=None, max_retries: int = 2,
-                batch_timeout: Optional[float] = None
+                store: Optional[DiskStore] = None, faults=None,
+                max_retries: int = 2, batch_timeout: Optional[float] = None
                 ) -> Tuple[list, CacheStats, CacheStats, CacheStats, dict]:
     """Run cell batches across *workers* supervised processes.
 
@@ -132,9 +129,10 @@ def run_batches(batches: Sequence[Sequence[IndexedCell]], workers: int,
             must sit in the same batch for the caches to behave
             deterministically.
         workers: Pool size; capped at the number of batches.
-        cache_dir: Optional persistent compile/stage cache directory
-            each worker opens (see :mod:`repro.runtime.diskcache`);
-            also enables per-cell checkpoint journaling.
+        store: The parent's optional disk store; each worker opens
+            one on the same root for every cache tier (see
+            :mod:`repro.runtime.diskcache`), which also enables per-cell
+            checkpoint journaling.
         faults: Optional :class:`~repro.runtime.faults.FaultPlan`
             shipped to every worker (inert unless ``REPRO_FAULTS`` is
             set).
@@ -149,7 +147,7 @@ def run_batches(batches: Sequence[Sequence[IndexedCell]], workers: int,
     Returns:
         (flat list of (index, result) pairs, merged compile-cache
         stats, merged trace-cache stats, merged stage-cache stats,
-        merged per-tier disk-store stats — empty without *cache_dir*).
+        merged per-tier disk-store stats — empty without *store*).
 
     Raises:
         KeyboardInterrupt: re-raised after promptly terminating every
@@ -159,8 +157,11 @@ def run_batches(batches: Sequence[Sequence[IndexedCell]], workers: int,
     """
     # Imported lazily (like the worker's imports): sweep.py imports
     # this module back inside run_sweep.
-    from repro.runtime.sweep import CellFailure, CellResult
+    from repro.runtime.sweep import (CellFailure, CellResult,
+                                     _cell_mapper, _cell_program,
+                                     _merge_disk_stats)
 
+    store_root = None if store is None else store.root
     ctx = pool_context()
     pending = deque(list(batch) for batch in batches)
     workers = max(1, min(workers, len(pending)))
@@ -181,7 +182,7 @@ def run_batches(batches: Sequence[Sequence[IndexedCell]], workers: int,
                 args=(child_conn, batch,
                       {index: attempts[index] for index, _ in batch
                        if index in attempts},
-                      cache_dir, faults),
+                      store_root, faults),
                 daemon=True)
             process.start()
             child_conn.close()
@@ -206,11 +207,7 @@ def run_batches(batches: Sequence[Sequence[IndexedCell]], workers: int,
                 compile_stats.merge(cstats)
                 trace_stats.merge(tstats)
                 stage_stats.merge(sstats)
-                for kind, stats in dstats.items():
-                    if kind in disk_stats:
-                        disk_stats[kind].merge(stats)
-                    else:
-                        disk_stats[kind] = stats
+                _merge_disk_stats(disk_stats, dstats)
                 sup.completed_ok = True
 
     def reap(sup: _Supervised) -> None:
@@ -245,12 +242,8 @@ def run_batches(batches: Sequence[Sequence[IndexedCell]], workers: int,
                     message=f"{reason}; quarantined after "
                             f"{attempts[head_index]} attempts",
                     attempts=attempts[head_index], stage=stage,
-                    program=str(getattr(
-                        getattr(head_cell, "circuit", None), "name", "")
-                        or ""),
-                    mapper=str(getattr(
-                        getattr(head_cell, "options", None), "variant", "")
-                        or "")))
+                    program=_cell_program(head_cell),
+                    mapper=_cell_mapper(head_cell)))
             remaining = remaining[1:]
         if remaining:
             pending.appendleft(remaining)

@@ -21,10 +21,11 @@ Failures are first-class: an exception inside a cell (or the death of
 the worker running it) is captured as a :class:`CellFailure` on that
 cell's result rather than aborting the grid, so a multi-hour sweep
 returns every surviving cell plus a failure report
-(``strict=True`` restores raise-on-first-error). With a persistent
-store (``cache_dir=``), completed cells are checkpoint-journaled as
-they finish and ``resume=True`` skips them after a crash or Ctrl-C —
-bit-identical to an uninterrupted run by construction.
+(``strict=True`` restores raise-on-first-error). With a disk store
+(``cache_dir=``, or a ``compile_cache`` built on one), completed cells
+are checkpoint-journaled as they finish and ``resume=True`` skips them
+after a crash or Ctrl-C — bit-identical to an uninterrupted run by
+construction.
 
 Three properties the figure harnesses rely on:
 
@@ -80,11 +81,11 @@ from repro.runtime.cache import (
     compile_key,
     mapping_prefix_key,
 )
+from repro.runtime.diskcache import DiskStore, StoreStats
 from repro.simulator import ExecutionResult, execute
 
 if TYPE_CHECKING:  # runtime import stays lazy: see run_cell
     from repro.mitigation.strategy import MitigatedResult, MitigationStrategy
-    from repro.runtime.diskcache import StoreStats
 
 #: Default shot count per cell — the repo-wide source of truth
 #: (``repro.experiments`` re-exports it). The paper uses 8192 hardware
@@ -362,12 +363,12 @@ class SweepResult:
         trace_stats: Aggregated trace-cache counters.
         stage_stats: Aggregated stage-cache counters (per-pass artifact
             reuse inside whole-program compile misses).
-        disk_stats: Persistent-store counters per tier
-            (``"compile"``/``"stage"`` →
-            :class:`~repro.runtime.diskcache.StoreStats`), populated
-            only when the sweep ran against an on-disk cache
-            (``cache_dir=`` or a persistent ``compile_cache``). Pool
-            workers' counters are merged in.
+        disk_stats: This sweep's disk-store traffic per kind
+            (``"compile"``/``"stage"``/``"trace"``/``"cell"`` →
+            :class:`~repro.runtime.diskcache.StoreStats`), empty unless
+            the compile cache has a store (``cache_dir=``, or a
+            ``compile_cache`` built on one). Pool workers' counters are
+            merged in.
         wall_time: End-to-end sweep seconds.
         workers: Pool size used (0 = in-process serial).
         resumed: Cells served from the checkpoint journal instead of
@@ -378,7 +379,7 @@ class SweepResult:
     compile_stats: CacheStats
     trace_stats: CacheStats
     stage_stats: CacheStats = field(default_factory=CacheStats)
-    disk_stats: Dict[str, "StoreStats"] = field(default_factory=dict)
+    disk_stats: Dict[str, StoreStats] = field(default_factory=dict)
     wall_time: float = 0.0
     workers: int = 0
     resumed: int = 0
@@ -599,8 +600,8 @@ def _partition(cells: Sequence[SweepCell], workers: int,
     return [b for b in batches if b]
 
 
-def _merge_disk_stats(into: Dict[str, "StoreStats"],
-                      extra: Dict[str, "StoreStats"]) -> None:
+def _merge_disk_stats(into: Dict[str, StoreStats],
+                      extra: Dict[str, StoreStats]) -> None:
     for kind, stats in extra.items():
         if kind in into:
             into[kind].merge(stats)
@@ -633,21 +634,24 @@ def run_sweep(cells: Sequence[SweepCell], workers: int = 0,
             groups out over that many supervised worker processes
             (worker death and stuck workers are recovered per batch,
             see :mod:`repro.runtime.pool`).
-        compile_cache: Optional shared cache for the in-process path —
-            pass one to accumulate compilations across several sweeps
-            (e.g. chained experiments on the same snapshot). Workers
-            always build their own (in-process object caches don't
-            cross the process boundary), so this applies to the serial
-            path only — except that a persistent cache's journal also
-            serves ``resume``.
-        trace_cache: As above, for lowered traces.
-        cache_dir: Optional directory for a persistent compile/stage
-            cache (:mod:`repro.runtime.diskcache`): compilations
-            survive the process and are shared with other sweeps —
-            including pool workers, which each open the same store.
-            Also enables the checkpoint journal: every completed cell
-            is recorded as it finishes, so a crashed or interrupted
-            sweep can be resumed. Ignored when an explicit
+        compile_cache: Optional shared cache — pass one to accumulate
+            compilations across several sweeps (e.g. chained
+            experiments on the same snapshot). Its in-memory tiers
+            serve the serial path only (object caches don't cross the
+            process boundary: pool workers build their own), but its
+            :attr:`~repro.runtime.cache.CompileCache.store`, when it
+            has one, is every tier's disk store on both paths: pool
+            workers open the same root, the serial trace tier shares
+            it, and its journal serves ``resume``.
+        trace_cache: Optional shared trace cache for the serial path
+            (default: a fresh one on the compile cache's store).
+        cache_dir: Optional store root (:mod:`repro.runtime.diskcache`)
+            for a fresh ``CompileCache(DiskStore(cache_dir))``:
+            compilations, stage artifacts and lowered traces survive
+            the process and are shared with other sweeps, pool workers
+            included. Also enables the checkpoint journal: every
+            completed cell is recorded as it finishes, so a crashed or
+            interrupted sweep can be resumed. Ignored when an explicit
             ``compile_cache`` is supplied.
         strict: Restore raise-on-first-error: the serial path
             re-raises the failing cell's exception immediately; the
@@ -658,8 +662,8 @@ def run_sweep(cells: Sequence[SweepCell], workers: int = 0,
             (content-addressed by :func:`cell_fingerprint`) instead of
             re-executing them — bit-identical by construction, since
             the journal stores the exact result an uninterrupted run
-            would have produced. Requires a persistent store
-            (``cache_dir`` or a persistent ``compile_cache``).
+            would have produced. Requires a disk store (``cache_dir``,
+            or a ``compile_cache`` built on one).
         max_retries: Worker-death retries charged per cell before the
             suspect cell is quarantined as failed (parallel path).
         batch_timeout: Soft seconds-without-progress limit per worker;
@@ -696,12 +700,11 @@ def run_sweep(cells: Sequence[SweepCell], workers: int = 0,
                            wall_time=time.perf_counter() - start,
                            workers=0)
     if compile_cache is None:
-        from repro.runtime.diskcache import make_compile_cache
-
-        compile_cache = make_compile_cache(cache_dir)
+        compile_cache = CompileCache(
+            DiskStore(cache_dir) if cache_dir is not None else None)
     journal = compile_cache.journal
-    # Snapshot-and-diff so a reused persistent cache's cumulative disk
-    # counters don't bleed an earlier sweep's traffic into this result.
+    # Snapshot-and-diff so a reused store's cumulative disk counters
+    # don't bleed an earlier sweep's traffic into this result.
     # Taken before the resume lookups, so journal hits are visible in
     # the sweep's disk stats (the "cell" tier pins resume behavior).
     disk_before = compile_cache.disk_stats()
@@ -713,8 +716,8 @@ def run_sweep(cells: Sequence[SweepCell], workers: int = 0,
         if journal is None:
             raise ReproError(
                 "resume=True needs the checkpoint journal, which lives "
-                "in the persistent store: pass cache_dir= (or a "
-                "PersistentCompileCache)")
+                "in the disk store: pass cache_dir= (or a "
+                "CompileCache(DiskStore(...)))")
         remaining: List[Tuple[int, SweepCell]] = []
         for index, cell in todo:
             stored = journal.load(cell_fingerprint(cell))
@@ -727,7 +730,7 @@ def run_sweep(cells: Sequence[SweepCell], workers: int = 0,
                 remaining.append((index, cell))
         todo = remaining
 
-    def diff_disk() -> Dict[str, "StoreStats"]:
+    def diff_disk() -> Dict[str, StoreStats]:
         return {kind: (stats.minus(disk_before[kind])
                        if kind in disk_before else stats)
                 for kind, stats in compile_cache.disk_stats().items()}
@@ -746,7 +749,7 @@ def run_sweep(cells: Sequence[SweepCell], workers: int = 0,
             from repro.runtime.pool import run_batches
 
             indexed, compile_stats, trace_stats, stage_stats, disk_stats = \
-                run_batches(batches, workers, cache_dir=cache_dir,
+                run_batches(batches, workers, store=compile_cache.store,
                             faults=faults, max_retries=max_retries,
                             batch_timeout=batch_timeout)
             for index, result in indexed:
@@ -764,12 +767,7 @@ def run_sweep(cells: Sequence[SweepCell], workers: int = 0,
         # the in-process path below serves it without fork overhead.
 
     if trace_cache is None:
-        from repro.runtime.diskcache import make_trace_cache
-
-        # Persistent compile caches donate their disk store to the npz
-        # trace tier, so ``cache_dir=`` persists lowered traces too.
-        trace_cache = make_trace_cache(
-            store=getattr(compile_cache, "_store", None))
+        trace_cache = TraceCache(compile_cache.store)
     for index, cell in todo:
         results[index] = run_cell_guarded(
             index, cell, compile_cache, trace_cache, faults=faults,

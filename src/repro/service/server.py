@@ -52,7 +52,8 @@ from dataclasses import dataclass, replace
 from typing import Hashable, List, Optional, Set, Tuple
 
 from repro.exceptions import ProtocolError, ServiceError
-from repro.runtime.diskcache import make_compile_cache
+from repro.runtime.cache import CompileCache
+from repro.runtime.diskcache import DiskStore
 from repro.runtime.sweep import (
     CellFailure,
     CellResult,
@@ -79,7 +80,8 @@ class ServerConfig:
             may listen (see :mod:`repro.service.protocol`).
         port: TCP port in 0-65535; ``0`` lets the OS pick (tests) —
             the bound port is reported by :meth:`ReproServer.start`.
-        cache_dir: Optional persistent compile/stage/journal store.
+        cache_dir: Optional disk store root for every cache tier
+            and the checkpoint journal.
             Strongly recommended for production: it is what makes the
             server restartable (resume from journal) and cross-process
             cache-warm.
@@ -135,7 +137,9 @@ class ReproServer:
         self._faults = faults
         self._admission = AdmissionController(
             capacity=config.queue_capacity, tenant_cap=config.tenant_cap)
-        self._cache = make_compile_cache(config.cache_dir)
+        self._cache = CompileCache(
+            DiskStore(config.cache_dir) if config.cache_dir is not None
+            else None)
         self._listener: Optional[socket.socket] = None
         self._accept_thread: Optional[threading.Thread] = None
         self._executor_thread: Optional[threading.Thread] = None
@@ -413,7 +417,6 @@ class ReproServer:
             sweep = run_sweep(
                 cells, workers=self.config.workers,
                 compile_cache=self._cache,
-                cache_dir=self.config.cache_dir,
                 resume=self._cache.journal is not None,
                 max_retries=self.config.max_retries,
                 batch_timeout=self.config.batch_timeout,

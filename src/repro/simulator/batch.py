@@ -61,7 +61,7 @@ from typing import Dict, Iterator, Optional, Tuple
 import numpy as np
 
 from repro.exceptions import SimulationError
-from repro.simulator.exact import SUM_TOLERANCE
+from repro.simulator.exact import SUM_TOLERANCE, contract
 from repro.simulator.trace import CHOICE_STRIDE, PAULI_CODES, ProgramTrace
 
 #: Environment override for the chunk budget, in MiB of complex128
@@ -298,28 +298,12 @@ def _simulate_plans(trace: ProgramTrace, plans: np.ndarray) -> np.ndarray:
     for i, op in enumerate(trace.ops):
         if op is not None:
             matrix, dense = op
-            state = _apply_matrix(state, matrix,
-                                  tuple(q + 1 for q in dense))
+            state = contract(state, matrix, tuple(q + 1 for q in dense))
         while pending is not None and pending[0] == i:
             _apply_paulis(state, *pending[1:])
             pending = next(injections, None)
     return _pattern_reduce(state, trace.pattern_order,
                            1 << trace.n_measures)
-
-
-def _apply_matrix(state: np.ndarray, matrix: np.ndarray,
-                  axes: Tuple[int, ...]) -> np.ndarray:
-    """*state* with the ``2**k x 2**k`` *matrix* applied to its *axes*
-    (k of them, most significant first); may return a view.
-
-    ``np.tensordot``'s transpose, reshape and dot on the same operands,
-    without its argument handling: the same BLAS call, so the same
-    amplitudes.
-    """
-    order = list(axes) + [a for a in range(state.ndim) if a not in axes]
-    moved = state.transpose(order)
-    out = np.dot(matrix, moved.reshape(matrix.shape[1], -1))
-    return out.reshape(moved.shape).transpose(np.argsort(order))
 
 
 def _apply_paulis(state: np.ndarray, rows: np.ndarray, flips: np.ndarray,

@@ -137,10 +137,15 @@ def _permutations(ndim: int, axes: tuple) -> tuple:
     return order, tuple(order.index(a) for a in range(ndim))
 
 
-def _contract(state: np.ndarray, matrix: np.ndarray,
-              axes: Sequence[int]) -> np.ndarray:
+def contract(state: np.ndarray, matrix: np.ndarray,
+             axes: Sequence[int]) -> np.ndarray:
     """*state* with *matrix* applied to its *axes* (first most
-    significant)."""
+    significant); may return a view.
+
+    ``np.tensordot``'s transpose, reshape and dot on the same operands,
+    without its argument handling: the same BLAS call, so the same
+    entries. The batched sampler applies its gate unitaries with it
+    too."""
     order, inverse = _permutations(state.ndim, tuple(axes))
     moved = state.transpose(order)
     out = np.dot(matrix, moved.reshape(matrix.shape[1], -1))
@@ -186,7 +191,7 @@ def outcome_law(trace: ProgramTrace) -> np.ndarray:
         for s in sites:  # on the gate's own qubits, after the gate
             diagonal = diagonal * _spread(factors[s], site_axes[s], axes)
         gate = trace.compact.gates[i]
-        state = _contract(state, diagonal.reshape(-1, 1)
+        state = contract(state, diagonal.reshape(-1, 1)
                           * cached_ptm(gate.name, gate.param), axes)
 
     # Each cbit reads its last writer's qubit; every other axis is
@@ -202,7 +207,7 @@ def outcome_law(trace: ProgramTrace) -> np.ndarray:
         for m in trace.measures_for_cbit[j]:
             p0, p1 = trace.readout_p0[m], trace.readout_p1[m]
             chain = np.array([[1.0 - p0, p1], [p0, 1.0 - p1]]) @ chain
-        marginal = _contract(marginal, chain @ _WALSH_HADAMARD,
+        marginal = contract(marginal, chain @ _WALSH_HADAMARD,
                              [kept.index(q)])
     # Code bit j is slot j: the last slot's axis goes first.
     law = marginal.transpose([kept.index(q) for q in reversed(slot_qubits)]

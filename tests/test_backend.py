@@ -350,9 +350,9 @@ class TestDiskStoreStats:
     def test_result_stats_are_snapshots(self, bv4, tmp_path):
         """Reusing one persistent cache across sweeps must not mutate
         an earlier result's disk counters."""
-        from repro.runtime import PersistentCompileCache
+        from repro.runtime import CompileCache, DiskStore
 
-        cache = PersistentCompileCache(tmp_path)
+        cache = CompileCache(DiskStore(tmp_path))
         cells = make_device_cells([get_backend("ibmq5")], bv4,
                                   options=CompilerOptions.greedy_e())
         first = run_sweep(cells, compile_cache=cache)

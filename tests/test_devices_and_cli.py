@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from repro.backend import get_backend
-from repro.cli import main
+from repro.cli import _grid_cells, build_parser, main
 from repro.exceptions import TopologyError
 from repro.hardware import ibmq5_topology, ibmq20_topology, linear_topology
 from repro.simulator.batch import CHUNK_ENV
@@ -235,6 +235,29 @@ class TestCli:
             self.run_cli(*argv, value)
         assert exc.value.code == 2
         assert "must be a positive integer" in capsys.readouterr().err
+
+
+class TestGridArgs:
+    GRID = ["--device", "ibmq16", "ibmq5", "--calibration-seed", "3",
+            "--benchmarks", "BV4", "HS2", "--variants", "qiskit",
+            "greedye*", "--routing", "rr", "--days", "2", "--seeds", "2",
+            "--seed", "11", "--trials", "64", "--engine", "batched",
+            "--omega", "0.25"]
+    FLAGS = ("device", "calibration_seed", "benchmarks", "variants",
+             "routing", "days", "seeds", "seed", "trials", "engine",
+             "omega")
+
+    @pytest.mark.parametrize("grid", [GRID, []], ids=["given", "defaults"])
+    def test_sweep_and_submit_parse_one_grid(self, grid):
+        """``repro sweep`` and ``repro submit`` read the same grid from
+        the same flags, so a served grid is the in-process one."""
+        parser = build_parser()
+        sweep = parser.parse_args(["sweep"] + grid)
+        submit = parser.parse_args(["submit"] + grid)
+        assert {f: getattr(sweep, f) for f in self.FLAGS} == \
+            {f: getattr(submit, f) for f in self.FLAGS}
+        assert [c.key for c in _grid_cells(sweep)] == \
+            [c.key for c in _grid_cells(submit)]
 
 
 class TestProfileCli:

@@ -28,7 +28,7 @@ from repro.mitigation.strategy import MitigationContext
 from repro.mitigation.zne import ScaledNoiseModel
 from repro.programs import build_benchmark, expected_output, random_circuit
 from repro.runtime import TraceCache
-from repro.runtime.diskcache import DiskStore, PersistentTraceCache
+from repro.runtime.diskcache import DiskStore
 from repro.simulator import (CompactProgram, NoiseModel, ProgramTrace,
                              execute, total_variation_distance)
 from repro.simulator.batch import (EXACT_MAX_QUBITS,
@@ -264,7 +264,7 @@ class TestDiskTier:
         program = compile_circuit(build_benchmark("Toffoli"), cal,
                                   CompilerOptions.r_smt_star())
         noise = NoiseModel(cal)
-        writer = PersistentTraceCache(DiskStore(tmp_path))
+        writer = TraceCache(DiskStore(tmp_path))
         execute(program, cal, trials=64, seed=0, trace_cache=writer)
         (written,) = writer._traces.values()
         key = repr(writer._key(program, noise, cal))
@@ -279,7 +279,7 @@ class TestDiskTier:
                 buf = io.BytesIO()
                 np.savez_compressed(buf, **arrays)
                 store.store_blob("trace", key, buf.getvalue())
-            return PersistentTraceCache(DiskStore(tmp_path)).get(
+            return TraceCache(DiskStore(tmp_path)).get(
                 program, noise, cal)
 
         return written, load
@@ -313,7 +313,7 @@ class TestDiskTier:
     def test_law_never_stored_above_the_cap(self, cal, tmp_path):
         program = compile_circuit(build_benchmark("BV8"), cal,
                                   CompilerOptions.r_smt_star())
-        cache = PersistentTraceCache(DiskStore(tmp_path))
+        cache = TraceCache(DiskStore(tmp_path))
         execute(program, cal, trials=64, seed=0, trace_cache=cache)
         (trace,) = cache._traces.values()
         assert trace.n_qubits > EXACT_MAX_QUBITS

@@ -21,13 +21,14 @@ from repro.exceptions import CellExecutionError, FaultInjected, ReproError
 from repro.hardware import default_ibmq16_calibration
 from repro.programs import get_benchmark
 from repro.runtime import (
+    CompileCache,
     DiskStore,
     FaultPlan,
-    PersistentCompileCache,
     SweepCell,
     cell_fingerprint,
     run_sweep,
 )
+from repro.runtime import diskcache
 from repro.runtime.diskcache import DEGRADE_AFTER
 
 TRIALS = 64
@@ -297,6 +298,22 @@ class TestCheckpointResume:
         assert resumed.disk_stats["cell"].misses >= 1
         assert_identical(baseline, resumed)
 
+    def test_pool_sweep_persists_a_passed_caches_store(
+            self, cells, baseline, tmp_path):
+        """A pool sweep handed a store-backed compile cache and no
+        ``cache_dir`` runs its workers on that store: every tier is
+        written, and a resume serves every cell."""
+        first = run_sweep(cells, workers=2,
+                          compile_cache=CompileCache(DiskStore(tmp_path)))
+        assert first.ok and first.workers == 2
+        for kind in ("compile", "stage", "trace", "cell"):
+            assert first.disk_stats[kind].bytes_written > 0, kind
+        again = run_sweep(cells, workers=2, resume=True,
+                          compile_cache=CompileCache(DiskStore(tmp_path)))
+        assert again.resumed == len(cells)
+        assert again.disk_stats["cell"].hits == len(cells)
+        assert_identical(baseline, again)
+
     def test_resume_without_store_is_an_error(self, cells):
         with pytest.raises(ReproError, match="cache_dir"):
             run_sweep(cells, resume=True)
@@ -361,6 +378,21 @@ class TestParallelInterrupt:
         assert_identical(baseline, resumed)
 
 
+class TestStoreNamespace:
+    def test_namespace_is_fixed_when_the_store_opens(self, tmp_path,
+                                                     monkeypatch):
+        """A store keeps the source digest it saw when it opened: a
+        digest that changes later in the process (a long-lived server
+        whose source was edited) does not move its entries."""
+        monkeypatch.setattr(diskcache, "_layout_cache", "v1-opened")
+        store = DiskStore(tmp_path)
+        monkeypatch.setattr(diskcache, "_layout_cache", "v1-later")
+        store.store_blob("compile", "key", b"payload")
+        assert (tmp_path / "v1-opened" / "compile").is_dir()
+        assert not (tmp_path / "v1-later").exists()
+        assert store.load_blob("compile", "key") == b"payload"
+
+
 class TestDiskDegradation:
     def test_store_flips_to_memory_only_with_one_warning(self, tmp_path):
         blocker = tmp_path / "not-a-dir"
@@ -421,10 +453,10 @@ class TestDiskDegradation:
         stats snapshot the persistent cache hands out."""
         blocker = tmp_path / "store"
         blocker.write_text("occupied")
-        cache = PersistentCompileCache(blocker)
+        cache = CompileCache(DiskStore(blocker))
         with pytest.warns(RuntimeWarning, match="memory-only"):
             for i in range(DEGRADE_AFTER):
-                cache._store.store("compile", f"key-{i}", i)
+                cache.store.store("compile", f"key-{i}", i)
         assert not cache.redeem()
         blocker.unlink()
         assert cache.redeem()
@@ -439,7 +471,7 @@ class TestDiskDegradation:
             self, cal, baseline, tmp_path):
         blocker = tmp_path / "blocked"
         blocker.write_text("occupied")
-        cache = PersistentCompileCache(blocker)
+        cache = CompileCache(DiskStore(blocker))
         with pytest.warns(RuntimeWarning, match="memory-only"):
             sweep = run_sweep(make_cells(cal, benchmarks=("BV4",),
                                          seeds=(0,)),

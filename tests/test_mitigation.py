@@ -37,7 +37,7 @@ from repro.mitigation import (
 )
 from repro.programs import get_benchmark
 from repro.programs.random_circuits import random_circuit
-from repro.runtime import PersistentCompileCache, SweepCell, TraceCache, \
+from repro.runtime import CompileCache, DiskStore, SweepCell, TraceCache, \
     run_sweep
 from repro.simulator import NoiseModel, StateVector, execute
 
@@ -521,11 +521,11 @@ class TestDiskCache:
         new process) serves the compilation as a hit."""
         circuit = get_benchmark("BV4").build()
         options = CompilerOptions.r_smt_star()
-        first = PersistentCompileCache(tmp_path)
+        first = CompileCache(DiskStore(tmp_path))
         program, hit = first.get_or_compile(circuit, cal, options)
         assert not hit
 
-        second = PersistentCompileCache(tmp_path)
+        second = CompileCache(DiskStore(tmp_path))
         replayed, hit = second.get_or_compile(circuit, cal, options)
         assert hit
         assert replayed.fingerprint() == program.fingerprint()
@@ -533,10 +533,10 @@ class TestDiskCache:
 
     def test_stage_artifacts_survive_too(self, cal, tmp_path):
         circuit = get_benchmark("BV4").build()
-        first = PersistentCompileCache(tmp_path)
+        first = CompileCache(DiskStore(tmp_path))
         first.get_or_compile(circuit, cal, CompilerOptions.r_smt_star())
 
-        second = PersistentCompileCache(tmp_path)
+        second = CompileCache(DiskStore(tmp_path))
         # A post-mapping variation in a fresh process still reuses the
         # on-disk mapping artifact.
         program, hit = second.get_or_compile(
@@ -552,15 +552,15 @@ class TestDiskCache:
         or a bogus artifact."""
         circuit = get_benchmark("BV4").build()
         options = CompilerOptions.r_smt_star()
-        PersistentCompileCache(tmp_path).get_or_compile(circuit, cal,
-                                                        options)
+        CompileCache(DiskStore(tmp_path)).get_or_compile(circuit, cal,
+                                                         options)
         for path in tmp_path.rglob("*"):
             if path.is_file():
                 blob = bytearray(path.read_bytes())
                 blob[len(blob) // 2] ^= 0xFF
                 path.write_bytes(bytes(blob))
 
-        fresh = PersistentCompileCache(tmp_path)
+        fresh = CompileCache(DiskStore(tmp_path))
         program, hit = fresh.get_or_compile(circuit, cal, options)
         assert not hit  # every corrupted entry was rejected
         assert program.physical.circuit.gate_count() > 0

@@ -33,8 +33,9 @@ from repro.exceptions import (
 from repro.hardware import default_ibmq16_calibration
 from repro.programs import get_benchmark
 from repro.runtime import (
+    CompileCache,
+    DiskStore,
     FaultPlan,
-    PersistentCompileCache,
     SweepCell,
     cell_fingerprint,
     run_sweep,
@@ -324,6 +325,40 @@ class TestServedSweep:
         assert stats["journal_hits"] == len(cells)
         assert health["journal"] is True
         assert health["served"] == 2 * len(cells)
+
+    def test_pool_with_a_store_matches_in_process_run(
+            self, cells, baseline, tmp_path):
+        """A served grid on a two-worker pool with a ``cache_dir``: the
+        pool's workers run on the server's store, so the results equal
+        the in-process run and every cell is journaled."""
+        cache_dir = tmp_path / "store"
+        results = {}
+        # The window only bounds the wait: a full batch leaves at once.
+        with running_server(cache_dir=cache_dir, workers=2,
+                            batch_window=5.0, batch_max=len(cells)) as \
+                (server, host, port):
+
+            def submit_one(index, cell):
+                with ServiceClient(host, port, tenant=f"t{index}") as \
+                        client:
+                    results[cell.key] = client.submit(cell,
+                                                      deadline=180.0)
+
+            threads = [threading.Thread(target=submit_one, args=(i, c))
+                       for i, c in enumerate(cells)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=300)
+                assert not thread.is_alive()
+            health = server.health()
+        assert_matches_reference(baseline, list(results.values()))
+        # One batch of every cell: three mapping-prefix groups on two
+        # workers, so the whole grid ran on the pool.
+        assert health["batches"] == 1
+        journal = CompileCache(DiskStore(cache_dir)).journal
+        for cell in cells:
+            assert journal.load(cell_fingerprint(cell)) is not None
 
     def test_each_submit_gets_its_own_cells_key(self, cal, tmp_path):
         """Cells equal but for ``key`` share a fingerprint, so the second
@@ -735,7 +770,7 @@ class TestServerRestartDrill:
         # The journaled-then-unanswered cell was served from the
         # restarted server's journal, not recomputed.
         assert outcome["stats"]["journal_hits"] >= 1
-        journal = PersistentCompileCache(cache_dir).journal
+        journal = CompileCache(DiskStore(cache_dir)).journal
         for cell in cells:
             assert journal.load(cell_fingerprint(cell)) is not None
 
@@ -790,7 +825,7 @@ class TestGracefulDrain:
         reference = run_sweep([cells[0]])
         assert outcome["result"].execution.counts == \
             reference.results[0].execution.counts
-        journal = PersistentCompileCache(cache_dir).journal
+        journal = CompileCache(DiskStore(cache_dir)).journal
         assert journal.load(cell_fingerprint(cells[0])) is not None
 
 
