@@ -25,9 +25,7 @@ from repro.backend import (
     Backend,
     get_backend,
     register_backend,
-    register_engine,
     registered_backends,
-    registered_engines,
 )
 from repro.compiler import CompiledProgram, CompilerOptions, compile_circuit
 from repro.exceptions import ReproError
@@ -63,7 +61,5 @@ __all__ = [
     "ibmq16_topology",
     "parse_scaffir",
     "register_backend",
-    "register_engine",
     "registered_backends",
-    "registered_engines",
 ]

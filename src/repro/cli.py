@@ -55,8 +55,8 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from repro.backend import get_backend, registered_backends, \
-    registered_engines
+from repro.backend import ENGINES, engine_name, get_backend, \
+    registered_backends
 from repro.compiler import CompilerOptions, build_pipeline
 from repro.exceptions import ReproError
 from repro.ir import parse_scaffir, qasm_to_circuit
@@ -65,7 +65,7 @@ from repro.ir import parse_scaffir, qasm_to_circuit
 from repro.mitigation import strategy_from_spec
 from repro.programs import benchmark_names, expected_output, get_benchmark
 from repro.simulator import execute
-from repro.simulator.batch import CHUNK_ENV
+from repro.simulator.batch import CHUNK_ENV, amplitude_budget
 
 _VARIANT_CHOICES = ("qiskit", "t-smt", "t-smt*", "r-smt*", "greedyv*",
                     "greedye*")
@@ -573,14 +573,12 @@ def _chunk_setup(args: argparse.Namespace) -> None:
 
 
 def _cmd_run(args: argparse.Namespace, out) -> int:
-    from repro.backend import get_engine
-
     circuit, registered_answer = _load_circuit(args)
     backend = _backend(args.device, args)
     # Resolve the engine before compiling: an engine typo should fail
     # in milliseconds, not after the SMT solve.
     engine = args.engine or backend.default_engine
-    get_engine(engine)
+    engine_name(engine)
     _chunk_setup(args)
     calibration = backend.calibration(args.day)
     program, cache_hit = _compile_cache(args).get_or_compile(
@@ -831,22 +829,19 @@ def _cmd_backends(out) -> int:
                   f"{backend.calibration_seed:>8} "
                   f"{backend.default_engine:>8}  {backend.description}\n")
     out.write("\nregistered execution engines: "
-              + ", ".join(registered_engines()) + "\n")
+              + ", ".join(ENGINES) + "\n")
     return 0
 
 
 def _cmd_engines(out) -> int:
-    from repro.backend import get_engine
-
+    dense_qubits = max(1, amplitude_budget()).bit_length() - 1
     out.write("registered execution engines:\n")
     out.write(f"  {'name':10s} {'family':10s} {'capacity':34s} "
               f"description\n")
-    for name in registered_engines():
-        engine = get_engine(name)
-        doc = (type(engine).__doc__ or "").strip()
-        first_line = doc.splitlines()[0] if doc else ""
-        out.write(f"  {name:10s} {engine.family:10s} "
-                  f"{engine.capacity_note():34s} {first_line}\n")
+    for name, (family, capacity, description) in ENGINES.items():
+        capacity = capacity.format(dense_qubits=dense_qubits)
+        out.write(f"  {name:10s} {family:10s} {capacity:34s} "
+                  f"{description}\n")
     return 0
 
 

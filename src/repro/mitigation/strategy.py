@@ -43,13 +43,12 @@ from repro.hardware.calibration import Calibration
 from repro.hardware.reliability import ReliabilityTables
 from repro.ir.circuit import Circuit
 from repro.simulator import (
-    CompactProgram,
     ExecutionResult,
     NoiseModel,
     ProgramTrace,
     execute,
 )
-from repro.simulator.batch import prepare_for_cache
+from repro.simulator.executor import lowered_trace
 
 #: A distribution transform: (ctx, {outcome: probability}) -> same shape.
 DistributionTransform = Callable[["MitigationContext", Dict[str, float]],
@@ -174,16 +173,8 @@ class MitigationContext:
         """
         if self.trace_cache is None:
             return None
-        trace = self.trace_cache.get(self.compiled, self.noise,
-                                     self.calibration)
-        if trace is None:
-            compact = CompactProgram(self.compiled.physical.circuit,
-                                     self.compiled.physical.times,
-                                     topology=self.calibration.topology)
-            trace = prepare_for_cache(ProgramTrace(compact, self.noise))
-            self.trace_cache.put(self.compiled, self.noise,
-                                 self.calibration, trace)
-        return trace
+        return lowered_trace(self.compiled, self.calibration, self.noise,
+                             self.trace_cache, dense=True)
 
     # ------------------------------------------------------------------
     # Observable evaluation

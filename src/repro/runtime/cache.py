@@ -17,10 +17,11 @@ Three cache layers, mirroring the expensive stages of a scenario cell:
   coherence handling) share one expensive SMT/greedy mapping artifact.
 * :class:`TraceCache` — lowered
   :class:`~repro.simulator.trace.ProgramTrace` objects keyed by
-  (compiled-program fingerprint, noise-model key). The batched executor
-  consults it through the ``trace_cache`` hook of
-  :func:`repro.simulator.execute`, so re-executing the same compiled
-  program (new seed, new shot count) skips the flat-array lowering.
+  (compiled-program fingerprint, noise-model key). Every engine of
+  :func:`repro.simulator.execute` consults it through the
+  ``trace_cache`` hook, so re-executing the same compiled program (new
+  seed, new shot count, another engine) skips the flat-array
+  lowering.
 
 Each tier is an in-process dictionary with an optional
 :class:`~repro.runtime.diskcache.DiskStore` behind it: a lookup reads
@@ -243,7 +244,8 @@ class CompileCache:
 
 
 class TraceCache:
-    """Memoizes batched-engine :class:`ProgramTrace` lowerings.
+    """Memoizes :class:`ProgramTrace` lowerings, which every engine
+    samples.
 
     Passed to :func:`repro.simulator.execute` via its ``trace_cache``
     argument. Only plain :class:`NoiseModel` instances (whose behavior
@@ -256,11 +258,13 @@ class TraceCache:
             as compressed ``.npz`` flat arrays (``ProgramTrace.to_arrays``,
             no pickle on the load path) with their ideal distribution
             and, on small traces, exact outcome law, so a later process
-            skips lowering and both dense passes. A disk read follows a
-            counted memory miss; an entry that does not decode is a
-            miss. Only exact ``ProgramTrace`` instances are stored: the
-            stabilizer engine's lowered objects and trace subclasses
-            stay memory-only rather than risk a lossy round-trip.
+            skips lowering and both dense passes. A disk-served trace
+            counts as a hit (the lowering was avoided) and is promoted
+            into memory; an entry that does not decode or fails
+            :meth:`ProgramTrace.from_arrays`' checks is a miss. Only
+            exact ``ProgramTrace`` instances are stored: trace
+            subclasses stay memory-only rather than risk a lossy
+            round-trip.
     """
 
     def __init__(self, store: Optional[DiskStore] = None) -> None:
@@ -287,18 +291,22 @@ class TraceCache:
 
     def get(self, compiled: CompiledProgram, noise: NoiseModel,
             calibration: Calibration):
-        """The cached trace, or ``None`` (a memory miss is counted as a
-        miss even when the store then serves the trace)."""
+        """The cached trace, or ``None`` (counted as a miss)."""
         key = self._key(compiled, noise, calibration)
         if key is None:
             return None
         trace = self._traces.get(key)
-        if trace is not None:
+        if trace is None and self.store is not None:
+            trace = self._load(key)
+        if trace is None:
+            self.stats.misses += 1
+        else:
             self.stats.hits += 1
-            return trace
-        self.stats.misses += 1
-        if self.store is None:
-            return None
+        return trace
+
+    def _load(self, key: tuple):
+        """The store's trace under *key*, promoted into memory, or
+        ``None``."""
         blob = self.store.load_blob("trace", repr(key))
         if blob is None:
             return None

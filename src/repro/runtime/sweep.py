@@ -111,10 +111,10 @@ class SweepCell:
             responsibility precisely so that execution order — serial,
             parallel, any worker count — cannot change results.
         simulate: When ``False``, compile only (fig8/fig9/fig11 style).
-        engine: Executor engine name (any registered
-            :class:`~repro.backend.engines.ExecutionEngine`). Defaults
-            to the backend's ``default_engine``, or ``"batched"``
-            without a backend.
+        engine: Executor engine name, one of
+            :data:`~repro.backend.engines.ENGINES`. Defaults to the
+            backend's ``default_engine``, or ``"batched"`` without a
+            backend.
         array_backend: ``None`` or ``"numpy"``, the one array library
             the dense engine runs on; anything else raises
             :class:`~repro.exceptions.ReproError`. Accepted so grids

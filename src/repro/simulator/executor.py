@@ -9,23 +9,23 @@ rate. The trials' counts are drawn either from the program's exact
 outcome law or by simulating trajectories, whichever the trace's size
 calls for; both sample the same law.
 
-Engines are strategies registered with
-:func:`repro.backend.engines.register_engine`; :func:`execute` resolves
-its ``engine`` argument through that registry. The built-ins sample one
-law, lowered once per (program, noise model) pair into a
-:class:`~repro.simulator.trace.ProgramTrace` from the model's
-probability accessors:
+Every engine samples one law, lowered once per (program, noise model)
+pair into a :class:`~repro.simulator.trace.ProgramTrace` from the
+model's probability accessors by :func:`lowered_trace`.
+:func:`execute` dispatches on the three fixed engine names of
+:data:`repro.backend.engines.ENGINES`:
 
-* ``engine="batched"`` (default, :class:`BatchedEngine`) samples all
-  trials with array-level operations (:mod:`repro.simulator.batch`):
-  on traces of at most ``EXACT_MAX_QUBITS`` qubits, one multinomial
-  draw from the trace's exact outcome law, computed once and cached on
-  the trace; on larger ones, one Bernoulli matrix for every error
-  site, a single vectorized draw for all error-free trials, and one
-  statevector simulation per *distinct* noisy error plan;
+* ``engine="batched"`` (default) samples all trials with array-level
+  operations (:mod:`repro.simulator.batch`): on traces of at most
+  ``EXACT_MAX_QUBITS`` qubits, one multinomial draw from the trace's
+  exact outcome law, computed once and cached on the trace; on larger
+  ones, one Bernoulli matrix for every error site, a single vectorized
+  draw for all error-free trials, and one statevector simulation per
+  *distinct* noisy error plan;
 * ``engine="stabilizer"`` samples Clifford programs from the same trace
-  in polynomial time, and ``engine="auto"`` routes each circuit to it or
-  to ``batched`` (:mod:`repro.simulator.stabilizer.engine`).
+  in polynomial time (:mod:`repro.simulator.stabilizer`), and
+  ``engine="auto"`` routes each Clifford circuit to it and everything
+  else to ``batched``.
 """
 
 from __future__ import annotations
@@ -35,18 +35,16 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro.backend.engines import (
-    DEFAULT_ENGINE,
-    ExecutionEngine,
-    get_engine,
-    register_engine,
-)
+from repro.backend.engines import DEFAULT_ENGINE, engine_name
 from repro.compiler.compile import CompiledProgram
 from repro.exceptions import SimulationCapacityError, SimulationError
 from repro.hardware.calibration import Calibration
 from repro.simulator.batch import (amplitude_budget, prepare_for_cache,
                                    run_batched)
 from repro.simulator.noise import NoiseModel
+from repro.simulator.stabilizer.clifford import first_non_clifford
+from repro.simulator.stabilizer.engine import (STABILIZER,
+                                               warn_dense_routing)
 from repro.simulator.success import distribution_overlap
 from repro.simulator.trace import CompactProgram, ProgramTrace
 
@@ -81,8 +79,7 @@ class ExecutionResult:
         return distribution_overlap(self.ideal_distribution, empirical)
 
 
-def check_dense_capacity(n_qubits: int, budget: int,
-                         engine_name: str) -> None:
+def check_dense_capacity(n_qubits: int, budget: int, engine: str) -> None:
     """Refuse a dense run that cannot fit the amplitude budget.
 
     A ``2**n_qubits`` complex statevector beyond
@@ -93,7 +90,7 @@ def check_dense_capacity(n_qubits: int, budget: int,
     if (1 << n_qubits) > budget:
         ceiling = max(0, budget).bit_length() - 1
         raise SimulationCapacityError(
-            f"engine={engine_name!r} needs a dense statevector of "
+            f"engine={engine!r} needs a dense statevector of "
             f"2**{n_qubits} amplitudes for this {n_qubits}-qubit "
             f"program, but the amplitude budget allows at most "
             f"{ceiling} qubits (raise it with REPRO_CHUNK_MIB "
@@ -101,44 +98,29 @@ def check_dense_capacity(n_qubits: int, budget: int,
             f"circuits, or `--engine auto` to route automatically.")
 
 
-@register_engine
-class BatchedEngine(ExecutionEngine):
-    """Vectorized sampling of a lowered :class:`ProgramTrace`.
+def lowered_trace(compiled: CompiledProgram, calibration: Calibration,
+                  noise: NoiseModel, trace_cache=None,
+                  dense: bool = False) -> ProgramTrace:
+    """The error-site lowering of *compiled* under *noise*, served from
+    *trace_cache* when it holds one, else lowered and put there.
 
-    Lowers error sites from the noise model's probability accessors and
-    samples every trial with array-level operations; see
-    :mod:`repro.simulator.batch`. A trace it caches carries its ideal
-    distribution and, at or under ``EXACT_MAX_QUBITS``, its exact
-    outcome law, so a cache hit draws counts with no dense pass.
+    Every engine samples this one trace, so engine-comparison sweeps
+    share one cache entry. With *dense*, the put carries the dense
+    members (:func:`~repro.simulator.batch.prepare_for_cache`), so a
+    persistent trace tier stores them and a later hit recomputes
+    neither.
     """
-
-    name = "batched"
-
-    def run(self, compiled: CompiledProgram, calibration: Calibration,
-            noise: NoiseModel, *, trials: int, seed: int,
-            expected: Optional[str] = None,
-            trace_cache=None) -> ExecutionResult:
-        check_dense_capacity(len(compiled.physical.circuit.used_qubits()),
-                             amplitude_budget(), self.name)
-        rng = np.random.default_rng(seed)
-        trace = (trace_cache.get(compiled, noise, calibration)
-                 if trace_cache is not None else None)
-        if trace is None:
-            compact = CompactProgram(compiled.physical.circuit,
-                                     compiled.physical.times,
-                                     topology=calibration.topology)
-            trace = ProgramTrace(compact, noise)
-            if trace_cache is not None:
-                # Materialize the ideal distribution and the exact law
-                # (both needed below anyway) before caching, so a
-                # persistent trace tier captures the dense passes, not
-                # just the site tables.
-                trace_cache.put(compiled, noise, calibration,
-                                prepare_for_cache(trace))
-        counts = run_batched(trace, trials, rng)
-        return ExecutionResult(counts=counts, trials=trials,
-                               expected=expected,
-                               ideal_distribution=trace.ideal_distribution)
+    trace = (trace_cache.get(compiled, noise, calibration)
+             if trace_cache is not None else None)
+    if trace is None:
+        compact = CompactProgram(compiled.physical.circuit,
+                                 compiled.physical.times,
+                                 topology=calibration.topology)
+        trace = ProgramTrace(compact, noise)
+        if trace_cache is not None:
+            trace_cache.put(compiled, noise, calibration,
+                            prepare_for_cache(trace) if dense else trace)
+    return trace
 
 
 def execute(compiled: CompiledProgram, calibration: Calibration,
@@ -158,27 +140,52 @@ def execute(compiled: CompiledProgram, calibration: Calibration,
         seed: Master RNG seed; results are reproducible.
         expected: The benchmark's known answer string.
         noise_model: Override the default all-mechanisms model.
-        engine: Name of a registered
-            :class:`~repro.backend.engines.ExecutionEngine` —
-            ``"batched"`` (vectorized dense, default), ``"stabilizer"``
-            (Clifford programs, polynomial time), ``"auto"`` (Clifford
-            to ``stabilizer``, else ``batched``), or any third-party
-            registration.
+        engine: ``"batched"`` (vectorized dense, default),
+            ``"stabilizer"`` (Clifford programs, polynomial time) or
+            ``"auto"`` (Clifford to ``stabilizer``, else ``batched``),
+            case-insensitive.
         trace_cache: Optional :class:`repro.runtime.cache.TraceCache`
             (or anything with the same ``get``/``put`` signature).
-            When given, the engine reuses a previously lowered
+            When given, every engine reuses a previously lowered
             :class:`ProgramTrace` for the same (compiled program, noise
             model) pair instead of re-lowering, which is the dominant
             per-call cost when sweeping seeds or trial counts.
 
     Returns:
         Counts plus success-rate/overlap accessors.
+
+    Raises:
+        SimulationError: Unknown engine, no trials, or
+            ``engine="stabilizer"`` on a non-Clifford program.
+        SimulationCapacityError: A dense run beyond the amplitude
+            budget.
     """
     if trials < 1:
         raise SimulationError("need at least one trial")
-    resolved = get_engine(engine)
+    name = engine_name(engine)
     noise = noise_model or NoiseModel(calibration)
-    return resolved.run(compiled, calibration, noise, trials=trials,
-                        seed=seed, expected=expected,
-                        trace_cache=trace_cache)
+    rng = np.random.default_rng(seed)
+    if name != "batched":
+        gate = first_non_clifford(compiled.physical.circuit)
+        if gate is None:
+            trace = lowered_trace(compiled, calibration, noise, trace_cache)
+            counts, ideal = STABILIZER.run(trace, trials, rng)
+            return ExecutionResult(counts=counts, trials=trials,
+                                   expected=expected,
+                                   ideal_distribution=ideal)
+        if name == "stabilizer":
+            raise SimulationError(
+                f"engine='stabilizer' is exact only for Clifford "
+                f"circuits, but the compiled program contains "
+                f"{gate.name!r} on qubits {gate.qubits}; use "
+                f"engine='auto' to route non-Clifford programs to a "
+                f"dense engine")
+        warn_dense_routing(gate)
+    check_dense_capacity(len(compiled.physical.circuit.used_qubits()),
+                         amplitude_budget(), "batched")
+    trace = lowered_trace(compiled, calibration, noise, trace_cache,
+                          dense=True)
+    counts = run_batched(trace, trials, rng)
+    return ExecutionResult(counts=counts, trials=trials, expected=expected,
+                           ideal_distribution=trace.ideal_distribution)
 

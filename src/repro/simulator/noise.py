@@ -78,19 +78,6 @@ class NoiseModel:
         Two models whose ``trace_key()`` values are equal must produce
         identical probabilities for every (program, calibration) pair —
         the cache serves one model's lowered trace for the other.
-
-        The same contract extends to custom execution engines
-        registered through
-        :func:`repro.backend.engines.register_engine`: the
-        ``trace_cache`` handed to an engine stores lowered
-        :class:`~repro.simulator.trace.ProgramTrace` objects keyed
-        through :func:`noise_content_key` (which honors
-        ``trace_key()``), so an engine that consumes that same
-        lowering may share it — one escape hatch serves every such
-        engine. An engine caching a *different* artifact type must
-        keep its own store: the shared cache's keys carry no engine
-        component, so a foreign artifact under the same (program,
-        noise, calibration) triple would collide with the trace.
     """
 
     def __init__(self, calibration: Calibration, gate_errors: bool = True,

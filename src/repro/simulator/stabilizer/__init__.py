@@ -1,8 +1,8 @@
 """CHP-style stabilizer simulation subsystem (Aaronson–Gottesman).
 
-Polynomial-time noisy sampling for Clifford programs, lowered from the
-same :class:`~repro.simulator.trace.ProgramTrace` error-site table the
-dense engines consume:
+Polynomial-time noisy sampling for Clifford programs, from the same
+:class:`~repro.simulator.trace.ProgramTrace` error-site table the dense
+engine consumes:
 
 * :mod:`~repro.simulator.stabilizer.clifford` — the ``is_clifford``
   analysis pass (single source of truth for the tracked gate set);
@@ -11,8 +11,10 @@ dense engines consume:
   every error plan;
 * :mod:`~repro.simulator.stabilizer.program` — the per-trace symbolic
   lowering plus the vectorized host-numpy trial sampler;
-* :mod:`~repro.simulator.stabilizer.engine` — the registered
-  ``"stabilizer"`` engine and the ``"auto"`` Clifford router.
+* :mod:`~repro.simulator.stabilizer.engine` — the sampling step
+  :func:`~repro.simulator.execute` runs for ``engine="stabilizer"``
+  and for Clifford programs under ``engine="auto"``, plus that
+  router's dense-fallback notice.
 """
 
 from repro.simulator.stabilizer.clifford import (
@@ -20,7 +22,6 @@ from repro.simulator.stabilizer.clifford import (
     first_non_clifford,
     is_clifford,
 )
-from repro.simulator.stabilizer.engine import AutoEngine, StabilizerEngine
 from repro.simulator.stabilizer.program import (
     StabilizerProgram,
     sample_stabilizer_counts,
@@ -29,9 +30,7 @@ from repro.simulator.stabilizer.program import (
 from repro.simulator.stabilizer.tableau import SymbolicTableau
 
 __all__ = [
-    "AutoEngine",
     "CLIFFORD_GATES",
-    "StabilizerEngine",
     "StabilizerProgram",
     "SymbolicTableau",
     "first_non_clifford",

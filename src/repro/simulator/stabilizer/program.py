@@ -38,12 +38,23 @@ from repro.exceptions import SimulationError
 from repro.simulator.batch import render_readout_bits
 from repro.simulator.stabilizer.clifford import first_non_clifford
 from repro.simulator.stabilizer.tableau import SymbolicTableau
-from repro.simulator.trace import ProgramTrace
+from repro.simulator.trace import (_PAIR_CHOICE_PAULIS,
+                                   _SINGLE_CHOICE_PAULIS, PAULI_CODES,
+                                   ProgramTrace)
 
 #: Enumerate the exact ideal distribution only while ``2**n_coins``
 #: stays trivial; past this the engine reports an empty distribution
 #: (overlap-style metrics need the dense engines anyway).
 _IDEAL_COIN_CAP = 12
+
+#: Pauli name of each :data:`~repro.simulator.trace.PAULI_CODES` value.
+_PAULI_NAMES = {code: name for name, code in PAULI_CODES.items()}
+
+#: Per choice, the Pauli codes a two-qubit channel injects on its
+#: ``site_pair`` qubits; a single-qubit channel has the first three
+#: rows of its table (the rest are padding the sampler never draws).
+_PAIR_CHOICES = _PAIR_CHOICE_PAULIS.tolist()
+_SINGLE_CHOICES = _SINGLE_CHOICE_PAULIS[:3].tolist()
 
 
 class StabilizerProgram:
@@ -73,7 +84,10 @@ class StabilizerProgram:
         # Column layout: [constant | coins | choice indicators]. Every
         # measurement could be random, and each site contributes one
         # indicator per Pauli choice.
-        site_widths = [len(events) for events in trace.site_events]
+        site_pairs = trace.site_pair.tolist()
+        site_choices = [_PAIR_CHOICES if b >= 0 else _SINGLE_CHOICES
+                        for _, b in site_pairs]
+        site_widths = [len(choices) for choices in site_choices]
         self.choice_offset = np.concatenate(
             ([0], np.cumsum(site_widths[:-1]))).astype(np.int64) \
             if site_widths else np.zeros(0, dtype=np.int64)
@@ -90,10 +104,12 @@ class StabilizerProgram:
                 dense = tuple(compact.hw_to_dense[q] for q in gate.qubits)
                 tableau.apply_gate(gate.name, dense)
             while site < trace.n_sites and trace.site_gate[site] == i:
-                for c, events in enumerate(trace.site_events[site]):
+                for c, codes in enumerate(site_choices[site]):
                     column = choice_base + int(self.choice_offset[site]) + c
-                    for dense_q, pauli in events:
-                        tableau.inject_pauli(dense_q, pauli, column)
+                    for dense_q, code in zip(site_pairs[site], codes):
+                        if code:
+                            tableau.inject_pauli(dense_q, _PAULI_NAMES[code],
+                                                 column)
                 site += 1
         # Deferred measurement, in program (= measure-table) order.
         expressions = np.zeros((n_measures, width), dtype=np.uint8)

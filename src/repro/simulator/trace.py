@@ -16,8 +16,9 @@ Bernoulli matrix in a handful of vectorized RNG calls:
   is one independent Bernoulli error source (an idle window on one
   qubit before a gate, or the gate's own depolarizing channel) with a
   precomputed firing probability, the cumulative boundaries of its
-  conditional Pauli-choice distribution, and the concrete Pauli events
-  each choice applies. The trace also holds the per-gate unitaries,
+  conditional Pauli-choice distribution, and the dense qubits its
+  channel acts on; two static tables give the Paulis each choice
+  applies there. The trace also holds the per-gate unitaries,
   the dense-qubit measure map and the per-measure readout flip
   probabilities, and computes two dense members lazily, once, on
   first use: the ideal output distribution and the exact outcome law
@@ -46,9 +47,6 @@ from repro.simulator.statevector import StateVector, cached_unitary
 
 #: Ideal-distribution probability cutoff (matches the per-trial loop).
 _PROB_CUTOFF = 1e-12
-
-#: One Pauli event: (dense qubit, pauli name).
-DenseEvent = Tuple[int, str]
 
 #: Size of the per-site choice space: the two-qubit channel's 15
 #: non-identity Pauli pairs. An error plan names each event it
@@ -154,8 +152,11 @@ class ProgramTrace:
         site_cum: ``(S, 14)`` interior cumulative boundaries of each
             site's conditional Pauli-choice distribution, padded with
             1.0 (a uniform draw lands left of the padding).
-        site_events: per site, a tuple of choices; each choice is a
-            tuple of :data:`DenseEvent` to apply after the gate.
+        site_pair: ``(S, 2)`` dense qubits of each site's channel:
+            ``(q, -1)`` for a single-qubit channel, whose choices are
+            the rows of ``_SINGLE_CHOICE_PAULIS[:3]``, and ``(a, b)``
+            for a two-qubit one, whose choices are the rows of
+            ``_PAIR_CHOICE_PAULIS`` (see :meth:`choice_paulis`).
     """
 
     def __init__(self, compact: CompactProgram, noise: NoiseModel) -> None:
@@ -174,21 +175,19 @@ class ProgramTrace:
         # own error channel. Zero-probability sites are dropped.
         site_gate: List[int] = []
         site_prob: List[float] = []
+        site_pair: List[Tuple[int, int]] = []
         cum_rows: List[np.ndarray] = []
-        self.site_events: List[Tuple[Tuple[DenseEvent, ...], ...]] = []
         for i, (gate, gaps) in enumerate(zip(compact.gates,
                                              compact.idle_before)):
             for qubit, idle in gaps:
                 rates = noise.idle_rates(qubit, idle)
                 if rates.total <= 0.0:
                     continue
-                dense = compact.hw_to_dense[qubit]
                 site_gate.append(i)
                 site_prob.append(rates.total)
+                site_pair.append((compact.hw_to_dense[qubit], -1))
                 cum_rows.append(np.array(
                     [rates.p_x, rates.p_x + rates.p_y]) / rates.total)
-                self.site_events.append(
-                    tuple(((dense, p),) for p in _PAULIS_1Q))
             p = noise.gate_error_probability(
                 gate, concurrent_neighbors=compact.concurrent_neighbors[i])
             if p <= 0.0:
@@ -197,25 +196,17 @@ class ProgramTrace:
             site_prob.append(p)
             if gate.is_two_qubit:
                 da, db = (compact.hw_to_dense[q] for q in gate.qubits)
-                choices = []
-                for pa, pb in _PAULIS_2Q:
-                    events = []
-                    if pa != "i":
-                        events.append((da, pa))
-                    if pb != "i":
-                        events.append((db, pb))
-                    choices.append(tuple(events))
-                self.site_events.append(tuple(choices))
+                site_pair.append((da, db))
                 cum_rows.append(np.arange(1, len(_PAULIS_2Q))
                                 / float(len(_PAULIS_2Q)))
             else:
-                dense = compact.hw_to_dense[gate.qubits[0]]
-                self.site_events.append(
-                    tuple(((dense, p),) for p in _PAULIS_1Q))
+                site_pair.append((compact.hw_to_dense[gate.qubits[0]], -1))
                 cum_rows.append(np.array([1.0, 2.0]) / 3.0)
         self.n_sites = len(site_gate)
         self.site_gate = np.asarray(site_gate, dtype=np.int64)
         self.site_prob = np.asarray(site_prob, dtype=np.float64)
+        self.site_pair = np.asarray(site_pair, dtype=np.int64
+                                    ).reshape(self.n_sites, 2)
         max_bounds = len(_PAULIS_2Q) - 1
         self.site_cum = np.ones((self.n_sites, max_bounds), dtype=np.float64)
         for s, row in enumerate(cum_rows):
@@ -320,9 +311,11 @@ class ProgramTrace:
         The result is functionally identical to the originally lowered
         trace: same arrays, same unitary schedule (re-fetched from the
         unitary cache), same lazily-computable dense members. Raises on
-        malformed input (missing keys, shape mismatches, an outcome law
-        that is not a probability vector over the rendered codes) — the
-        disk tier treats any exception as a cache miss and re-lowers.
+        malformed input — missing keys, a site table or readout array
+        no lowering of the stored gates produces (:func:`_check_tables`),
+        an outcome law that is not a probability vector over the
+        rendered codes — and the disk tier treats any exception as a
+        cache miss and re-lowers.
         """
         from repro.ir.circuit import Circuit
         from repro.ir.gates import Gate
@@ -358,30 +351,14 @@ class ProgramTrace:
         trace.site_gate = np.asarray(data["site_gate"], dtype=np.int64)
         trace.site_prob = np.asarray(data["site_prob"], dtype=np.float64)
         trace.site_cum = np.asarray(data["site_cum"], dtype=np.float64)
-        trace.n_sites = len(trace.site_gate)
-        site_events: List[Tuple[Tuple[DenseEvent, ...], ...]] = []
-        for da, db in data["site_pair"]:
-            da = int(da)
-            if db < 0:
-                site_events.append(
-                    tuple(((da, p),) for p in _PAULIS_1Q))
-            else:
-                db = int(db)
-                choices = []
-                for pa, pb in _PAULIS_2Q:
-                    events = []
-                    if pa != "i":
-                        events.append((da, pa))
-                    if pb != "i":
-                        events.append((db, pb))
-                    choices.append(tuple(events))
-                site_events.append(tuple(choices))
-        trace.site_events = site_events
+        trace.site_pair = np.asarray(data["site_pair"], dtype=np.int64)
+        trace.n_sites = trace.site_gate.size
         trace._index_cbits()
         trace.readout_p0 = np.asarray(data["readout_p0"],
                                       dtype=np.float64)
         trace.readout_p1 = np.asarray(data["readout_p1"],
                                       dtype=np.float64)
+        _check_tables(trace)
         trace._strings = {}
         trace._outcome_strings = {}
         if "outcome_law" in data:
@@ -426,29 +403,13 @@ class ProgramTrace:
         bincounts."""
         return np.argsort(self.basis_codes, kind="stable")
 
-    @cached_property
-    def site_pair(self) -> np.ndarray:
-        """``(S, 2)`` dense qubits of each site's channel: ``(q, -1)``
-        for a single-qubit channel, ``(a, b)`` for a two-qubit one."""
-        pairs = np.full((self.n_sites, 2), -1, dtype=np.int64)
-        for s, choices in enumerate(self.site_events):
-            # Single-qubit sites carry 3 one-event choices on one dense
-            # qubit; two-qubit sites the 15 non-identity Pauli pairs,
-            # the last of which is (a, "z"), (b, "z").
-            if len(choices) == len(_PAULIS_1Q):
-                pairs[s, 0] = choices[0][0][0]
-            else:
-                pairs[s] = choices[-1][0][0], choices[-1][1][0]
-        return pairs
-
     def choice_paulis(self, codes: np.ndarray) -> np.ndarray:
-        """``site_events`` in array form, for (site, choice) *codes*.
+        """The Paulis each (site, choice) code in *codes* injects.
 
         Returns a ``(len(codes), 2)`` matrix of :data:`PAULI_CODES`
         values (0 for none): code ``s * CHOICE_STRIDE + c`` injects
         column 0 on qubit ``site_pair[s, 0]``, then column 1 on
-        ``site_pair[s, 1]`` — the events of ``site_events[s][c]``, in
-        order.
+        ``site_pair[s, 1]``, in that order.
         """
         site, choice = np.divmod(codes, CHOICE_STRIDE)
         return np.where(self.site_pair[site, 1:] >= 0,
@@ -458,7 +419,13 @@ class ProgramTrace:
     @cached_property
     def _ideal(self) -> Tuple[np.ndarray, np.ndarray, Dict[str, float]]:
         """Ideal (noise-free) output distribution over pattern codes."""
-        pattern = self.plan_probabilities({})
+        state = StateVector(self.n_qubits)
+        for op in self.ops:
+            if op is not None:
+                state.apply_matrix(*op)
+        pattern = np.bincount(self.basis_codes,
+                              weights=state.probabilities(),
+                              minlength=1 << self.n_measures)
         keep = np.nonzero(pattern > _PROB_CUTOFF)[0]
         probs = pattern[keep]
         # Aliased cbits can render distinct pattern codes to the same
@@ -533,29 +500,6 @@ class ProgramTrace:
         return clone
 
     # ------------------------------------------------------------------
-    def plan_probabilities(self, plan: Dict[int, List[DenseEvent]]
-                           ) -> np.ndarray:
-        """Measured-pattern distribution after executing one error plan.
-
-        Args:
-            plan: Gate index -> Pauli events to inject after that gate
-                (empty dict = noise-free run).
-
-        Returns:
-            Length ``2**n_measures`` probability vector over pattern
-            codes.
-        """
-        state = StateVector(self.n_qubits)
-        for i, op in enumerate(self.ops):
-            if op is not None:
-                matrix, dense = op
-                state.apply_matrix(matrix, dense)
-            for dense_q, pauli in plan.get(i, ()):
-                state.apply_matrix(cached_unitary(pauli), (dense_q,))
-        probs = state.probabilities()
-        return np.bincount(self.basis_codes, weights=probs,
-                           minlength=1 << self.n_measures)
-
     def pattern_string(self, code: int) -> str:
         """Classical output string for a measured-bit pattern code."""
         cached = self._strings.get(code)
@@ -576,3 +520,41 @@ class ProgramTrace:
                 chars[cbit] = "1" if (code >> j) & 1 else "0"
             cached = self._outcome_strings[code] = "".join(chars)
         return cached
+
+
+def _check_tables(trace: ProgramTrace) -> None:
+    """Refuse a read-back site table or readout array that no lowering
+    of the trace's gates produces.
+
+    A stored trace is input from outside the process: an entry whose
+    integrity digest matches can still carry tables a buggy or hostile
+    writer made, and sampling them would skew counts silently.
+
+    Raises:
+        SimulationError: On the first check that fails.
+    """
+    n = trace.n_sites
+    gate, pair, cum = trace.site_gate, trace.site_pair, trace.site_cum
+    if (gate.shape != (n,) or trace.site_prob.shape != (n,)
+            or pair.shape != (n, 2) or cum.shape != (n, CHOICE_STRIDE - 1)
+            or trace.readout_p0.shape != (trace.n_measures,)
+            or trace.readout_p1.shape != (trace.n_measures,)):
+        raise SimulationError(
+            "stored trace arrays disagree with its site and measure counts")
+    if (np.any(gate < 0) or np.any(gate >= len(trace.compact.gates))
+            or np.any(np.diff(gate) < 0)):
+        raise SimulationError(
+            "stored site_gate leaves the gate range or decreases")
+    first, second = pair[:, 0], pair[:, 1]
+    if (np.any(first < 0) or np.any(first >= trace.n_qubits)
+            or np.any(second < -1) or np.any(second >= trace.n_qubits)
+            or np.any(first == second)):
+        raise SimulationError(
+            "stored site_pair leaves the qubit range or repeats a qubit")
+    for name in ("site_prob", "site_cum", "readout_p0", "readout_p1"):
+        values = getattr(trace, name)
+        # NaN fails both comparisons, so this also demands finite values.
+        if not np.all((values >= 0.0) & (values <= 1.0)):
+            raise SimulationError(f"stored {name} leaves [0, 1]")
+    if np.any(np.diff(cum, axis=1) < 0.0):
+        raise SimulationError("stored site_cum rows decrease")

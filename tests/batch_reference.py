@@ -4,8 +4,14 @@ Not a test module (pytest does not collect it) and not a runtime
 fallback: the package has one production path per job, and these are
 the plain versions it must reproduce exactly.
 
+* :func:`choice_events` and :func:`site_events` spell out the Pauli
+  events each error site's choices apply, from the noise model's
+  ``_PAULIS_1Q``/``_PAULIS_2Q`` orders rather than the code tables the
+  sampler reads.
 * :func:`plan_events` expands (site, choice) pairs into the per-gate
-  Pauli event lists :meth:`ProgramTrace.plan_probabilities` takes.
+  Pauli event lists :func:`plan_probabilities` takes.
+* :func:`plan_probabilities` runs one error plan on one
+  :class:`~repro.simulator.statevector.StateVector`.
 * :func:`plan_matrix` packs the same pairs into the padded code matrix
   :func:`repro.simulator.batch.batch_plan_probabilities` takes.
 * :func:`reference_plan_probabilities` is the batched pass with one
@@ -19,10 +25,33 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.simulator.statevector import cached_unitary
-from repro.simulator.trace import CHOICE_STRIDE, DenseEvent, ProgramTrace
+from repro.simulator.noise import _PAULIS_1Q, _PAULIS_2Q
+from repro.simulator.statevector import StateVector, cached_unitary
+from repro.simulator.trace import CHOICE_STRIDE, ProgramTrace
+
+#: One Pauli event: (dense qubit, pauli name).
+DenseEvent = Tuple[int, str]
 
 Plan = Dict[int, List[DenseEvent]]
+
+
+def choice_events(trace: ProgramTrace, site: int,
+                  choice: int) -> Tuple[DenseEvent, ...]:
+    """The :data:`DenseEvent` tuple choice *choice* of *site* applies
+    after the site's gate, in order."""
+    a, b = trace.site_pair[site].tolist()
+    if b < 0:
+        return ((a, _PAULIS_1Q[choice]),)
+    pa, pb = _PAULIS_2Q[choice]
+    return tuple((q, p) for q, p in ((a, pa), (b, pb)) if p != "i")
+
+
+def site_events(trace: ProgramTrace
+                ) -> List[Tuple[Tuple[DenseEvent, ...], ...]]:
+    """Per site, the :func:`choice_events` of each of its choices."""
+    return [tuple(choice_events(trace, s, c)
+                  for c in range(len(_PAULIS_1Q if b < 0 else _PAULIS_2Q)))
+            for s, (_, b) in enumerate(trace.site_pair.tolist())]
 
 
 def plan_events(trace: ProgramTrace, sites: Sequence[int],
@@ -31,8 +60,31 @@ def plan_events(trace: ProgramTrace, sites: Sequence[int],
     by_gate: Plan = {}
     for s, c in zip(sites, choices):
         gate = int(trace.site_gate[s])
-        by_gate.setdefault(gate, []).extend(trace.site_events[s][int(c)])
+        by_gate.setdefault(gate, []).extend(
+            choice_events(trace, int(s), int(c)))
     return by_gate
+
+
+def plan_probabilities(trace: ProgramTrace, plan: Plan) -> np.ndarray:
+    """Measured-pattern distribution after executing one error plan.
+
+    Args:
+        plan: Gate index -> Pauli events to inject after that gate
+            (empty dict = noise-free run).
+
+    Returns:
+        Length ``2**n_measures`` probability vector over pattern codes.
+    """
+    state = StateVector(trace.n_qubits)
+    for i, op in enumerate(trace.ops):
+        if op is not None:
+            matrix, dense = op
+            state.apply_matrix(matrix, dense)
+        for dense_q, pauli in plan.get(i, ()):
+            state.apply_matrix(cached_unitary(pauli), (dense_q,))
+    probs = state.probabilities()
+    return np.bincount(trace.basis_codes, weights=probs,
+                       minlength=1 << trace.n_measures)
 
 
 def plan_matrix(plans: Sequence[Tuple[Sequence[int], Sequence[int]]]

@@ -2,20 +2,18 @@
 
 import io
 
+import numpy as np
 import pytest
 
 from repro.backend import (
+    ENGINES,
     Backend,
-    ExecutionEngine,
+    engine_name,
     get_backend,
-    get_engine,
     register_backend,
-    register_engine,
     registered_backends,
-    registered_engines,
 )
 from repro.backend import base as backend_base
-from repro.backend import engines as backend_engines
 from repro.cli import main
 from repro.compiler import CompilerOptions, compile_circuit
 from repro.exceptions import (
@@ -27,7 +25,8 @@ from repro.exceptions import (
 from repro.hardware import GridTopology
 from repro.programs import get_benchmark
 from repro.runtime import SweepCell, run_sweep
-from repro.simulator import execute
+from repro.simulator import NoiseModel, execute, run_batched
+from repro.simulator.executor import lowered_trace
 
 TRIALS = 128
 
@@ -120,38 +119,15 @@ class TestBackendRegistry:
 
 class TestEngineRegistry:
     def test_builtins_registered(self):
-        assert registered_engines() == ("batched", "stabilizer", "auto")
+        assert tuple(ENGINES) == ("batched", "stabilizer", "auto")
 
     def test_unknown_engine_suggests(self):
         with pytest.raises(SimulationError, match="did you mean 'batched'"):
-            get_engine("bathced")
+            engine_name("bathced")
 
     def test_engine_lookup_case_insensitive(self):
         # Matches the backend registry's case handling.
-        assert get_engine("Batched") is get_engine("batched")
-
-    def test_third_party_engine_runs_without_editing_executor(self, bv4):
-        class ConstantEngine(ExecutionEngine):
-            name = "constant-test"
-
-            def run(self, compiled, calibration, noise, *, trials, seed,
-                    expected=None, trace_cache=None):
-                from repro.simulator import ExecutionResult
-
-                return ExecutionResult(counts={expected: trials},
-                                       trials=trials, expected=expected)
-
-        register_engine(ConstantEngine)
-        try:
-            cal = get_backend("ibmq16").calibration()
-            compiled = compile_circuit(bv4.build(), cal,
-                                       CompilerOptions.r_smt_star())
-            result = execute(compiled, cal, trials=16,
-                             expected=bv4.expected_output,
-                             engine="constant-test")
-            assert result.success_rate == 1.0
-        finally:
-            backend_engines._ENGINES.pop("constant-test", None)
+        assert engine_name("Batched") == engine_name("batched")
 
     def test_cell_engine_derived_from_backend(self, bv4):
         backend = get_backend("ibmq16").with_(default_engine="auto")
@@ -267,19 +243,16 @@ class TestPreRefactorIdentity:
         assert a.execution.counts == b.execution.counts
 
     def test_execute_matches_direct_engine_run(self, bv4):
-        """`execute` is a thin dispatcher: going through the registry
-        must be bit-identical to the engine's own run()."""
+        """`execute` is a thin dispatcher: its counts must be
+        bit-identical to sampling the lowered trace directly."""
         cal = get_backend("ibmq16").calibration()
         compiled = compile_circuit(bv4.build(), cal,
                                    CompilerOptions.r_smt_star())
         via_execute = execute(compiled, cal, trials=TRIALS, seed=3,
                               expected=bv4.expected_output)
-        from repro.simulator import NoiseModel
-
-        direct = get_engine("batched").run(
-            compiled, cal, NoiseModel(cal), trials=TRIALS, seed=3,
-            expected=bv4.expected_output)
-        assert via_execute.counts == direct.counts
+        trace = lowered_trace(compiled, cal, NoiseModel(cal))
+        direct = run_batched(trace, TRIALS, np.random.default_rng(3))
+        assert via_execute.counts == direct
 
 
 class TestBackendCli:

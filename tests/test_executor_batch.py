@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.simulator.batch as batch
-from repro.backend import registered_engines
+from repro.backend import ENGINES
 from repro.compiler import CompilerOptions, compile_circuit
 from repro.exceptions import SimulationError
 from repro.hardware import (CalibrationGenerator, default_ibmq16_calibration,
@@ -36,9 +36,9 @@ from repro.simulator import (
 from repro.simulator.batch import batch_plan_probabilities, run_batched
 from repro.simulator.noise import _PAULIS_1Q, _PAULIS_2Q
 
-from batch_reference import (plan_events, plan_matrix,
+from batch_reference import (plan_events, plan_matrix, plan_probabilities,
                              reference_plan_probabilities,
-                             reference_sample_noisy)
+                             reference_sample_noisy, site_events)
 from trial_reference import reference_execute, run_state
 
 TRIALS = 4096
@@ -104,7 +104,7 @@ class TestEngineAgreement:
         assert execute(bv4, cal, noise_model=gates_only,
                        **kwargs).success_rate < 1.0
         silent = SilentGates(cal, decoherence=False, readout_errors=False)
-        for engine in registered_engines():
+        for engine in ENGINES:
             assert execute(bv4, cal, noise_model=silent, engine=engine,
                            **kwargs).success_rate == 1.0, engine
         assert reference_execute(bv4, cal, noise_model=silent,
@@ -250,25 +250,26 @@ class TestPlanDedup:
 
     def test_batched_plans_match_single_plan_simulation(self, trace):
         rng = np.random.default_rng(3)
+        events = site_events(trace)
         plans = []
         for _ in range(6):
             k = int(rng.integers(1, 4))
             sites = np.sort(rng.choice(trace.n_sites, size=k, replace=False))
             choices = np.array([
-                rng.integers(len(trace.site_events[s])) for s in sites])
+                rng.integers(len(events[s])) for s in sites])
             plans.append((sites, choices))
         batched = batch_plan_probabilities(trace, plan_matrix(plans))
         for row, (sites, choices) in enumerate(plans):
-            single = trace.plan_probabilities(
-                plan_events(trace, sites, choices))
+            single = plan_probabilities(
+                trace, plan_events(trace, sites, choices))
             assert np.allclose(batched[row], single)
 
     def test_plan_simulation_matches_legacy_run_state(self, trace):
         """Trace-level trajectory sim equals the per-trial run_state."""
         rng = np.random.default_rng(4)
         sites = np.sort(rng.choice(trace.n_sites, size=3, replace=False))
-        choices = np.array([
-            rng.integers(len(trace.site_events[s])) for s in sites])
+        events = site_events(trace)
+        choices = np.array([rng.integers(len(events[s])) for s in sites])
         plan = plan_events(trace, sites, choices)
         legacy_plan = [list(plan.get(i, []))
                        for i in range(len(trace.compact.gates))]
@@ -277,7 +278,7 @@ class TestPlanDedup:
         legacy_pattern = np.bincount(
             trace.basis_codes, weights=probs,
             minlength=1 << trace.n_measures)
-        assert np.allclose(trace.plan_probabilities(plan), legacy_pattern)
+        assert np.allclose(plan_probabilities(trace, plan), legacy_pattern)
 
     def test_duplicate_plans_share_one_distribution(self, trace):
         plan = ([0], [0])
@@ -296,6 +297,7 @@ def random_plans(trace, rng, n_plans):
     """(sites, choices) plans firing every site of a few gates at once
     or a random subset of them, so events stack on one qubit."""
     gates = np.unique(trace.site_gate)
+    events = site_events(trace)
     plans = []
     for _ in range(n_plans):
         picked = rng.choice(gates, size=min(gates.size, 3), replace=False)
@@ -303,8 +305,7 @@ def random_plans(trace, rng, n_plans):
         if rng.random() < 0.5:
             fire &= rng.random(trace.n_sites) < 0.6
         sites = np.nonzero(fire)[0]
-        choices = [int(rng.integers(len(trace.site_events[s])))
-                   for s in sites]
+        choices = [int(rng.integers(len(events[s]))) for s in sites]
         plans.append((sites, choices))
     return plans
 
@@ -349,7 +350,7 @@ class TestInjectionOracle:
         pair_y_x = _PAULIS_2Q.index(("y", "x"))
         idle_y = _PAULIS_1Q.index("y")
         plans = []
-        for s, choices in enumerate(trace.site_events):
+        for s, choices in enumerate(site_events(trace)):
             idle = [t for t in range(s)
                     if trace.site_gate[t] == trace.site_gate[s]
                     and trace.site_pair[t, 0] == trace.site_pair[s, 0]]

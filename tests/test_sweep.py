@@ -1,7 +1,9 @@
 """Sweep-runtime tests: fingerprints, caches, parallel determinism."""
 
+import io
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from repro.compiler import CompilerOptions, compile_circuit
@@ -16,6 +18,7 @@ from repro.ir.circuit import Circuit
 from repro.programs import get_benchmark
 from repro.runtime import (
     CompileCache,
+    DiskStore,
     SweepCell,
     TraceCache,
     compile_key,
@@ -165,6 +168,118 @@ class TestTraceCache:
         execute(compiled, cal, trials=8, seed=0, noise_model=noise,
                 trace_cache=cache)
         assert len(cache) == 0 and cache.stats.lookups == 0
+
+    def test_engines_share_one_lowering(self, cal):
+        """An engine-comparison run lowers a Clifford program once."""
+        compiled = compile_circuit(get_benchmark("BV4").build(), cal,
+                                   CompilerOptions.r_smt_star())
+        cache = TraceCache()
+        for engine in ("batched", "stabilizer", "auto"):
+            execute(compiled, cal, trials=TRIALS, seed=3, engine=engine,
+                    trace_cache=cache)
+        assert cache.stats.misses == 1 and cache.stats.hits == 2
+
+    def test_store_served_trace_counts_as_hit(self, cal, tmp_path):
+        """A trace read back from the disk tier avoided a lowering, as
+        a disk-served compile does: a rerun on fresh caches hits on
+        every lookup."""
+        cells = make_cells(cal, seeds=(0,))
+        run_sweep(cells, cache_dir=tmp_path)
+        again = run_sweep(cells, cache_dir=tmp_path)
+        assert again.trace_stats.lookups == len(cells)
+        assert again.trace_stats.hits == again.trace_stats.lookups
+        assert all(result.trace_cache_hit for result in again)
+
+
+def _cut_cum(arrays):
+    arrays["site_cum"] = arrays["site_cum"][:, :2]
+
+
+def _drop_last(name):
+    def tamper(arrays):
+        arrays[name] = arrays[name][:-1]
+    return tamper
+
+
+def _set(name, index, value):
+    def tamper(arrays):
+        arrays[name] = arrays[name].copy()
+        arrays[name][index] = value
+    return tamper
+
+
+def _swap_first_gates(arrays):
+    gates = arrays["site_gate"].copy()
+    first = np.nonzero(gates != gates[0])[0][0]
+    gates[[0, first]] = gates[[first, 0]]
+    arrays["site_gate"] = gates
+
+
+def _repeat_qubit(arrays):
+    pair = arrays["site_pair"].copy()
+    pair[0, 1] = pair[0, 0]
+    arrays["site_pair"] = pair
+
+
+def _reverse_cum_row(arrays):
+    cum = arrays["site_cum"].copy()
+    cum[0] = cum[0, ::-1]
+    arrays["site_cum"] = cum
+
+
+class TestStoredTraceChecks:
+    """The disk trace tier is an input boundary: an entry whose digest
+    matches but whose site table or readout arrays no lowering produces
+    is a miss, and the cell re-lowers to the clean counts."""
+
+    TAMPERINGS = {
+        "cum-columns": _cut_cum,
+        "prob-rows": _drop_last("site_prob"),
+        "pair-rows": _drop_last("site_pair"),
+        "cum-rows": _drop_last("site_cum"),
+        "readout-length": _drop_last("readout_p1"),
+        "gate-range": _set("site_gate", -1, 10_000),
+        "gate-order": _swap_first_gates,
+        "pair-qubit": _set("site_pair", (0, 0), 99),
+        "pair-second": _set("site_pair", (0, 1), -2),
+        "pair-repeat": _repeat_qubit,
+        "prob-nan": _set("site_prob", 0, np.nan),
+        "prob-above-one": _set("site_prob", 0, 1.5),
+        "cum-negative": _set("site_cum", (0, 0), -0.5),
+        "cum-decreasing": _reverse_cum_row,
+        "readout-inf": _set("readout_p0", 0, np.inf),
+    }
+
+    @pytest.fixture(scope="class")
+    def program(self, cal):
+        # BV8 is above the exact-law cap: its counts come from the
+        # site table, so a tampered table would show in them.
+        return compile_circuit(get_benchmark("BV8").build(), cal,
+                               CompilerOptions.r_smt_star())
+
+    def run(self, program, cal, cache):
+        return execute(program, cal, trials=4096, seed=1,
+                       trace_cache=cache).counts
+
+    @pytest.mark.parametrize("damage", sorted(TAMPERINGS))
+    def test_tampered_entry_is_a_miss(self, program, cal, tmp_path,
+                                      damage):
+        noise = NoiseModel(cal)
+        writer = TraceCache(DiskStore(tmp_path))
+        clean = self.run(program, cal, writer)
+        key = repr(writer._key(program, noise, cal))
+        store = DiskStore(tmp_path)
+        with np.load(io.BytesIO(store.load_blob("trace", key)),
+                     allow_pickle=False) as data:
+            arrays = dict(data)
+        self.TAMPERINGS[damage](arrays)
+        buf = io.BytesIO()
+        np.savez_compressed(buf, **arrays)
+        store.store_blob("trace", key, buf.getvalue())
+        assert TraceCache(DiskStore(tmp_path)).get(program, noise,
+                                                   cal) is None
+        assert self.run(program, cal, TraceCache(DiskStore(tmp_path))) \
+            == clean
 
 
 class TestRunSweep:
