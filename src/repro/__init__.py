@@ -21,12 +21,7 @@ Quickstart::
     print(program.summary(), "->", result.success_rate)
 """
 
-from repro.backend import (
-    Backend,
-    get_backend,
-    register_backend,
-    registered_backends,
-)
+from repro.backend import BACKENDS, Backend, get_backend
 from repro.compiler import CompiledProgram, CompilerOptions, compile_circuit
 from repro.exceptions import ReproError
 from repro.hardware import (
@@ -42,6 +37,7 @@ from repro.simulator import ExecutionResult, execute
 __version__ = "1.0.0"
 
 __all__ = [
+    "BACKENDS",
     "Backend",
     "Calibration",
     "CalibrationGenerator",
@@ -60,6 +56,4 @@ __all__ = [
     "get_backend",
     "ibmq16_topology",
     "parse_scaffir",
-    "register_backend",
-    "registered_backends",
 ]

@@ -1,10 +1,10 @@
 """Unified machine-target abstraction: backends and execution engines.
 
-* :class:`Backend` (:func:`register_backend` / :func:`get_backend`) —
-  topology + calibration stream + noise profile + default engine under
-  one stable :meth:`~Backend.content_id`, with presets in
-  :mod:`repro.backend.presets` (``repro backends`` on the CLI). The
-  registry makes "which machine" pluggable;
+* :class:`Backend` — topology + calibration stream + noise profile +
+  default engine under one stable :meth:`~Backend.content_id`. The
+  seven presets are the fixed :data:`BACKENDS` table
+  (:func:`get_backend` looks a name up; ``repro backends`` on the
+  CLI); any other machine is a ``Backend`` value passed directly;
 * :data:`ENGINES` (:func:`engine_name`) — the three fixed names
   ``execute(engine=...)`` dispatches on: ``batched``, ``stabilizer``
   and ``auto`` (``repro engines`` on the CLI).
@@ -15,22 +15,15 @@ machine identity in cache keys, and ``run_sweep`` groups cells per
 device, so per-device routing tables are shared.
 """
 
-from repro.backend.base import (
-    Backend,
-    get_backend,
-    register_backend,
-    registered_backends,
-)
+from repro.backend.base import Backend
 from repro.backend.engines import DEFAULT_ENGINE, ENGINES, engine_name
-# Importing the presets registers the built-in machines.
-from repro.backend import presets  # noqa: F401  (import side effect)
+from repro.backend.presets import BACKENDS, get_backend
 
 __all__ = [
+    "BACKENDS",
     "Backend",
     "DEFAULT_ENGINE",
     "ENGINES",
     "engine_name",
     "get_backend",
-    "register_backend",
-    "registered_backends",
 ]

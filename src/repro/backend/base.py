@@ -1,4 +1,4 @@
-"""The :class:`Backend` target abstraction and its registry.
+"""The :class:`Backend` target abstraction.
 
 The paper's central claim is that a good mapping is a function of *the
 machine on the day*: topology, calibration stream, and noise behavior
@@ -15,9 +15,9 @@ from :meth:`Backend.calibration` and are memoized process-wide, so a
 thousand sweep cells on ``(falcon27, day 3)`` share one
 :class:`~repro.hardware.calibration.Calibration` object.
 
-Presets register through :func:`register_backend`
-(:mod:`repro.backend.presets` holds the built-ins); third-party code
-registers new machines the same way, without touching this module.
+The built-in machines are the :data:`~repro.backend.presets.BACKENDS`
+table; any other machine is just a ``Backend`` value, accepted
+wherever a preset is.
 """
 
 from __future__ import annotations
@@ -26,10 +26,9 @@ import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, Tuple, Union
+from typing import Dict, Iterator, Tuple
 
-from repro.backend.engines import DEFAULT_ENGINE, unknown_name_message
-from repro.exceptions import BackendError
+from repro.backend.engines import DEFAULT_ENGINE
 from repro.hardware.calibration import Calibration
 from repro.hardware.calibration_gen import CalibrationGenerator, NoiseProfile
 from repro.hardware.topology import GridTopology
@@ -50,7 +49,8 @@ class Backend:
     """One target machine: topology + calibration stream + noise + engine.
 
     Attributes:
-        name: Registry name (also the CLI's ``--device`` value).
+        name: Machine name (a preset's is its CLI ``--device``
+            value).
         topology: The machine's coupling graph.
         profile: Distributional parameters of the synthetic calibration
             stream (per-machine: an ion trap and a Falcon drift
@@ -138,64 +138,3 @@ class Backend:
     def __repr__(self) -> str:
         return (f"Backend({self.name!r}, {self.topology.mx}x"
                 f"{self.topology.my}, engine={self.default_engine!r})")
-
-
-# ----------------------------------------------------------------------
-# Registry
-# ----------------------------------------------------------------------
-BackendFactory = Callable[[], Backend]
-
-_BACKENDS: Dict[str, BackendFactory] = {}
-_INSTANCES: Dict[str, Backend] = {}
-
-
-def register_backend(name: str):
-    """Decorator registering a zero-argument :class:`Backend` factory.
-
-    ::
-
-        @register_backend("mylab9")
-        def mylab9() -> Backend:
-            return Backend(name="mylab9", topology=GridTopology(3, 3))
-
-    Names are case-insensitive on lookup. Re-registering a name
-    replaces the previous factory (last wins), matching the pass and
-    mapper registries.
-    """
-    key = name.lower()
-
-    def decorate(factory: BackendFactory) -> BackendFactory:
-        _BACKENDS[key] = factory
-        _INSTANCES.pop(key, None)
-        return factory
-
-    return decorate
-
-
-def registered_backends() -> Tuple[str, ...]:
-    """Registered backend names, in registration order."""
-    return tuple(_BACKENDS)
-
-
-def get_backend(backend: Union[str, Backend]) -> Backend:
-    """Resolve a backend name (or pass a :class:`Backend` through).
-
-    Instances are memoized per name — backends are immutable values,
-    so every caller shares one object (and its snapshot memos).
-
-    Raises:
-        BackendError: For unknown names, with a did-you-mean hint and
-            the registered list (a :class:`TopologyError` subclass, so
-            legacy device-lookup callers keep working).
-    """
-    if isinstance(backend, Backend):
-        return backend
-    key = str(backend).lower()
-    instance = _INSTANCES.get(key)
-    if instance is None:
-        factory = _BACKENDS.get(key)
-        if factory is None:
-            raise BackendError(
-                unknown_name_message("backend", backend, _BACKENDS))
-        instance = _INSTANCES[key] = factory()
-    return instance

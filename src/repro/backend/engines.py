@@ -42,7 +42,7 @@ ENGINES = {
 
 def unknown_name_message(kind: str, name: str, known) -> str:
     """A did-you-mean lookup error, shared by the engine names and the
-    backend registry."""
+    backend presets."""
     matches = difflib.get_close_matches(str(name).lower(), sorted(known),
                                         n=3, cutoff=0.5)
     hint = ""

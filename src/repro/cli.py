@@ -22,16 +22,23 @@ Entry points (also available as ``python -m repro``):
 * ``repro submit``      — submit a sweep grid to a running ``repro
   serve`` daemon with per-request deadlines, exponential backoff, and
   idempotent retry — the served counterpart of ``repro sweep``;
-* ``repro backends``    — list the registered machine targets
-  (:mod:`repro.backend` presets plus any third-party registrations);
-* ``repro passes``      — list the registered compiler passes and
-  mapper variants behind the pass-manager pipeline;
+* ``repro backends``    — list the machine presets
+  (:data:`repro.backend.BACKENDS`);
+* ``repro engines``     — list the execution engines
+  (:data:`repro.backend.ENGINES`);
+* ``repro passes``      — list the compiler passes and mapper variants
+  behind the pass-manager pipeline;
 * ``repro benchmarks``  — list the registered Table-2 benchmarks.
 
-Every executing subcommand takes ``--device`` (a registered backend
-name; ``repro sweep`` accepts several and runs the grid per device),
-and ``repro run`` takes ``--engine`` (any registered execution
-engine). ``repro run``, ``repro sweep`` and ``repro mitigate`` accept
+Choice lists come from the tables that implement them (``ALL_VARIANTS``,
+``ALL_ROUTES``, ``ZNE_FITS``, ``ZNE_AMPLIFIERS``, ``BACKENDS``), and
+subcommands and experiments dispatch through one dict each.
+
+Every executing subcommand takes ``--device`` (a backend preset name;
+``repro sweep`` accepts several and runs the grid per device), and
+``repro run``, ``repro sweep`` and ``repro submit`` take ``--engine``
+(one of the three execution engines). ``repro run``, ``repro sweep``
+and ``repro mitigate`` accept
 ``--cache-dir DIR`` to persist the compile, stage and trace caches on
 disk, so repeated invocations reuse compilations and lowered traces
 across processes.
@@ -55,23 +62,47 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from repro.backend import ENGINES, engine_name, get_backend, \
-    registered_backends
-from repro.compiler import CompilerOptions, build_pipeline
+from repro.backend import BACKENDS, ENGINES, engine_name, get_backend
+from repro.compiler import (
+    ALL_ROUTES,
+    ALL_VARIANTS,
+    MAPPERS,
+    CompilerOptions,
+    build_pipeline,
+    mapper_for,
+)
 from repro.exceptions import ReproError
 from repro.ir import parse_scaffir, qasm_to_circuit
-# Importing the mitigation package also registers its "fold" pass with
-# the compiler pass registry (visible in `repro passes`).
-from repro.mitigation import strategy_from_spec
+from repro.mitigation import (
+    ZNE_AMPLIFIERS,
+    ZNE_FITS,
+    FoldingPass,
+    strategy_from_spec,
+)
 from repro.programs import benchmark_names, expected_output, get_benchmark
 from repro.simulator import execute
 from repro.simulator.batch import CHUNK_ENV, amplitude_budget
 
-_VARIANT_CHOICES = ("qiskit", "t-smt", "t-smt*", "r-smt*", "greedyv*",
-                    "greedye*")
-
-_EXPERIMENTS = ("fig1", "table2", "fig5", "fig6", "fig7", "fig8", "fig9",
-                "fig10", "fig11", "mitigation")
+#: ``repro experiment`` name -> harness call, given the
+#: :mod:`repro.experiments` package (imported on first use) and the
+#: parsed arguments. The keys are the command's choices.
+_EXPERIMENTS = {
+    "fig1": lambda ex, a: ex.run_fig1(days=a.days or 25, backend=a.device),
+    "table2": lambda ex, a: ex.run_table2(),
+    "fig5": lambda ex, a: ex.run_fig5(trials=a.trials, workers=a.workers,
+                                      backend=a.device),
+    "fig6": lambda ex, a: ex.run_fig6(days=a.days or 7, trials=a.trials,
+                                      workers=a.workers, backend=a.device),
+    "fig7": lambda ex, a: ex.run_fig7(trials=a.trials, workers=a.workers,
+                                      backend=a.device),
+    "fig8": lambda ex, a: ex.run_fig8(workers=a.workers, backend=a.device),
+    "fig9": lambda ex, a: ex.run_fig9(workers=a.workers, backend=a.device),
+    "fig10": lambda ex, a: ex.run_fig10(trials=a.trials, workers=a.workers,
+                                        backend=a.device),
+    "fig11": lambda ex, a: ex.run_fig11(workers=a.workers),
+    "mitigation": lambda ex, a: ex.run_mitigation_study(
+        trials=a.trials, workers=a.workers, backend=a.device),
+}
 
 _STRATEGY_CHOICES = ("zne", "readout", "readout+zne")
 
@@ -121,7 +152,7 @@ def add_grid_args(parser: argparse.ArgumentParser) -> None:
     builds the grid from them."""
     parser.add_argument("--device", nargs="+", default=["ibmq16"],
                         metavar="NAME",
-                        help="registered backends — the same grid runs "
+                        help="backend presets — the same grid runs "
                              "per device (default: ibmq16)")
     parser.add_argument("--calibration-seed", type=int, default=None,
                         help="calibration generator seed (default: "
@@ -133,10 +164,9 @@ def add_grid_args(parser: argparse.ArgumentParser) -> None:
                              "Toffoli)")
     parser.add_argument("--variants", nargs="+", metavar="VARIANT",
                         default=["t-smt*", "r-smt*"],
-                        choices=_VARIANT_CHOICES,
+                        choices=ALL_VARIANTS,
                         help="compiler variants (default: t-smt* r-smt*)")
-    parser.add_argument("--routing", default=None,
-                        choices=("rr", "1bp", "best", "shortest"),
+    parser.add_argument("--routing", default=None, choices=ALL_ROUTES,
                         help="routing policy override (default: each "
                              "variant's own)")
     parser.add_argument("--days", type=_positive_int, default=1,
@@ -165,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_machine_args(p: argparse.ArgumentParser) -> None:
         p.add_argument("--device", default="ibmq16",
-                       help="registered backend (default: ibmq16; see "
+                       help="backend preset (default: ibmq16; see "
                             "`repro backends`)")
         p.add_argument("--day", type=_nonnegative_int, default=0,
                        help="calibration day (default: 0)")
@@ -174,10 +204,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "backend's own)")
 
     def add_compile_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--variant", default="r-smt*",
-                       choices=_VARIANT_CHOICES)
-        p.add_argument("--routing", default=None,
-                       choices=("rr", "1bp", "best", "shortest"),
+        p.add_argument("--variant", default="r-smt*", choices=ALL_VARIANTS)
+        p.add_argument("--routing", default=None, choices=ALL_ROUTES,
                        help="routing policy (default: variant's own)")
         p.add_argument("--omega", type=float, default=0.5,
                        help="readout weight for r-smt* (default: 0.5)")
@@ -239,9 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--seed", type=int, default=0)
     run_p.add_argument("--engine", default=None,
                        help="execution engine (default: the backend's "
-                            "own; registered: batched, stabilizer, auto, "
-                            "plus third-party registrations; see `repro "
-                            "engines`)")
+                            f"own; one of {', '.join(ENGINES)}; see "
+                            "`repro engines`)")
     run_p.add_argument("--expected", default=None,
                        help="expected outcome string (default: the "
                             "benchmark's registered answer)")
@@ -260,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     exp_p.add_argument("--days", type=_positive_int, default=None,
                        help="days for fig1/fig6")
     exp_p.add_argument("--device", default=None,
-                       help="run the study on this registered backend "
+                       help="run the study on this backend preset "
                             "instead of the paper's IBMQ16 (ignored by "
                             "the device-independent table2/fig11)")
     exp_p.add_argument("--workers", type=_nonnegative_int, default=0,
@@ -324,8 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=benchmark_names(include_large_n=True),
                        help="benchmarks to mitigate (default: BV4 BV6 "
                             "HS2 Toffoli)")
-    mit_p.add_argument("--variant", default="r-smt*",
-                       choices=_VARIANT_CHOICES)
+    mit_p.add_argument("--variant", default="r-smt*", choices=ALL_VARIANTS)
     mit_p.add_argument("--omega", type=float, default=0.5,
                        help="readout weight for r-smt* (default: 0.5)")
     mit_p.add_argument("--strategy", default="zne",
@@ -335,11 +361,10 @@ def build_parser() -> argparse.ArgumentParser:
     mit_p.add_argument("--scales", nargs="+", type=_positive_float,
                        default=None, metavar="S",
                        help="ZNE noise scales (default: 1 1.5 2)")
-    mit_p.add_argument("--fit", default="linear",
-                       choices=("linear", "richardson", "exp"),
+    mit_p.add_argument("--fit", default="linear", choices=ZNE_FITS,
                        help="ZNE extrapolation fit (default: linear)")
     mit_p.add_argument("--amplifier", default="trace",
-                       choices=("trace", "fold"),
+                       choices=ZNE_AMPLIFIERS,
                        help="ZNE noise amplifier: scale the lowered "
                             "trace (no recompilation) or fold gates "
                             "through the pipeline (default: trace)")
@@ -431,13 +456,11 @@ def build_parser() -> argparse.ArgumentParser:
                                "(default: 8)")
     add_grid_args(submit_p)
 
-    sub.add_parser("backends",
-                   help="list registered machine targets")
+    sub.add_parser("backends", help="list machine presets")
 
     sub.add_parser("engines", help="list execution engines")
 
-    sub.add_parser("passes",
-                   help="list registered compiler passes and variants")
+    sub.add_parser("passes", help="list compiler passes and variants")
 
     sub.add_parser("benchmarks", help="list registered benchmarks")
     return parser
@@ -472,7 +495,7 @@ def _variant_options(variant: str, omega: float,
 
 
 def _backend(name: str, args: argparse.Namespace):
-    """Registered backend *name*, with ``--calibration-seed`` applied."""
+    """Backend preset *name*, with ``--calibration-seed`` applied."""
     backend = get_backend(name)
     if args.calibration_seed is not None:
         backend = backend.with_(calibration_seed=args.calibration_seed)
@@ -510,8 +533,6 @@ def _cmd_profile(args: argparse.Namespace, out) -> int:
     import json as _json
     import tracemalloc
 
-    from repro.runtime.diskcache import format_bytes
-
     circuit, _ = _load_circuit(args)
     calibration = _backend(args.device, args).calibration(args.day)
     options = _options(args)
@@ -525,34 +546,19 @@ def _cmd_profile(args: argparse.Namespace, out) -> int:
     finally:
         if started:
             tracemalloc.stop()
-    timings = program.pass_timings
-    solver_stats = program.mapping.stats if program.mapping else None
     if args.json:
         passes = {t.name: {"calls": int(not t.cached), "seconds": t.seconds,
                            "alloc_bytes": t.alloc_bytes,
                            "peak_bytes": t.peak_bytes,
-                           "cache_hits": int(t.cached)} for t in timings}
-        out.write(_json.dumps({"passes": passes, "solver": solver_stats,
+                           "cache_hits": int(t.cached)}
+                  for t in program.pass_timings}
+        solver = program.mapping.stats if program.mapping else None
+        out.write(_json.dumps({"passes": passes, "solver": solver,
                                "compile_time": program.compile_time},
                               indent=2) + "\n")
         return 0
     print(program.summary(), file=sys.stderr)
-    width = max([len("total")] + [len(t.name) for t in timings])
-    header = (f"{'pass':<{width}} {'calls':>5} {'hits':>5} "
-              f"{'seconds':>9} {'alloc':>10} {'peak':>10}")
-    lines = [header, "-" * len(header)]
-    total = 0.0
-    for t in sorted(timings, key=lambda t: -t.seconds):
-        total += t.seconds
-        lines.append(
-            f"{t.name:<{width}} {int(not t.cached):>5} {int(t.cached):>5} "
-            f"{t.seconds:>9.4f} {format_bytes(t.alloc_bytes):>10} "
-            f"{format_bytes(t.peak_bytes):>10}")
-    lines.append(f"{'total':<{width}} {'':>5} {'':>5} {total:>9.4f}")
-    if solver_stats:
-        lines += ["", "solver: " + ", ".join(
-            f"{k}={v}" for k, v in solver_stats.items())]
-    out.write("\n".join(lines) + "\n")
+    out.write(program.timing_report() + "\n")
     return 0
 
 
@@ -620,39 +626,10 @@ def _cmd_experiment(args: argparse.Namespace, out) -> int:
     from repro import experiments
 
     _chunk_setup(args)
-    name = args.name
-    workers = args.workers
-    device = args.device
-    if device is not None and name in ("table2", "fig11"):
-        print(f"note: {name} is device-independent; --device ignored",
+    if args.device is not None and args.name in ("table2", "fig11"):
+        print(f"note: {args.name} is device-independent; --device ignored",
               file=sys.stderr)
-    if name == "fig1":
-        result = experiments.run_fig1(days=args.days or 25, backend=device)
-    elif name == "table2":
-        result = experiments.run_table2()
-    elif name == "fig5":
-        result = experiments.run_fig5(trials=args.trials, workers=workers,
-                                      backend=device)
-    elif name == "fig6":
-        result = experiments.run_fig6(days=args.days or 7,
-                                      trials=args.trials, workers=workers,
-                                      backend=device)
-    elif name == "fig7":
-        result = experiments.run_fig7(trials=args.trials, workers=workers,
-                                      backend=device)
-    elif name == "fig8":
-        result = experiments.run_fig8(workers=workers, backend=device)
-    elif name == "fig9":
-        result = experiments.run_fig9(workers=workers, backend=device)
-    elif name == "fig10":
-        result = experiments.run_fig10(trials=args.trials, workers=workers,
-                                       backend=device)
-    elif name == "mitigation":
-        result = experiments.run_mitigation_study(trials=args.trials,
-                                                  workers=workers,
-                                                  backend=device)
-    else:
-        result = experiments.run_fig11(workers=workers)
+    result = _EXPERIMENTS[args.name](experiments, args)
     out.write(result.to_text() + "\n")
     return 0
 
@@ -819,11 +796,10 @@ def _cmd_mitigate(args: argparse.Namespace, out) -> int:
     return 0
 
 
-def _cmd_backends(out) -> int:
+def _cmd_backends(args: argparse.Namespace, out) -> int:
     out.write(f"{'name':10s} {'qubits':>6} {'grid':>6} {'cal.seed':>8} "
               f"{'engine':>8}  description\n")
-    for name in registered_backends():
-        backend = get_backend(name)
+    for name, backend in BACKENDS.items():
         grid = f"{backend.topology.mx}x{backend.topology.my}"
         out.write(f"{name:10s} {backend.n_qubits:>6} {grid:>6} "
                   f"{backend.calibration_seed:>8} "
@@ -833,7 +809,7 @@ def _cmd_backends(out) -> int:
     return 0
 
 
-def _cmd_engines(out) -> int:
+def _cmd_engines(args: argparse.Namespace, out) -> int:
     dense_qubits = max(1, amplitude_budget()).bit_length() - 1
     out.write("registered execution engines:\n")
     out.write(f"  {'name':10s} {'family':10s} {'capacity':34s} "
@@ -845,28 +821,22 @@ def _cmd_engines(out) -> int:
     return 0
 
 
-def _cmd_passes(out) -> int:
-    from repro.compiler import (
-        make_pass,
-        mapper_for,
-        registered_passes,
-        registered_variants,
-    )
-
-    probe = CompilerOptions.r_smt_star()
+def _cmd_passes(args: argparse.Namespace, out) -> int:
+    probe = CompilerOptions.r_smt_star().with_(peephole=True)
+    passes = [*build_pipeline(probe, verify=True).passes, FoldingPass()]
     out.write("registered passes (canonical pipeline order):\n")
-    for name in registered_passes():
-        doc = (type(make_pass(name, probe)).__doc__ or "").strip()
+    for p in passes:
+        doc = (type(p).__doc__ or "").strip()
         first_line = doc.splitlines()[0] if doc else ""
-        out.write(f"  {name:12s} {first_line}\n")
+        out.write(f"  {type(p).name:12s} {first_line}\n")
     out.write("\nregistered mapping variants:\n")
-    for variant in registered_variants():
+    for variant in MAPPERS:
         mapper = mapper_for(probe.with_(variant=variant))
         out.write(f"  {variant:10s} -> {type(mapper).__name__}\n")
     return 0
 
 
-def _cmd_benchmarks(out) -> int:
+def _cmd_benchmarks(args: argparse.Namespace, out) -> int:
     out.write(f"{'name':10s} {'qubits':>6} {'gates':>6} {'CNOTs':>6} "
               f"{'answer':>10}\n")
     for name in benchmark_names(include_large_n=True):
@@ -881,36 +851,31 @@ def _cmd_benchmarks(out) -> int:
     return 0
 
 
+#: Subcommand -> handler; each takes the parsed arguments and the
+#: output stream and returns the exit code.
+_COMMANDS = {
+    "compile": _cmd_compile,
+    "profile": _cmd_profile,
+    "run": _cmd_run,
+    "calibration": _cmd_calibration,
+    "experiment": _cmd_experiment,
+    "sweep": _cmd_sweep,
+    "mitigate": _cmd_mitigate,
+    "serve": _cmd_serve,
+    "submit": _cmd_submit,
+    "backends": _cmd_backends,
+    "engines": _cmd_engines,
+    "passes": _cmd_passes,
+    "benchmarks": _cmd_benchmarks,
+}
+
+
 def main(argv: Optional[List[str]] = None, out=None) -> int:
     """CLI entry point; returns a process exit code."""
     out = out or sys.stdout
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "compile":
-            return _cmd_compile(args, out)
-        if args.command == "profile":
-            return _cmd_profile(args, out)
-        if args.command == "run":
-            return _cmd_run(args, out)
-        if args.command == "calibration":
-            return _cmd_calibration(args, out)
-        if args.command == "experiment":
-            return _cmd_experiment(args, out)
-        if args.command == "sweep":
-            return _cmd_sweep(args, out)
-        if args.command == "mitigate":
-            return _cmd_mitigate(args, out)
-        if args.command == "serve":
-            return _cmd_serve(args, out)
-        if args.command == "submit":
-            return _cmd_submit(args, out)
-        if args.command == "backends":
-            return _cmd_backends(out)
-        if args.command == "engines":
-            return _cmd_engines(out)
-        if args.command == "passes":
-            return _cmd_passes(out)
-        return _cmd_benchmarks(out)
+        return _COMMANDS[args.command](args, out)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

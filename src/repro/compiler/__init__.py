@@ -31,6 +31,7 @@ from repro.compiler.options import (
 )
 from repro.compiler.peephole import cancel_adjacent_inverses, count_cancellations
 from repro.compiler.pipeline import (
+    MAPPERS,
     MappingPass,
     Pass,
     PassManager,
@@ -41,13 +42,8 @@ from repro.compiler.pipeline import (
     SwapInsertPass,
     VerifyPass,
     build_pipeline,
-    make_pass,
     mapper_for,
     mapping_stage_fingerprint,
-    register_mapper,
-    register_pass,
-    registered_passes,
-    registered_variants,
 )
 from repro.compiler.routing.policies import Route, Router
 from repro.compiler.verify import VerificationReport, verify_compiled
@@ -69,6 +65,7 @@ __all__ = [
     "CompilerOptions",
     "GreedyEdgeMapper",
     "GreedyVertexMapper",
+    "MAPPERS",
     "Mapper",
     "MappingPass",
     "MappingResult",
@@ -108,13 +105,8 @@ __all__ = [
     "count_cancellations",
     "estimate_reliability",
     "insert_swaps",
-    "make_pass",
     "mapper_for",
     "mapping_stage_fingerprint",
-    "register_mapper",
-    "register_pass",
-    "registered_passes",
-    "registered_variants",
     "schedule_circuit",
     "verify_compiled",
     "weighted_log_reliability",

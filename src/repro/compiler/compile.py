@@ -26,12 +26,22 @@ from repro.ir.circuit import Circuit
 from repro.ir.qasm import circuit_to_qasm
 
 
+def format_bytes(n: int) -> str:
+    """*n* bytes as ``123B``, ``1.5KiB``, ... ``2.0GiB``."""
+    value = float(n)
+    for unit in ("B", "KiB", "MiB", "GiB"):
+        if value < 1024 or unit == "GiB":
+            return f"{value:.0f}B" if unit == "B" else f"{value:.1f}{unit}"
+        value /= 1024.0
+    return f"{n}B"  # pragma: no cover — unreachable
+
+
 @dataclass(frozen=True)
 class PassTiming:
     """Cost record of one pipeline stage.
 
     Attributes:
-        name: The pass's registered name (e.g. ``mapping[r-smt*]``).
+        name: The pass instance's name (e.g. ``mapping[r-smt*]``).
         seconds: Time spent inside the pass (0 when served from cache).
         cached: Whether the stage-prefix cache supplied the artifact.
         alloc_bytes: Net bytes the pass left allocated, when
@@ -127,19 +137,27 @@ class CompiledProgram:
         return self._fingerprint
 
     def timing_report(self) -> str:
-        """Multi-line per-pass timing breakdown (``repro compile
-        --timing``)."""
-        if not self.pass_timings:
-            return "no per-pass timings recorded"
-        total = sum(t.seconds for t in self.pass_timings)
-        width = max(len(t.name) for t in self.pass_timings)
-        lines = []
-        for t in self.pass_timings:
-            share = t.seconds / total if total > 0 else 0.0
-            note = "  (cached)" if t.cached else ""
-            lines.append(f"{t.name:<{width}}  {t.seconds * 1000:8.2f} ms"
-                         f"  {share:5.1%}{note}")
-        lines.append(f"{'total':<{width}}  {total * 1000:8.2f} ms")
+        """Per-pass cost table (``repro compile --timing`` and ``repro
+        profile``), slowest pass first: runs, stage-cache hits,
+        seconds and, when :mod:`tracemalloc` traced the compile, the
+        bytes each pass left allocated and its peak; then the solver's
+        search counters."""
+        timings = sorted(self.pass_timings, key=lambda t: -t.seconds)
+        width = max([len("total")] + [len(t.name) for t in timings])
+        header = (f"{'pass':<{width}} {'calls':>5} {'hits':>5} "
+                  f"{'seconds':>9} {'alloc':>10} {'peak':>10}")
+        lines = [header, "-" * len(header)]
+        for t in timings:
+            lines.append(
+                f"{t.name:<{width}} {int(not t.cached):>5} {int(t.cached):>5} "
+                f"{t.seconds:>9.4f} {format_bytes(t.alloc_bytes):>10} "
+                f"{format_bytes(t.peak_bytes):>10}")
+        total = sum(t.seconds for t in timings)
+        lines.append(f"{'total':<{width}} {'':>5} {'':>5} {total:>9.4f}")
+        stats = self.mapping.stats if self.mapping else None
+        if stats:
+            lines += ["", "solver: " + ", ".join(
+                f"{k}={v}" for k, v in stats.items())]
         return "\n".join(lines)
 
     def summary(self) -> str:

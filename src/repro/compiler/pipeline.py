@@ -24,10 +24,11 @@ cells through a :class:`~repro.runtime.cache.StageCache` — see
 :func:`build_pipeline` assembles the canonical Fig.-3 pipeline for a
 :class:`CompilerOptions` value;
 :func:`~repro.compiler.compile.compile_circuit` is a thin wrapper over
-it. Mapper variants live in a registry (:func:`register_mapper`)
-instead of an if-chain, and passes themselves are registered by name
-(:func:`make_pass`, ``repro passes`` on the CLI) so ablations can edit
-pipelines explicitly rather than through option flags.
+it. The Table-1 variants resolve through the fixed :data:`MAPPERS`
+table (variant -> mapper factory and the option fields its placement
+reads). Ablations edit pipelines explicitly, as a list of pass
+instances (e.g. :func:`repro.mitigation.folded_pipeline`), rather than
+through option flags; ``repro passes`` lists the passes and variants.
 """
 
 from __future__ import annotations
@@ -157,77 +158,54 @@ class Pass:
 
 
 # ----------------------------------------------------------------------
-# Mapper registry (variant -> factory)
+# Mappers (variant -> factory, option fields)
 # ----------------------------------------------------------------------
-MapperFactory = Callable[[CompilerOptions], Mapper]
-
-_MAPPER_REGISTRY: Dict[str, MapperFactory] = {}
-
-#: Option fields each variant's mapping decision depends on. Keeping
-#: this tight is what lets post-mapping sweeps share the mapping stage:
-#: e.g. routing and peephole are deliberately absent everywhere (no
-#: mapper reads them), and omega only appears for R-SMT*.
-_MAPPING_OPTION_FIELDS: Dict[str, Tuple[str, ...]] = {}
-
-
-def register_mapper(variant: str, factory: MapperFactory,
-                    option_fields: Sequence[str] = ()) -> None:
-    """Register (or replace) the mapper behind a variant name.
-
-    Args:
-        variant: Variant string as it appears in ``CompilerOptions``.
-        factory: Called with the options to build the mapper.
-        option_fields: Option fields the mapper's *placement decision*
-            reads — they become part of the mapping stage fingerprint.
-            Over-declaring only costs cache sharing; under-declaring
-            risks stale stage-cache artifacts.
-    """
-    _MAPPER_REGISTRY[variant] = factory
-    _MAPPING_OPTION_FIELDS[variant] = tuple(option_fields)
-
-
-register_mapper(VARIANT_QISKIT, lambda options: TrivialMapper())
-register_mapper(VARIANT_T_SMT, TimeSmtMapper,
-                ("variant", "uniform_cnot_slots", "solver_time_limit"))
-register_mapper(VARIANT_T_SMT_STAR, TimeSmtMapper,
-                ("variant", "uniform_cnot_slots", "solver_time_limit"))
-register_mapper(VARIANT_R_SMT_STAR, ReliabilitySmtMapper,
-                ("omega", "solver_time_limit"))
-register_mapper(VARIANT_GREEDY_V, GreedyVertexMapper)
-register_mapper(VARIANT_GREEDY_E, GreedyEdgeMapper)
-
-
-def registered_variants() -> Tuple[str, ...]:
-    """Variant names with a registered mapper, in registration order."""
-    return tuple(_MAPPER_REGISTRY)
+#: Variant -> (mapper factory, the option fields its placement decision
+#: reads), in :data:`ALL_VARIANTS` order. The fields are the mapping
+#: stage's fingerprint, and keeping them tight is what lets
+#: post-mapping sweeps share the mapping stage: routing and peephole
+#: are absent everywhere (no mapper reads them), and omega only appears
+#: for R-SMT*. Over-declaring only costs cache sharing; under-declaring
+#: risks stale stage-cache artifacts.
+MAPPERS: Dict[str, Tuple[Callable[[CompilerOptions], Mapper],
+                         Tuple[str, ...]]] = {
+    VARIANT_QISKIT: (lambda options: TrivialMapper(), ()),
+    VARIANT_T_SMT: (TimeSmtMapper, ("variant", "uniform_cnot_slots",
+                                    "solver_time_limit")),
+    VARIANT_T_SMT_STAR: (TimeSmtMapper, ("variant", "uniform_cnot_slots",
+                                         "solver_time_limit")),
+    VARIANT_R_SMT_STAR: (ReliabilitySmtMapper, ("omega", "solver_time_limit")),
+    VARIANT_GREEDY_V: (GreedyVertexMapper, ()),
+    VARIANT_GREEDY_E: (GreedyEdgeMapper, ()),
+}
 
 
 def mapper_for(options: CompilerOptions) -> Mapper:
     """Instantiate the mapping algorithm for ``options.variant``."""
-    factory = _MAPPER_REGISTRY.get(options.variant)
-    if factory is None:
-        raise CompilationError(
-            f"no mapper registered for variant {options.variant!r} "
-            f"(known: {', '.join(registered_variants())})")
-    return factory(options)
+    return MAPPERS[options.variant][0](options)
 
 
 # ----------------------------------------------------------------------
 # The Fig.-3 passes
 # ----------------------------------------------------------------------
 class MappingPass(Pass):
-    """Initial placement via the variant's registered mapper."""
+    """Initial placement via the variant's mapper.
 
+    ``name`` is ``mapping`` on the class (as ``repro passes`` lists
+    it) and carries the variant on each instance (``mapping[r-smt*]``).
+    """
+
+    name = "mapping"
     produces = "mapping"
 
     def __init__(self, variant: str) -> None:
-        if variant not in _MAPPER_REGISTRY:
+        if variant not in MAPPERS:
             raise CompilationError(
-                f"no mapper registered for variant {variant!r} "
-                f"(known: {', '.join(registered_variants())})")
+                f"no mapper for variant {variant!r} "
+                f"(known: {', '.join(MAPPERS)})")
         self.variant = variant
         self.name = f"mapping[{variant}]"
-        self.option_fields = _MAPPING_OPTION_FIELDS[variant]
+        self.option_fields = MAPPERS[variant][1]
 
     def run(self, ctx: PipelineContext) -> MappingResult:
         mapper = mapper_for(ctx.options.with_(variant=self.variant)
@@ -316,41 +294,6 @@ class VerifyPass(Pass):
         if self.strict:
             report.raise_if_failed()
         return report
-
-
-# ----------------------------------------------------------------------
-# Pass registry (name -> factory) for the CLI and explicit edits
-# ----------------------------------------------------------------------
-PassFactory = Callable[[CompilerOptions], Pass]
-
-_PASS_REGISTRY: Dict[str, PassFactory] = {
-    "mapping": lambda options: MappingPass(options.variant),
-    "schedule": lambda options: SchedulingPass(),
-    "swap-insert": lambda options: SwapInsertPass(),
-    "peephole": lambda options: PeepholePass(),
-    "reliability": lambda options: ReliabilityPass(),
-    "verify": lambda options: VerifyPass(),
-}
-
-
-def register_pass(name: str, factory: PassFactory) -> None:
-    """Register (or replace) a pass factory under *name*."""
-    _PASS_REGISTRY[name] = factory
-
-
-def registered_passes() -> Tuple[str, ...]:
-    """Registered pass names, in canonical pipeline order."""
-    return tuple(_PASS_REGISTRY)
-
-
-def make_pass(name: str, options: CompilerOptions) -> Pass:
-    """Instantiate a registered pass for *options*."""
-    factory = _PASS_REGISTRY.get(name)
-    if factory is None:
-        raise CompilationError(
-            f"no pass registered under {name!r} "
-            f"(known: {', '.join(registered_passes())})")
-    return factory(options)
 
 
 def build_pipeline(options: CompilerOptions,

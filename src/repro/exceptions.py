@@ -28,8 +28,8 @@ class TopologyError(ReproError):
 class BackendError(TopologyError):
     """Unknown or misconfigured backend target.
 
-    Subclasses :class:`TopologyError` because the backend registry
-    subsumes the old device registry: callers that caught
+    Subclasses :class:`TopologyError` because the backend presets
+    subsume the old device lookup: callers that caught
     ``TopologyError`` on an unknown device name keep working.
     """
 

@@ -20,7 +20,7 @@ from repro.runtime import DEFAULT_TRIALS, SweepCell, SweepResult, run_sweep
 from repro.simulator import ExecutionResult
 
 #: What every harness's ``backend=`` parameter accepts: a Backend, a
-#: registered preset name (the CLI's ``--device`` string), or None.
+#: preset name (the CLI's ``--device`` string), or None.
 BackendLike = Union[str, Backend, None]
 
 # DEFAULT_TRIALS (re-exported from repro.runtime, the single source of
@@ -33,9 +33,9 @@ def resolve_backend(backend: BackendLike) -> Optional[Backend]:
     """The uniform ``backend=`` contract of the figure harnesses.
 
     ``None`` passes through (the harness falls back to its historical
-    IBMQ16 default), a string resolves through the preset registry
-    (with its did-you-mean error), and a :class:`~repro.backend.Backend`
-    is used as-is.
+    IBMQ16 default), a string names a
+    :data:`~repro.backend.BACKENDS` preset (with its did-you-mean
+    error), and a :class:`~repro.backend.Backend` is used as-is.
     """
     if backend is None or isinstance(backend, Backend):
         return backend

@@ -75,7 +75,7 @@ def run_fig5(calibration: Optional[Calibration] = None,
              subset: Optional[List[str]] = None,
              workers: int = 0, backend: BackendLike = None) -> Fig5Result:
     """Reproduce Figure 5 on the given calibration snapshot (or on
-    ``backend``'s day-0 snapshot — any registered device name works)."""
+    ``backend``'s day-0 snapshot — any preset name or Backend works)."""
     backend = resolve_backend(backend)
     cal = harness_calibration(backend, calibration)
     configs = [CompilerOptions.qiskit(),

@@ -141,7 +141,7 @@ def run_mitigation_study(
         workers: Sweep worker processes.
         cache_dir: Optional disk store directory for the sweep's
             caches and cell journal.
-        backend: Machine to run on — a registered preset name or a
+        backend: Machine to run on — a preset name or a
             :class:`~repro.backend.Backend` (default: IBMQ16).
     """
     backend = resolve_backend(backend)

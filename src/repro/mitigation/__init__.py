@@ -7,8 +7,8 @@ compilation, mitiq-style:
 * :mod:`repro.mitigation.zne` — zero-noise extrapolation, amplifying
   noise either on the lowered execution trace (cheap: scaled copies of
   the flat error-site probabilities, no recompilation) or by unitary
-  gate folding through a :class:`FoldingPass` registered in the
-  compiler pipeline;
+  gate folding through a :class:`FoldingPass` that
+  :func:`folded_pipeline` adds to the compiler pipeline;
 * :mod:`repro.mitigation.readout` — per-qubit confusion matrices from
   calibration readout fidelities, inverted (with regularization) on
   the measured distribution;
@@ -18,9 +18,6 @@ compilation, mitiq-style:
   sweep runtime as a first-class :class:`~repro.runtime.SweepCell`
   axis whose scaled-noise executions share the compile/stage/trace
   caches.
-
-Importing this package registers the ``"fold"`` pass with the compiler
-pass registry.
 """
 
 from repro.mitigation.readout import (

@@ -24,11 +24,10 @@ scaling contract:
   ``g (g^dagger g)^k`` — an identity-preserving expansion that runs
   ``lambda``-times as many gates through the *unmodified* noise model,
   exactly what one would do on a real device that offers no noise
-  knob. The pass slots into the standard compiler pipeline after the
-  physical-program stages (it is registered via
-  :func:`repro.compiler.register_pass` under the name ``"fold"``
-  without touching ``compiler/pipeline.py``), so folded compilations
-  reuse the expensive mapping prefix through the stage cache.
+  knob. :func:`folded_pipeline` slots the pass into the standard
+  compiler pipeline after the physical-program stages, so folded
+  compilations reuse the expensive mapping prefix through the stage
+  cache.
 
 :class:`ZneStrategy` drives either amplifier over a scale schedule and
 extrapolates with a linear, Richardson (polynomial through all points),
@@ -44,12 +43,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from repro.compiler.options import CompilerOptions
-from repro.compiler.pipeline import (
-    Pass,
-    PassManager,
-    build_pipeline,
-    register_pass,
-)
+from repro.compiler.pipeline import Pass, PassManager, build_pipeline
 from repro.compiler.swap_insert import PhysicalProgram, _asap_times
 from repro.exceptions import MitigationError
 from repro.hardware.calibration import Calibration
@@ -204,12 +198,10 @@ def fold_physical(program: PhysicalProgram, scale: float,
 class FoldingPass(Pass):
     """Pipeline pass amplifying noise by unitary folding.
 
-    A third-party pass: it lives outside ``repro.compiler`` and joins
-    pipelines either explicitly (:func:`folded_pipeline`) or through
-    the pass registry (``register_pass("fold", ...)``, done at module
-    import). The fold scale is constructor state, surfaced via
-    :meth:`config` so differently-scaled instances never alias in the
-    stage cache.
+    It lives outside ``repro.compiler`` and joins a pipeline as an
+    explicit pass-list edit (:func:`folded_pipeline`). The fold scale
+    is constructor state, surfaced via :meth:`config` so
+    differently-scaled instances never alias in the stage cache.
     """
 
     name = "fold"
@@ -243,12 +235,6 @@ def folded_pipeline(options: CompilerOptions, scale: float) -> PassManager:
                        if p.produces == "physical"]
     passes.insert(physical_stages[-1] + 1, FoldingPass(scale))
     return PassManager(passes)
-
-
-# Prove the registry extension point: the folding pass is available to
-# `repro passes` and explicit pipeline edits without any change to
-# repro/compiler/pipeline.py.
-register_pass("fold", lambda options: FoldingPass())
 
 
 # ----------------------------------------------------------------------

@@ -45,6 +45,7 @@ from pathlib import Path
 from typing import Dict, Optional
 
 import repro
+from repro.compiler.compile import format_bytes
 
 #: Consecutive failed writes after which a store flips to memory-only.
 DEGRADE_AFTER = 3
@@ -117,16 +118,6 @@ class StoreStats:
         if self.redeemed:
             text += f", redeemed x{self.redeemed}"
         return text
-
-
-def format_bytes(n: int) -> str:
-    """*n* bytes as ``123B``, ``1.5KiB``, ... ``2.0GiB``."""
-    value = float(n)
-    for unit in ("B", "KiB", "MiB", "GiB"):
-        if value < 1024 or unit == "GiB":
-            return f"{value:.0f}B" if unit == "B" else f"{value:.1f}{unit}"
-        value /= 1024.0
-    return f"{n}B"  # pragma: no cover — unreachable
 
 
 #: Entry-format tag; bump on layout changes.

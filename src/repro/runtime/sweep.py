@@ -67,7 +67,7 @@ from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Dict, Hashable, List, Optional, Sequence, \
     Tuple
 
-from repro.backend import DEFAULT_ENGINE, Backend
+from repro.backend import DEFAULT_ENGINE, Backend, engine_name
 from repro.compiler import CompiledProgram, CompilerOptions
 from repro.exceptions import CellExecutionError, ReproError
 from repro.hardware import Calibration
@@ -112,9 +112,11 @@ class SweepCell:
             parallel, any worker count — cannot change results.
         simulate: When ``False``, compile only (fig8/fig9/fig11 style).
         engine: Executor engine name, one of
-            :data:`~repro.backend.engines.ENGINES`. Defaults to the
-            backend's ``default_engine``, or ``"batched"`` without a
-            backend.
+            :data:`~repro.backend.engines.ENGINES` in any case (stored
+            lowercased). Defaults to the backend's ``default_engine``,
+            or ``"batched"`` without a backend. An unknown name raises
+            :class:`~repro.exceptions.SimulationError` when the cell is
+            built.
         array_backend: ``None`` or ``"numpy"``, the one array library
             the dense engine runs on; anything else raises
             :class:`~repro.exceptions.ReproError`. Accepted so grids
@@ -167,6 +169,9 @@ class SweepCell:
         if self.engine is None:
             self.engine = (self.backend.default_engine
                            if self.backend is not None else DEFAULT_ENGINE)
+        # Checked here so a bad name fails before anything compiles, and
+        # lowercased so every spelling shares one fingerprint.
+        self.engine = engine_name(self.engine)
 
     def machine_key(self) -> str:
         """Content identity of the cell's machine (backend when set,

@@ -1,21 +1,20 @@
-"""Backend/engine registry tests: presets, cache isolation, CLI."""
+"""Backend presets and engine names: lookup, cache isolation, CLI."""
 
 import io
+import socket
 
 import numpy as np
 import pytest
 
 from repro.backend import (
+    BACKENDS,
     ENGINES,
     Backend,
     engine_name,
     get_backend,
-    register_backend,
-    registered_backends,
 )
-from repro.backend import base as backend_base
 from repro.cli import main
-from repro.compiler import CompilerOptions, compile_circuit
+from repro.compiler import CompilerOptions, PassManager, compile_circuit
 from repro.exceptions import (
     BackendError,
     CalibrationError,
@@ -47,7 +46,7 @@ def make_device_cells(backends, spec, seeds=(0,), options=None, **kwargs):
 
 class TestBackendRegistry:
     def test_at_least_five_presets(self):
-        assert len(registered_backends()) >= 5
+        assert len(BACKENDS) >= 5
 
     def test_lookup_is_case_insensitive_and_memoized(self):
         assert get_backend("IBMQ16") is get_backend("ibmq16")
@@ -56,7 +55,7 @@ class TestBackendRegistry:
     def test_unknown_backend_suggests(self):
         with pytest.raises(BackendError, match="did you mean 'ibmq16'"):
             get_backend("ibmq61")
-        # The registry error still satisfies the legacy device contract.
+        # The lookup error still satisfies the legacy device contract.
         with pytest.raises(TopologyError):
             get_backend("quantum-toaster")
 
@@ -64,8 +63,8 @@ class TestBackendRegistry:
         a = get_backend("ibmq16")
         assert a.content_id() == \
             Backend(name="ibmq16", topology=a.topology).content_id()
-        ids = {get_backend(n).content_id() for n in registered_backends()}
-        assert len(ids) == len(registered_backends())
+        ids = {get_backend(n).content_id() for n in BACKENDS}
+        assert len(ids) == len(BACKENDS)
         assert a.with_(calibration_seed=7).content_id() != a.content_id()
 
     def test_calibration_stream_memoized(self):
@@ -79,32 +78,18 @@ class TestBackendRegistry:
         with pytest.raises(CalibrationError):
             get_backend("ibmq16").calibration(-1)
 
-    def test_third_party_registration_outside_devices_module(self):
-        """Registering a machine touches neither the CLI nor the
-        executor — the whole point of the registry."""
-
-        @register_backend("testlab9")
-        def testlab9():
-            return Backend(name="testlab9",
-                           topology=GridTopology(3, 3, name="TestLab9"),
-                           description="test-only 3x3 machine")
-
-        try:
-            assert "testlab9" in registered_backends()
-            backend = get_backend("testlab9")
-            assert backend.n_qubits == 9
-            # The CLI's --device sees it immediately.
-            out = io.StringIO()
-            assert main(["calibration", "--device", "testlab9"],
-                        out=out) == 0
-            assert out.getvalue().startswith("TestLab9 day0")
-            # And it executes end to end.
-            spec = get_benchmark("BV4")
-            sweep = run_sweep(make_device_cells([backend], spec))
-            assert 0.0 <= sweep.results[0].success_rate <= 1.0
-        finally:
-            backend_base._BACKENDS.pop("testlab9", None)
-            backend_base._INSTANCES.pop("testlab9", None)
+    def test_non_preset_backend_value_runs_end_to_end(self):
+        """A machine that is not a preset is a plain ``Backend`` value:
+        ``get_backend`` passes it through and a sweep runs on it."""
+        backend = Backend(name="testlab9",
+                          topology=GridTopology(3, 3, name="TestLab9"),
+                          description="test-only 3x3 machine")
+        assert "testlab9" not in BACKENDS
+        assert get_backend(backend) is backend
+        assert backend.n_qubits == 9
+        spec = get_benchmark("BV4")
+        sweep = run_sweep(make_device_cells([backend], spec))
+        assert 0.0 <= sweep.results[0].success_rate <= 1.0
 
     def test_device_calibration_uses_backend_profile(self):
         """Each preset's snapshots come from its own noise profile."""
@@ -126,7 +111,7 @@ class TestEngineRegistry:
             engine_name("bathced")
 
     def test_engine_lookup_case_insensitive(self):
-        # Matches the backend registry's case handling.
+        # Matches get_backend's case handling.
         assert engine_name("Batched") == engine_name("batched")
 
     def test_cell_engine_derived_from_backend(self, bv4):
@@ -264,8 +249,10 @@ class TestBackendCli:
     def test_backends_listing(self):
         code, text = self.run_cli("backends")
         assert code == 0
-        for name in ("ibmq16", "ibmq5", "ibmq20", "iontrap8", "falcon27"):
-            assert name in text
+        names = [row.split()[0] for row in text.splitlines()[1:8]]
+        assert names == list(BACKENDS) == [
+            "ibmq16", "ibmq5", "ibmq20", "iontrap8", "falcon27", "grid144",
+            "aspen16"]
         assert ("registered execution engines: batched, stabilizer, auto\n"
                 in text)  # the engine roster rides along on its own line
 
@@ -282,6 +269,35 @@ class TestBackendCli:
                                "--engine", "warp-drive",
                                "--trials", "8")
         assert code == 1
+
+    def test_sweep_unknown_engine_fails_before_compiling(self, monkeypatch,
+                                                         capsys):
+        compiles = []
+        monkeypatch.setattr(PassManager, "run",
+                            lambda *args, **kwargs: compiles.append(args))
+        code, text = self.run_cli("sweep", "--benchmarks", "BV4",
+                                  "--variants", "r-smt*",
+                                  "--engine", "bogus")
+        assert code == 1
+        assert capsys.readouterr().err.startswith(
+            "error: unknown execution engine 'bogus'")
+        assert compiles == [] and text == ""
+
+    def test_submit_unknown_engine_fails_before_connecting(self, capsys):
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        # Nothing listens on the port, so any connection attempt would
+        # end in a transport error instead.
+        code, text = self.run_cli("submit", "--port", str(port),
+                                  "--max-attempts", "1",
+                                  "--benchmarks", "BV4",
+                                  "--variants", "r-smt*",
+                                  "--engine", "warp-drive")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown execution engine 'warp-drive'")
+        assert "request failed" not in err and text == ""
 
     def test_multi_device_sweep(self):
         code, text = self.run_cli(

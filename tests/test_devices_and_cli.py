@@ -9,6 +9,7 @@ import pytest
 
 from repro.backend import get_backend
 from repro.cli import _grid_cells, build_parser, main
+from repro.compiler import ALL_VARIANTS
 from repro.exceptions import TopologyError
 from repro.hardware import ibmq5_topology, ibmq20_topology, linear_topology
 from repro.simulator.batch import CHUNK_ENV
@@ -66,6 +67,25 @@ class TestCli:
         code, text = self.run_cli("benchmarks")
         assert code == 0
         assert "BV4" in text and "Adder" in text
+
+    def test_passes_listing(self):
+        """The seven passes in pipeline order, each with a description,
+        then the six variants in ``ALL_VARIANTS`` order with their
+        mappers."""
+        code, text = self.run_cli("passes")
+        assert code == 0
+        passes, variants = text.split("\n\n")
+        rows = [row.split(maxsplit=1) for row in passes.splitlines()[1:]]
+        assert [name for name, _ in rows] == [
+            "mapping", "schedule", "swap-insert", "peephole",
+            "reliability", "verify", "fold"]
+        assert all(description.strip() for _, description in rows)
+        assert [row.split() for row in variants.splitlines()[1:]] == [
+            [variant, "->", mapper] for variant, mapper in zip(
+                ALL_VARIANTS,
+                ["TrivialMapper", "TimeSmtMapper", "TimeSmtMapper",
+                 "ReliabilitySmtMapper", "GreedyVertexMapper",
+                 "GreedyEdgeMapper"], strict=True)]
 
     def test_calibration_summary(self):
         code, text = self.run_cli("calibration", "--device", "ibmq16",
@@ -292,18 +312,24 @@ class TestProfileCli:
         assert not tracemalloc.is_tracing()
 
     @pytest.mark.parametrize("variant", ["r-smt*", "greedye*"])
-    def test_table_columns_fit_the_longest_pass_name(self, variant):
-        lines = self.run_profile("--variant", variant).splitlines()
-        header, rows = lines[0], lines[2:7]
+    def test_table_columns_fit_the_longest_pass_name(self, variant, capsys):
+        """``repro profile`` and ``repro compile --timing`` print one
+        table."""
+        assert main(["compile", "--benchmark", "BV4", "--variant", variant,
+                     "--timing"], out=io.StringIO()) == 0
+        timed = capsys.readouterr().err.splitlines()[1:]  # after summary
+        profiled = self.run_profile("--variant", variant).splitlines()
         width = len(f"mapping[{variant}]")
-        assert header.split() == ["pass", "calls", "hits", "seconds",
-                                  "alloc", "peak"]
-        assert header.index("calls") == width + 1
-        assert {row[:width].rstrip() for row in rows} == {
-            f"mapping[{variant}]", "schedule", "swap-insert",
-            "reliability", "total"}
-        for row in rows[:-1]:
-            assert row[width:width + 12].split() == ["1", "0"]
-            assert row[width + 12] == " "
-        for row in rows:
-            float(row[width + 13:width + 22])
+        for lines in (profiled, timed):
+            header, rows = lines[0], lines[2:7]
+            assert header.split() == ["pass", "calls", "hits", "seconds",
+                                      "alloc", "peak"]
+            assert header.index("calls") == width + 1
+            assert {row[:width].rstrip() for row in rows} == {
+                f"mapping[{variant}]", "schedule", "swap-insert",
+                "reliability", "total"}
+            for row in rows[:-1]:
+                assert row[width:width + 12].split() == ["1", "0"]
+                assert row[width + 12] == " "
+            for row in rows:
+                float(row[width + 13:width + 22])

@@ -197,13 +197,6 @@ class TestFolding:
         names = [timing.name for timing in folded.pass_timings]
         assert "fold" in names
 
-    def test_registered_in_pass_registry(self):
-        from repro.compiler import make_pass, registered_passes
-
-        assert "fold" in registered_passes()
-        instance = make_pass("fold", CompilerOptions.r_smt_star())
-        assert isinstance(instance, FoldingPass)
-
 
 # ----------------------------------------------------------------------
 # Extrapolation

@@ -21,6 +21,7 @@ from repro.runtime import (
     DiskStore,
     SweepCell,
     TraceCache,
+    cell_fingerprint,
     compile_key,
     run_sweep,
 )
@@ -91,6 +92,16 @@ class TestFingerprints:
         first = compile_circuit(circuit, cal, options)
         second = compile_circuit(circuit, cal, options)
         assert first.fingerprint() == second.fingerprint()
+
+    def test_cell_fingerprint_ignores_engine_case(self, cal):
+        """``BATCHED`` and ``batched`` name one engine, so their cells
+        share one fingerprint (one journal entry)."""
+        circuit = get_benchmark("BV4").build()
+        upper, lower = (SweepCell(circuit=circuit, calibration=cal,
+                                  options=CompilerOptions.r_smt_star(),
+                                  engine=engine)
+                        for engine in ("BATCHED", "batched"))
+        assert cell_fingerprint(upper) == cell_fingerprint(lower)
 
     def test_compile_key_components(self, cal):
         circuit = get_benchmark("BV4").build()
