@@ -3,8 +3,9 @@
 Compares three R-SMT* solver configurations on the Figure-11
 random-program ladder (the paper's compile-time scalability sweep):
 
-* **seed** — the pre-fast-path configuration: the generic per-value
-  probing engine with an identity warm start;
+* **seed** — the pre-fast-path configuration: the generic engine, which
+  bounds each candidate value with its own ``SumObjective`` bound, with
+  an identity warm start;
 * **cold** — the vectorized engine, started cold;
 * **warm** — the compile fast path: vectorized engine + greedy warm
   start (what ``ReliabilitySmtMapper`` runs).
@@ -20,9 +21,10 @@ every uncapped point.
 
 The T-SMT* rung solves each Table-2 program on the default IBMQ16
 snapshot exactly as ``TimeSmtMapper`` does in a compile (generic
-engine, critical-path bound compiled against the snapshot's Delta
-table, greedy warm start), pins every node count and objective
-exactly, and prints the cost per node.
+engine, greedy warm start, and a critical-path bound compiled against
+the snapshot's Delta table that probes every candidate of a node in one
+walk), pins every node count and objective exactly, and prints the cost
+per node.
 """
 
 import json

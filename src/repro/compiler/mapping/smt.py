@@ -20,7 +20,7 @@ import dataclasses
 import math
 import time
 from collections import Counter
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -40,8 +40,8 @@ from repro.ir.dag import DependencyDAG
 from repro.solver import (
     AllDifferent,
     BranchAndBoundSolver,
-    CallableObjective,
     Model,
+    Objective,
     PairTerm,
     SumObjective,
     UnaryTerm,
@@ -228,6 +228,200 @@ class ReliabilitySmtMapper(Mapper):
         return out
 
 
+class _MakespanObjective(Objective):
+    """The T-SMT objective: minus the list schedule's makespan.
+
+    Its bound is minus the dependency-DAG critical path under admissible
+    per-gate durations. A CNOT with both endpoints placed takes its true
+    routed duration, one with one placed endpoint that location's
+    best-case routed time, and one with none the global best-case
+    adjacent-CNOT time.
+
+    Everything the assignment cannot change is built here, once per
+    solve: the static weight of every gate, one ``(gate, control var,
+    target var)`` slot per CNOT, and the duration table the slots read
+    (the snapshot's Delta table, or the uniform-duration table for
+    ``t-smt``). The table's diagonal holds its row minima, so a CNOT
+    with one placed endpoint, or with both endpoints on one location,
+    reads that location's best case through the same lookup.
+
+    :meth:`probe` bounds every candidate of one variable in one walk.
+    Gates that cannot descend from the variable's CNOTs are walked once
+    as floats. The other gates are walked once as numpy vectors over
+    the candidates. Every element goes through the same IEEE ``max``
+    and ``+`` as a scalar walk of that candidate alone, so each probed
+    bound equals :meth:`bound` of the extended assignment exactly.
+    """
+
+    def __init__(self, circuit: Circuit, calibration: Calibration,
+                 tables: ReliabilityTables, options: CompilerOptions,
+                 search_qubits: List[int]) -> None:
+        self._circuit = circuit
+        self._calibration = calibration
+        self._tables = tables
+        self._options = options
+        self._search_qubits = search_qubits
+        self._rest_qubits = [q for q in range(circuit.n_qubits)
+                             if q not in search_qubits]
+        self._all_hw = list(calibration.topology.iter_qubits())
+        self._dag = DependencyDAG.from_circuit(circuit)
+
+        n_hw = calibration.topology.n_qubits
+        if options.variant == "t-smt":
+            tau = options.uniform_cnot_slots
+            table = np.array([[tables.uniform_duration(hc, ht, tau_cnot=tau)
+                               if hc != ht else math.inf
+                               for ht in range(n_hw)] for hc in range(n_hw)])
+            min_cnot = tau
+        else:
+            table = np.array(tables.delta_table())
+            min_cnot = min(e.cnot_duration_slots
+                           for e in calibration.edges.values())
+        self._min_from = table.min(axis=1)
+        np.fill_diagonal(table, self._min_from)
+        self._rows = table.tolist()
+        # Vectors over candidates: a CNOT from each location, into each.
+        self._from = list(table)
+        self._into = list(table.T.copy())
+
+        self._static: List[float] = []
+        self._slots: List[Tuple[int, str, str]] = []
+        for i, gate in enumerate(circuit.gates):
+            if gate.name == "barrier":
+                self._static.append(0.0)
+            elif gate.is_measure:
+                self._static.append(float(READOUT_SLOTS))
+            elif gate.is_two_qubit:
+                self._static.append(float(min_cnot))
+                self._slots.append(
+                    (i, _var(gate.qubits[0]), _var(gate.qubits[1])))
+            else:
+                self._static.append(float(SINGLE_QUBIT_SLOTS))
+        self._preds = [tuple(sorted(ps)) for ps in self._dag.preds]
+        self._plans: Dict[Optional[str], tuple] = {}
+
+    def value(self, assignment: Dict[str, int]) -> float:
+        # Non-interacting qubits do not affect the makespan; fill them
+        # with any free locations (cheap, called per leaf).
+        placement = {q: assignment[_var(q)] for q in self._search_qubits}
+        used = set(placement.values())
+        free = (h for h in self._all_hw if h not in used)
+        for q in self._rest_qubits:
+            placement[q] = next(free)
+        return -makespan_of(self._circuit, placement, self._calibration,
+                            self._tables, self._options, dag=self._dag)
+
+    def bound(self, assignment: Dict[str, int],
+              domains: Dict[str, set]) -> float:
+        return -self._walk(self._plan(None), self._weights(assignment))
+
+    def probe(self, var: str, values: Sequence[int],
+              assignment: Dict[str, int],
+              domains: Dict[str, set]) -> List[float]:
+        plan = self._plan(var)
+        weights = self._weights(assignment)
+        cands = np.asarray(values)
+        for i, other, table in plan[0]:
+            h = assignment.get(other)
+            weights[i] = (self._min_from if h is None else table[h])[cands]
+        longest = self._walk(plan, weights)
+        if not plan[0]:
+            return [-longest] * len(values)
+        return (-longest).tolist()
+
+    def _weights(self, assignment: Dict[str, int]) -> List[float]:
+        """Per-gate durations of the partial *assignment*, as floats."""
+        out = self._static[:]
+        get = assignment.get
+        rows = self._rows
+        for i, control, target in self._slots:
+            hc = get(control)
+            ht = get(target)
+            # An unplaced endpoint reads the diagonal: the best case.
+            if hc is None:
+                hc = ht
+            elif ht is None:
+                ht = hc
+            if hc is not None:
+                out[i] = rows[hc][ht]
+        return out
+
+    def _plan(self, var: Optional[str]) -> tuple:
+        """How to walk the DAG when *var* varies (``None``: nothing).
+
+        Returns ``(own, fixed, moving, fixed_sinks, moving_sinks)``:
+        *var*'s CNOT slots as ``(gate, other var, table)``, where
+        ``table[h]`` is the slot's duration vector over candidates once
+        the other var sits at ``h``; the gates that descend from none of
+        them, with their predecessors; the rest, as ``(gate, first
+        moving predecessor or None, other moving ones, fixed ones)``;
+        and the sinks of each group. Memoized per variable.
+        """
+        plan = self._plans.get(var)
+        if plan is not None:
+            return plan
+        own = [(i, target, self._into) if control == var
+               else (i, control, self._from)
+               for i, control, target in self._slots
+               if var in (control, target)]
+        varying = {i for i, _, _ in own}
+        fixed, moving = [], []
+        for i, ps in enumerate(self._preds):
+            if i in varying or not varying.isdisjoint(ps):
+                vec = [p for p in ps if p in varying]
+                moving.append((i, vec[0] if vec else None, tuple(vec[1:]),
+                               tuple(p for p in ps if p not in varying)))
+                varying.add(i)
+            else:
+                fixed.append((i, ps))
+        succs = self._dag.succs
+        plan = (own, fixed, moving,
+                [i for i, _ in fixed if not succs[i]],
+                [i for i, *_ in moving if not succs[i]])
+        self._plans[var] = plan
+        return plan
+
+    @staticmethod
+    def _walk(plan: tuple, weights: list):
+        """Critical-path length: a float, or a vector over the candidates
+        when the plan has moving gates.
+
+        Finish times never fall along an edge (weights are
+        nonnegative), so the longest path ends at a sink.
+        """
+        _, fixed, moving, fixed_sinks, moving_sinks = plan
+        finish: list = [0.0] * len(weights)
+        # Nearly every gate has at most two predecessors; a max() call
+        # per gate would cost more than the rest of the walk.
+        for i, ps in fixed:
+            k = len(ps)
+            if k == 1:
+                finish[i] = finish[ps[0]] + weights[i]
+            elif k == 2:
+                a = finish[ps[0]]
+                b = finish[ps[1]]
+                finish[i] = (a if a >= b else b) + weights[i]
+            elif k:
+                finish[i] = max([finish[p] for p in ps]) + weights[i]
+            else:
+                finish[i] = 0.0 + weights[i]
+        maximum = np.maximum
+        for i, first, others, flat in moving:
+            if first is None:
+                start = max([finish[p] for p in flat], default=0.0)
+            else:
+                start = finish[first]
+                for p in others:
+                    start = maximum(start, finish[p])
+                if flat:
+                    start = maximum(start, max([finish[p] for p in flat]))
+            finish[i] = start + weights[i]
+        longest = max([finish[i] for i in fixed_sinks], default=0.0)
+        for i in moving_sinks:
+            longest = maximum(longest, finish[i])
+        return longest
+
+
 class TimeSmtMapper(Mapper):
     """T-SMT / T-SMT*: minimize schedule makespan.
 
@@ -248,32 +442,12 @@ class TimeSmtMapper(Mapper):
         self.check_fits(circuit, calibration)
         search_qubits = _interacting_qubits(circuit)
         model = _base_model(search_qubits, calibration)
-        dag = DependencyDAG.from_circuit(circuit)
         uniform = self.options.variant == "t-smt"
         if uniform:
             self._break_symmetry(model, search_qubits, calibration)
 
-        all_hw = list(calibration.topology.iter_qubits())
-        rest_qubits = [q for q in range(circuit.n_qubits)
-                       if q not in search_qubits]
-
-        def value_fn(assignment: Dict[str, int]) -> float:
-            # Non-interacting qubits do not affect the makespan; fill
-            # them with any free locations (cheap, called per leaf).
-            placement = {q: assignment[_var(q)] for q in search_qubits}
-            used = set(placement.values())
-            free = (h for h in all_hw if h not in used)
-            for q in rest_qubits:
-                placement[q] = next(free)
-            return -makespan_of(circuit, placement, calibration, tables,
-                                self.options, dag=dag)
-
-        durations = self._optimistic_durations(circuit, calibration, tables)
-
-        def bound_fn(assignment: Dict[str, int], domains) -> float:
-            return -dag.longest_path_length(durations(assignment))
-
-        model.objective = CallableObjective(value_fn, bound_fn)
+        model.objective = _MakespanObjective(circuit, calibration, tables,
+                                             self.options, search_qubits)
         solver = BranchAndBoundSolver(
             time_limit=self.options.solver_time_limit)
         # The noise-unaware flavor must stay calibration-independent, so
@@ -344,65 +518,3 @@ class TimeSmtMapper(Mapper):
             if mapped[first] in canonical:
                 return mapped
         return initial
-
-    def _optimistic_durations(
-            self, circuit: Circuit, calibration: Calibration,
-            tables: ReliabilityTables
-    ) -> Callable[[Dict[str, int]], List[float]]:
-        """Compile the admissible per-gate durations of the bound.
-
-        CNOTs with both endpoints placed get their true routed duration;
-        one placed endpoint gets that location's best-case routed time;
-        none gets the global best-case adjacent-CNOT time.
-
-        Everything the assignment cannot change is computed here, once
-        per solve: the static weights of every other gate, one
-        ``(gate, control var, target var)`` slot per CNOT, the duration
-        table the slots read (the snapshot's Delta table, or the
-        uniform-duration table for ``t-smt``) and its row minima. The
-        returned function then only fills the CNOT slots of a copy of
-        the static weights, so each value probe costs one dict lookup
-        per CNOT endpoint.
-        """
-        n_hw = calibration.topology.n_qubits
-        if self.options.variant == "t-smt":
-            tau = self.options.uniform_cnot_slots
-            duration = [[tables.uniform_duration(hc, ht, tau_cnot=tau)
-                         if hc != ht else math.inf for ht in range(n_hw)]
-                        for hc in range(n_hw)]
-            min_cnot = tau
-            min_from = [tau] * n_hw
-        else:
-            duration = tables.delta_table().tolist()
-            min_cnot = min(e.cnot_duration_slots
-                           for e in calibration.edges.values())
-            min_from = [min(row) for row in duration]
-
-        static: List[float] = []
-        slots: List[Tuple[int, str, str]] = []
-        for i, gate in enumerate(circuit.gates):
-            if gate.name == "barrier":
-                static.append(0.0)
-            elif gate.is_measure:
-                static.append(float(READOUT_SLOTS))
-            elif gate.is_two_qubit:
-                static.append(min_cnot)
-                slots.append((i, _var(gate.qubits[0]), _var(gate.qubits[1])))
-            else:
-                static.append(float(SINGLE_QUBIT_SLOTS))
-
-        def weights(assignment: Dict[str, int]) -> List[float]:
-            out = static[:]
-            get = assignment.get
-            for i, control, target in slots:
-                hc = get(control)
-                ht = get(target)
-                if hc is None:
-                    if ht is not None:
-                        out[i] = min_from[ht]
-                elif ht is None or hc == ht:
-                    out[i] = min_from[hc]
-                else:
-                    out[i] = duration[hc][ht]
-            return out
-        return weights

@@ -15,6 +15,7 @@ as a diff of it.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import sys
@@ -291,13 +292,21 @@ def generate_report(out: TextIO, trials: int = REPORT_TRIALS,
 def main(argv: Optional[List[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     path = argv[0] if argv else "EXPERIMENTS.md"
-    data: Dict[str, object] = {}
-    with open(path, "w") as handle:
-        generate_report(handle, progress=sys.stderr, data=data)
     json_path = os.path.splitext(path)[0] + ".json"
-    with open(json_path, "w") as handle:
-        json.dump(data, handle, indent=1, sort_keys=True, allow_nan=False)
-        handle.write("\n")
+    data: Dict[str, object] = {}
+    with contextlib.ExitStack() as stack:
+        # Both outputs open before the minutes-long run starts, so a bad
+        # path fails at once.
+        try:
+            handle = stack.enter_context(open(path, "w"))
+            json_handle = stack.enter_context(open(json_path, "w"))
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        generate_report(handle, progress=sys.stderr, data=data)
+        json.dump(data, json_handle, indent=1, sort_keys=True,
+                  allow_nan=False)
+        json_handle.write("\n")
     print(f"wrote {path} and {json_path}", file=sys.stderr)
     return 0
 

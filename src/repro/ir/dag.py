@@ -8,11 +8,9 @@ gate on that qubit. This module materializes that relation.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Set, Tuple
 
-from repro.exceptions import CircuitError
 from repro.ir.circuit import Circuit
 from repro.ir.gates import Gate
 
@@ -70,44 +68,6 @@ class DependencyDAG:
             return False
         return all(pos[p] < pos[i]
                    for i, ps in enumerate(self.preds) for p in ps)
-
-    @functools.cached_property
-    def _pred_tuples(self) -> List[Tuple[int, ...]]:
-        return [tuple(sorted(ps)) for ps in self.preds]
-
-    def longest_path_length(self, weights: Sequence[float]) -> float:
-        """Weighted critical-path length through the DAG.
-
-        The T-SMT bound calls this once per value probe, so the walk
-        reads cached predecessor tuples and special-cases gates with
-        zero, one or two predecessors, nearly every gate: a ``max``
-        call per gate made T-SMT* search nodes ~3x slower.
-
-        Args:
-            weights: Per-gate duration (same indexing as the circuit).
-
-        Returns:
-            The maximum, over all dependency chains, of the sum of
-            weights — a lower bound on any legal schedule's makespan.
-        """
-        preds = self._pred_tuples
-        if len(weights) != len(preds):
-            raise CircuitError("weights length must equal gate count")
-        finish: List[float] = []
-        append = finish.append
-        for ps, w in zip(preds, weights):
-            k = len(ps)
-            if k == 1:
-                append(finish[ps[0]] + w)
-            elif k == 2:
-                a = finish[ps[0]]
-                b = finish[ps[1]]
-                append((a if a >= b else b) + w)
-            elif k:
-                append(max([finish[p] for p in ps]) + w)
-            else:
-                append(0.0 + w)
-        return max(finish, default=0.0)
 
     def dependency_pairs(self) -> List[Tuple[int, int]]:
         """All immediate (pred, succ) edges."""

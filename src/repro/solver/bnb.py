@@ -4,10 +4,13 @@ Depth-first search with forward checking and admissible objective
 pruning. Assignment-shaped models (one AllDifferent over every variable
 plus a decomposable sum objective — the paper's R-SMT* formulation)
 are compiled to numpy cost matrices and solved by the vectorized kernel
-in :mod:`repro.solver.bounds`. Everything else (callable objectives
-such as the T-SMT makespan, exotic constraints, satisfaction problems)
-runs on the generic per-value probing engine, which remains the
-semantic reference. Both engines prove optimality; on paper-scale mapping
+in :mod:`repro.solver.bounds`. Everything else (non-decomposable
+objectives such as the T-SMT makespan, exotic constraints,
+satisfaction problems) runs on the generic engine, which remains the
+semantic reference: at each node it asks the objective once for the
+bounds of every candidate value (:meth:`Objective.probe`), orders the
+candidates by them and prunes each child on its own bound. Both
+engines prove optimality; on paper-scale mapping
 problems they finish in well under a second, and like the paper's Z3
 runs they blow up super-polynomially as programs grow, which is exactly
 the Fig.-11 behavior — the vector kernel just moves the wall.
@@ -248,23 +251,19 @@ class _Search:
                         ) -> List[Tuple[int, Optional[float]]]:
         """(value, probed bound) pairs, most promising value first.
 
-        The probe's bound is memoized into the returned pairs so the
-        child node prunes on it directly instead of recomputing the
-        objective bound it just cost one evaluation per value to
-        obtain.
+        One :meth:`Objective.probe` call bounds every value of the
+        node's branching variable. The bounds ride along in the returned
+        pairs, so each child node prunes on its own directly instead of
+        bounding itself again. The sort is stable: tied values keep
+        ascending order.
         """
         values = sorted(domains[var])
         objective = self.model.objective
         if objective is None or len(values) <= 1:
             return [(v, None) for v in values]
 
-        bounds: Dict[int, float] = {}
-        for value in values:
-            assignment[var] = value
-            try:
-                bounds[value] = objective.bound(assignment, domains)
-            finally:
-                del assignment[var]
+        bounds = dict(zip(values, objective.probe(var, values, assignment,
+                                                  domains)))
         values.sort(key=bounds.__getitem__, reverse=True)
         return [(v, bounds[v]) for v in values]
 

@@ -78,6 +78,25 @@ class Objective:
         partial *assignment* given the remaining *domains*."""
         raise NotImplementedError
 
+    def probe(self, var: str, values: Sequence[int], assignment: Assignment,
+              domains: Dict[str, set]) -> List[float]:
+        """The :meth:`bound` of ``assignment | {var: v}`` for each of
+        *values*, in order (*var* is unassigned).
+
+        The search asks once per node for every candidate of its
+        branching variable. This default assigns each value in turn and
+        leaves *assignment* as it found it; an objective that can bound
+        all candidates in one pass overrides it.
+        """
+        bounds: List[float] = []
+        for value in values:
+            assignment[var] = value
+            try:
+                bounds.append(self.bound(assignment, domains))
+            finally:
+                del assignment[var]
+        return bounds
+
 
 @dataclass
 class Model:

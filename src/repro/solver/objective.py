@@ -4,8 +4,11 @@ The paper's reliability objective (Eq. 12) is a weighted sum of per-gate
 log-reliabilities, which decomposes into unary terms (readout on one
 program qubit) and pairwise terms (a CNOT between two program qubits).
 :class:`SumObjective` exploits that decomposition to compute tight
-admissible bounds during search. :class:`CallableObjective` wraps
-non-decomposable objectives such as schedule makespan.
+admissible bounds during search. :class:`CallableObjective` wraps a
+non-decomposable objective given as plain functions; the T-SMT makespan
+objective subclasses :class:`~repro.solver.model.Objective` directly
+(``compiler/mapping/smt.py``) so it can bound all of a node's candidates
+in one :meth:`~repro.solver.model.Objective.probe`.
 """
 
 from __future__ import annotations

@@ -169,3 +169,19 @@ class TestFig11:
                            gate_counts=(64, 128))
         series = result.series("greedye*", 4)
         assert [g for g, _ in series] == [64, 128]
+
+
+class TestReportMain:
+    def test_missing_output_directory_fails_before_generating(
+            self, tmp_path, monkeypatch, capsys):
+        from repro.experiments import report
+
+        def generate(*args, **kwargs):
+            raise AssertionError("report generated despite a bad path")
+        monkeypatch.setattr(report, "generate_report", generate)
+        missing = tmp_path / "missing"
+        assert report.main([str(missing / "x.md")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert not missing.exists()
+        assert list(tmp_path.iterdir()) == []

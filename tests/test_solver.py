@@ -192,3 +192,35 @@ class TestOptimization:
              + pair[(a, b)] + pair[(b, c)])
             for a, b, c in itertools.permutations(range(5), 3))
         assert result.objective == pytest.approx(best)
+
+
+class TestObjectiveProbe:
+    """The default ``Objective.probe`` is the per-value bound loop."""
+
+    @staticmethod
+    def _objective(score):
+        return SumObjective([UnaryTerm("x", score),
+                             PairTerm("x", "y", lambda a, b: a * b - a)])
+
+    def test_default_probe_equals_per_value_bound(self):
+        objective = self._objective(lambda v: -abs(v - 2.5))
+        domains = {"x": {0, 1, 2, 3}, "y": {0, 1, 2, 3}}
+        for assignment in ({}, {"y": 1}):
+            before = dict(assignment)
+            probed = objective.probe("x", [3, 0, 2, 2, 1], assignment,
+                                     domains)
+            assert assignment == before
+            assert probed == [objective.bound({**before, "x": v}, domains)
+                              for v in [3, 0, 2, 2, 1]]
+
+    def test_default_probe_restores_assignment_when_bound_raises(self):
+        def score(v):
+            if v == 2:
+                raise SolverError("no score for 2")
+            return float(v)
+        objective = self._objective(score)
+        assignment = {"y": 1}
+        with pytest.raises(SolverError):
+            objective.probe("x", [0, 1, 2, 3], assignment,
+                            {"x": {0, 1, 2, 3}, "y": {1}})
+        assert assignment == {"y": 1}

@@ -1,9 +1,10 @@
 """Tests for the compiled T-SMT critical-path bound and its answers.
 
-* The bound ``TimeSmtMapper`` compiles once per solve returns the same
-  float as the per-gate reference in ``tsmt_reference`` on random
-  circuits and random partial assignments, for ``t-smt`` and
-  ``t-smt*``, on IBMQ16 and on a square grid.
+* The bound of ``TimeSmtMapper``'s objective returns the same float as
+  the per-gate reference in ``tsmt_reference`` on random circuits and
+  random partial assignments, for ``t-smt`` and ``t-smt*``, on IBMQ16
+  and on a square grid; its ``probe`` returns, value by value, the same
+  float as the reference bound of each extended assignment.
 * The dense tables of :class:`ReliabilityTables` equal the per-pair
   accessors they replace (the reliability table in the floored log
   form R-SMT* reads).
@@ -22,7 +23,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.compiler import CompilerOptions
-from repro.compiler.mapping.smt import TimeSmtMapper, _var
+from repro.compiler.mapping.smt import (
+    TimeSmtMapper,
+    _interacting_qubits,
+    _MakespanObjective,
+    _var,
+)
 from repro.hardware import (
     CalibrationGenerator,
     ReliabilityTables,
@@ -30,7 +36,6 @@ from repro.hardware import (
     square_topology,
 )
 from repro.ir.circuit import Circuit
-from repro.ir.dag import DependencyDAG
 from repro.programs import benchmark_names, get_benchmark
 
 from tsmt_reference import reference_bound
@@ -74,6 +79,27 @@ def _circuits(draw) -> Circuit:
     return circuit
 
 
+def _objective(circuit, topology, variant, day):
+    calibration, tables = _machine(topology, day)
+    options = _VARIANTS[variant]()
+    objective = _MakespanObjective(circuit, calibration, tables, options,
+                                   _interacting_qubits(circuit))
+    return objective, calibration, tables, options
+
+
+def _assert_probe_equals_reference(circuit, topology, variant, day, var,
+                                   assignment, values):
+    objective, calibration, tables, options = _objective(
+        circuit, topology, variant, day)
+    before = dict(assignment)
+    probed = objective.probe(var, values, assignment, {})
+    assert assignment == before
+    expected = [reference_bound(circuit, {**assignment, var: value},
+                                calibration, tables, options)
+                for value in values]
+    assert [b.hex() for b in probed] == [b.hex() for b in expected]
+
+
 class TestCompiledBound:
     @given(circuit=_circuits(), data=st.data(),
            topology=st.sampled_from(sorted(_TOPOLOGIES)),
@@ -82,20 +108,58 @@ class TestCompiledBound:
     @settings(max_examples=150, deadline=None)
     def test_bound_equals_reference(self, circuit, data, topology,
                                     variant, day):
-        calibration, tables = _machine(topology, day)
-        options = _VARIANTS[variant]()
+        objective, calibration, tables, options = _objective(
+            circuit, topology, variant, day)
         n_hw = calibration.topology.n_qubits
         # Random partial assignment; locations may collide, which the
         # bound must handle like the reference (one placed endpoint).
         assignment = {
             _var(q): data.draw(st.integers(0, n_hw - 1))
             for q in range(circuit.n_qubits) if data.draw(st.booleans())}
-        durations = TimeSmtMapper(options)._optimistic_durations(
-            circuit, calibration, tables)
-        dag = DependencyDAG.from_circuit(circuit)
-        compiled = -dag.longest_path_length(durations(assignment))
-        assert compiled == reference_bound(circuit, assignment, calibration,
-                                           tables, options)
+        compiled = objective.bound(assignment, {})
+        expected = reference_bound(circuit, assignment, calibration, tables,
+                                   options)
+        assert compiled.hex() == expected.hex()
+
+    @given(circuit=_circuits(), data=st.data(),
+           topology=st.sampled_from(sorted(_TOPOLOGIES)),
+           variant=st.sampled_from(sorted(_VARIANTS)),
+           day=st.integers(0, 1))
+    @settings(max_examples=150, deadline=None)
+    def test_probe_equals_reference(self, circuit, data, topology, variant,
+                                    day):
+        n_hw = _machine(topology, day)[0].topology.n_qubits
+        var = _var(data.draw(st.integers(0, circuit.n_qubits - 1)))
+        assignment = {
+            _var(q): data.draw(st.integers(0, n_hw - 1))
+            for q in range(circuit.n_qubits)
+            if _var(q) != var and data.draw(st.booleans())}
+        # Candidates may repeat and may collide with a placed endpoint.
+        placed = sorted(set(assignment.values())) or [0]
+        values = data.draw(st.lists(
+            st.one_of(st.integers(0, n_hw - 1), st.sampled_from(placed)),
+            min_size=1, max_size=2 * n_hw))
+        _assert_probe_equals_reference(circuit, topology, variant, day, var,
+                                       assignment, values)
+
+    @pytest.mark.parametrize("variant", sorted(_VARIANTS))
+    @pytest.mark.parametrize("topology", sorted(_TOPOLOGIES))
+    def test_probe_edge_cases(self, topology, variant):
+        n_hw = _machine(topology, 0)[0].topology.n_qubits
+        every = list(range(n_hw)) + [0, n_hw - 1]
+        # No gates: every bound is minus an empty maximum.
+        _assert_probe_equals_reference(Circuit(3, 3), topology, variant, 0,
+                                       _var(0), {}, every)
+        # A barrier with three predecessors: two CNOTs on the probed
+        # variable (one to a placed endpoint) and one gate that cannot
+        # depend on it; a later CNOT to a placed endpoint as target.
+        circuit = Circuit(5, 5)
+        circuit.cx(0, 1).h(2).cx(3, 0).h(4)
+        circuit.barrier(0, 1, 2, 3)
+        circuit.cx(4, 0).measure(0).measure(4)
+        _assert_probe_equals_reference(circuit, topology, variant, 0,
+                                       _var(0), {_var(1): 2, _var(4): 0},
+                                       every)
 
     @pytest.mark.parametrize("topology", sorted(_TOPOLOGIES))
     def test_dense_tables_equal_pair_accessors(self, topology):

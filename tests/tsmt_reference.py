@@ -6,7 +6,8 @@ evaluated before it was compiled against the snapshot's dense Delta
 table. Every call re-derives each CNOT's weight through
 :meth:`ReliabilityTables.delta` (or ``uniform_duration`` for ``t-smt``)
 and walks the DAG's predecessor sets with a generator ``max``. The
-compiled bound must return the identical float for every assignment.
+compiled bound must return the identical float for every assignment,
+and its probe the identical float for every candidate value.
 """
 
 from typing import Dict, List
