@@ -31,8 +31,9 @@ Entry points (also available as ``python -m repro``):
 * ``repro benchmarks``  — list the registered Table-2 benchmarks.
 
 Choice lists come from the tables that implement them (``ALL_VARIANTS``,
-``ALL_ROUTES``, ``ZNE_FITS``, ``ZNE_AMPLIFIERS``, ``BACKENDS``), and
-subcommands and experiments dispatch through one dict each.
+``ALL_ROUTES``, ``ZNE_FITS``, ``ZNE_AMPLIFIERS``, ``BACKENDS``),
+``mitigate --strategy`` is checked by ``strategy_from_spec`` itself, and
+subcommands, experiments and variants dispatch through one dict each.
 
 Every executing subcommand takes ``--device`` (a backend preset name;
 ``repro sweep`` accepts several and runs the grid per device), and
@@ -71,7 +72,7 @@ from repro.compiler import (
     build_pipeline,
     mapper_for,
 )
-from repro.exceptions import ReproError
+from repro.exceptions import MitigationError, ReproError
 from repro.ir import parse_scaffir, qasm_to_circuit
 from repro.mitigation import (
     ZNE_AMPLIFIERS,
@@ -104,7 +105,16 @@ _EXPERIMENTS = {
         trials=a.trials, workers=a.workers, backend=a.device),
 }
 
-_STRATEGY_CHOICES = ("zne", "readout", "readout+zne")
+#: Each ``ALL_VARIANTS`` name -> its named ``CompilerOptions``
+#: constructor, given ``--omega`` (only R-SMT* reads it).
+_VARIANT_OPTIONS = {
+    "qiskit": lambda omega: CompilerOptions.qiskit(),
+    "t-smt": lambda omega: CompilerOptions.t_smt(),
+    "t-smt*": lambda omega: CompilerOptions.t_smt_star(),
+    "r-smt*": lambda omega: CompilerOptions.r_smt_star(omega=omega),
+    "greedyv*": lambda omega: CompilerOptions.greedy_v(),
+    "greedye*": lambda omega: CompilerOptions.greedy_e(),
+}
 
 
 def _nonnegative_int(text: str) -> int:
@@ -133,6 +143,17 @@ def _positive_float(text: str) -> float:
         raise argparse.ArgumentTypeError(
             f"must be a finite positive number, got {value}")
     return value
+
+
+def _strategy_spec(text: str) -> str:
+    """Argparse type: a mitigation spec :func:`strategy_from_spec`
+    accepts (``zne``, ``readout`` and ``+`` stacks, estimator last),
+    rejected with the library's own message."""
+    try:
+        strategy_from_spec(text)
+    except MitigationError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+    return text
 
 
 def _port_type(lowest: int):
@@ -354,10 +375,10 @@ def build_parser() -> argparse.ArgumentParser:
     mit_p.add_argument("--variant", default="r-smt*", choices=ALL_VARIANTS)
     mit_p.add_argument("--omega", type=float, default=0.5,
                        help="readout weight for r-smt* (default: 0.5)")
-    mit_p.add_argument("--strategy", default="zne",
-                       choices=_STRATEGY_CHOICES,
-                       help="mitigation strategy or '+' stack "
-                            "(default: zne)")
+    mit_p.add_argument("--strategy", default="zne", type=_strategy_spec,
+                       help="mitigation strategy (zne, readout) or a "
+                            "'+' stack of them, estimator last, e.g. "
+                            "readout+zne (default: zne)")
     mit_p.add_argument("--scales", nargs="+", type=_positive_float,
                        default=None, metavar="S",
                        help="ZNE noise scales (default: 1 1.5 2)")
@@ -480,15 +501,7 @@ def _variant_options(variant: str, omega: float,
                      routing: Optional[str] = None) -> CompilerOptions:
     """The CLI-wide variant name -> CompilerOptions map (one source of
     truth for ``compile``, ``run`` and ``sweep``)."""
-    defaults = {
-        "qiskit": CompilerOptions.qiskit(),
-        "t-smt": CompilerOptions.t_smt(),
-        "t-smt*": CompilerOptions.t_smt_star(),
-        "r-smt*": CompilerOptions.r_smt_star(omega=omega),
-        "greedyv*": CompilerOptions.greedy_v(),
-        "greedye*": CompilerOptions.greedy_e(),
-    }
-    options = defaults[variant]
+    options = _VARIANT_OPTIONS[variant](omega)
     if routing is not None:
         options = options.with_(routing=routing)
     return options

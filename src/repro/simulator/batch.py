@@ -170,10 +170,7 @@ def _sample_noisy(trace: ProgramTrace, occurred: np.ndarray,
                   noisy_rows: np.ndarray, codes: np.ndarray,
                   rng: np.random.Generator) -> None:
     """Fill ``codes[noisy_rows]`` by deduplicated trajectory simulation."""
-    trial_idx, site_idx = np.nonzero(occurred)  # row-major: sorted by trial
-    uniforms = rng.random(trial_idx.size)
-    choices = (uniforms[:, np.newaxis]
-               >= trace.site_cum[site_idx, :]).sum(axis=1).astype(np.int64)
+    trial_idx, site_idx, choices = draw_choices(trace, occurred, rng)
     plans, plan_of_row = _distinct_plans(
         trial_idx, site_idx * CHOICE_STRIDE + choices, occurred.shape[0])
     patterns = batch_plan_probabilities(trace, plans)
@@ -182,6 +179,33 @@ def _sample_noisy(trace: ProgramTrace, occurred: np.ndarray,
     # `probs / probs.sum()` performed, so the draws are bit-identical.
     patterns /= patterns.sum(axis=1, keepdims=True)
     codes[noisy_rows] = _draw_outcomes(patterns, plan_of_row, rng)
+
+
+def draw_choices(trace: ProgramTrace, occurred: np.ndarray,
+                 rng: np.random.Generator
+                 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The fired sites of *occurred* and each one's Pauli choice.
+
+    Args:
+        trace: The lowered program (its ``site_cum`` bounds).
+        occurred: ``(trials, sites)`` boolean occurrence matrix.
+        rng: Draws one uniform per fired site, in row-major order.
+
+    Returns:
+        ``(trial, site, choice)``, one entry per fired site in row-major
+        order (``np.nonzero``'s, so sorted by trial): a site's choice is
+        the number of its cumulative bounds at or below its uniform.
+        The count is taken one bound column at a time, so no
+        ``(fired, bounds)`` matrix is gathered; an integer count is
+        exact in any order.
+    """
+    fired = np.flatnonzero(occurred)
+    trial, site = np.divmod(fired, occurred.shape[1])
+    uniforms = rng.random(fired.size)
+    choice = np.zeros(fired.size, dtype=np.int64)
+    for bounds in np.ascontiguousarray(trace.site_cum.T):
+        choice += uniforms >= bounds[site]
+    return trial, site, choice
 
 
 def _distinct_plans(trial_idx: np.ndarray, events: np.ndarray,

@@ -10,7 +10,8 @@ engine consumes:
   phases are symbolic GF(2)-affine expressions, so one pass covers
   every error plan;
 * :mod:`~repro.simulator.stabilizer.program` — the per-trace symbolic
-  lowering plus the vectorized host-numpy trial sampler;
+  lowering plus the vectorized host-numpy trial sampler, which folds
+  and renders shots on packed 64-bit words;
 * :mod:`~repro.simulator.stabilizer.engine` — the sampling step
   :func:`~repro.simulator.execute` runs for ``engine="stabilizer"``
   and for Clifford programs under ``engine="auto"``, plus that

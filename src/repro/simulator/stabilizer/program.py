@@ -12,13 +12,22 @@ where the symbolic variables are (a) one fair coin per random
 measurement and (b) one indicator per (error site, Pauli choice) of
 the trace's flat error-site table. :class:`StabilizerProgram` runs the
 :class:`~repro.simulator.stabilizer.tableau.SymbolicTableau` pass that
-produces those coefficient matrices; :func:`sample_stabilizer_counts`
-draws all trials vectorized in host numpy.
+produces those coefficient matrices, with one vector op per error site:
+each choice's column is the XOR of its two qubits' Pauli masks at the
+site. :func:`sample_stabilizer_counts` draws all trials vectorized in
+host numpy. The choice coefficients are stored packed, 64 measurements
+to a ``uint64`` word, so each trial's fired rows XOR-fold as whole
+words (XOR is bitwise, so packing is exact) and are unpacked once per
+batch; the counts come from one ``np.unique`` over the rendered cbit
+rows packed in big bit order, whose byte order is their lexicographic
+order, and one byte matrix of output strings, with the key order the
+per-row rendering had.
 
 The error-occurrence law mirrors the batched engine exactly — the same
 ``(trials, sites)`` Bernoulli matrix against ``trace.site_prob``, the
 same one-uniform-per-fired-site conditional Pauli choice against
-``trace.site_cum`` — and readout flips go through the shared
+``trace.site_cum`` (:func:`~repro.simulator.batch.draw_choices`) — and
+readout flips go through the shared
 :func:`~repro.simulator.batch.render_readout_bits` helper, so the
 stabilizer engine honors the full noise lowering (idle windows,
 crosstalk-adjusted gate channels, asymmetric readout) with zero dense
@@ -30,31 +39,28 @@ measures are terminal per qubit by ``CompactProgram`` validation).
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.exceptions import SimulationError
-from repro.simulator.batch import render_readout_bits
+from repro.simulator.batch import draw_choices, render_readout_bits
 from repro.simulator.stabilizer.clifford import first_non_clifford
 from repro.simulator.stabilizer.tableau import SymbolicTableau
 from repro.simulator.trace import (_PAIR_CHOICE_PAULIS,
-                                   _SINGLE_CHOICE_PAULIS, PAULI_CODES,
-                                   ProgramTrace)
+                                   _SINGLE_CHOICE_PAULIS, ProgramTrace)
 
 #: Enumerate the exact ideal distribution only while ``2**n_coins``
 #: stays trivial; past this the engine reports an empty distribution
 #: (overlap-style metrics need the dense engines anyway).
 _IDEAL_COIN_CAP = 12
 
-#: Pauli name of each :data:`~repro.simulator.trace.PAULI_CODES` value.
-_PAULI_NAMES = {code: name for name, code in PAULI_CODES.items()}
-
 #: Per choice, the Pauli codes a two-qubit channel injects on its
-#: ``site_pair`` qubits; a single-qubit channel has the first three
-#: rows of its table (the rest are padding the sampler never draws).
-_PAIR_CHOICES = _PAIR_CHOICE_PAULIS.tolist()
-_SINGLE_CHOICES = _SINGLE_CHOICE_PAULIS[:3].tolist()
+#: ``site_pair`` qubits (first column, second column); a single-qubit
+#: channel has the first three rows of its table (the rest are padding
+#: the sampler never draws) and injects on its one qubit.
+_PAIR_CODES = _PAIR_CHOICE_PAULIS.astype(np.intp)
+_SINGLE_CODES = _SINGLE_CHOICE_PAULIS[:3, 0].astype(np.intp)
 
 
 class StabilizerProgram:
@@ -66,8 +72,10 @@ class StabilizerProgram:
         choice_offset: ``(S,)`` first indicator index of each site.
         meas_const: ``(M,)`` constant outcome bit per measure.
         meas_coin: ``(M, n_coins)`` coin coefficients per measure.
-        meas_choice: ``(n_choices, M)`` choice coefficients, indicator-
-            major so fired-indicator rows gather contiguously.
+        meas_choice: ``(ceil(M / 64), n_choices)`` choice coefficients:
+            indicator *i*'s M bits packed by :func:`pack_words` into
+            column *i*, word-major so each word of the fired indicators
+            gathers and folds as one contiguous vector.
     """
 
     def __init__(self, trace: ProgramTrace) -> None:
@@ -85,18 +93,20 @@ class StabilizerProgram:
         # measurement could be random, and each site contributes one
         # indicator per Pauli choice.
         site_pairs = trace.site_pair.tolist()
-        site_choices = [_PAIR_CHOICES if b >= 0 else _SINGLE_CHOICES
-                        for _, b in site_pairs]
-        site_widths = [len(choices) for choices in site_choices]
-        self.choice_offset = np.concatenate(
-            ([0], np.cumsum(site_widths[:-1]))).astype(np.int64) \
-            if site_widths else np.zeros(0, dtype=np.int64)
-        self.n_choices = int(sum(site_widths))
+        site_widths = [len(_PAIR_CODES) if b >= 0 else len(_SINGLE_CODES)
+                       for _, b in site_pairs]
+        offsets = np.cumsum([0] + site_widths)
+        self.choice_offset = offsets[:-1].astype(np.int64)
+        self.n_choices = int(offsets[-1])
         coin_base = 1
         choice_base = coin_base + n_measures
         width = choice_base + self.n_choices
 
         tableau = SymbolicTableau(n, width)
+        # Gates write only the constant column, so each site's choice
+        # columns are final once the walk reaches the site: collect
+        # them here and write them into the tableau before measuring.
+        columns = np.empty((self.n_choices, 2 * n), dtype=np.uint8)
         # Error sites are ordered by gate; walk them with one cursor.
         site = 0
         for i, gate in enumerate(compact.gates):
@@ -104,13 +114,17 @@ class StabilizerProgram:
                 dense = tuple(compact.hw_to_dense[q] for q in gate.qubits)
                 tableau.apply_gate(gate.name, dense)
             while site < trace.n_sites and trace.site_gate[site] == i:
-                for c, codes in enumerate(site_choices[site]):
-                    column = choice_base + int(self.choice_offset[site]) + c
-                    for dense_q, code in zip(site_pairs[site], codes):
-                        if code:
-                            tableau.inject_pauli(dense_q, _PAULI_NAMES[code],
-                                                 column)
+                a, b = site_pairs[site]
+                lo, hi = offsets[site], offsets[site + 1]
+                if b < 0:
+                    columns[lo:hi] = tableau.pauli_masks(a)[_SINGLE_CODES]
+                else:
+                    np.bitwise_xor(
+                        tableau.pauli_masks(a)[_PAIR_CODES[:, 0]],
+                        tableau.pauli_masks(b)[_PAIR_CODES[:, 1]],
+                        out=columns[lo:hi])
                 site += 1
+        tableau.r[:, choice_base:] = columns.T
         # Deferred measurement, in program (= measure-table) order.
         expressions = np.zeros((n_measures, width), dtype=np.uint8)
         self.n_coins = 0
@@ -125,7 +139,7 @@ class StabilizerProgram:
         self.meas_coin = expressions[
             :, coin_base:coin_base + self.n_coins].copy()
         self.meas_choice = np.ascontiguousarray(
-            expressions[:, choice_base:].T)
+            pack_words(expressions[:, choice_base:].T).T)
         self._ideal: Optional[Dict[str, float]] = None
 
     # ------------------------------------------------------------------
@@ -137,7 +151,8 @@ class StabilizerProgram:
         Args:
             coins: ``(trials, n_coins)`` 0/1 coin assignment.
             fired_trial: ``(F,)`` trial index per fired error site,
-                nondecreasing (row-major ``np.nonzero`` order).
+                nondecreasing (row-major order of the occurrence
+                matrix).
             fired_site / fired_choice: ``(F,)`` the site and its drawn
                 Pauli choice.
             trials: Batch size.
@@ -145,25 +160,26 @@ class StabilizerProgram:
         Returns:
             ``(trials, n_measures)`` 0/1 measured values.
         """
-        bits = np.broadcast_to(
-            self.meas_const, (trials, self.meas_const.size)).copy()
+        n_measures = self.meas_const.size
+        bits = np.broadcast_to(self.meas_const, (trials, n_measures)).copy()
         if self.n_coins:
             # uint8 matmul wraps mod 256, which preserves parity.
             bits ^= (coins.astype(np.uint8) @ self.meas_coin.T) & 1
-        if fired_trial.size and self.n_choices:
-            rows = self.meas_choice[
-                self.choice_offset[fired_site] + fired_choice]
-            # Per-trial XOR of a ragged set of rows. ``reduceat``
+        if fired_trial.size:
+            indicator = self.choice_offset[fired_site] + fired_choice
+            # Per-trial XOR of a ragged set of packed words. ``reduceat``
             # mishandles *empty* segments, so reduce only over the
-            # trials that fired at least one site: their first-
-            # occurrence offsets (``fired_trial`` is sorted) delimit
-            # all-non-empty segments, and the folded rows scatter back
-            # by XOR.
-            present, segment_starts = np.unique(fired_trial,
-                                                return_index=True)
-            folded = np.bitwise_xor.reduceat(rows, segment_starts,
-                                             axis=0)
-            bits[present] ^= folded
+            # trials that fired at least one site: their first entries
+            # (``fired_trial`` is sorted) delimit all-non-empty
+            # segments, and the folded words unpack once for the batch.
+            starts = np.flatnonzero(np.diff(fired_trial, prepend=-1))
+            present = fired_trial[starts]
+            words = np.zeros((trials, len(self.meas_choice)),
+                             dtype=np.uint64)
+            for w, packed in enumerate(self.meas_choice):
+                words[present, w] = np.bitwise_xor.reduceat(
+                    packed[indicator], starts)
+            bits ^= unpack_words(words, n_measures)
         return bits
 
     # ------------------------------------------------------------------
@@ -176,6 +192,8 @@ class StabilizerProgram:
         :data:`_IDEAL_COIN_CAP` (GHZ/BV/repetition-style benchmarks
         have 0 or 1 coins); larger coin counts return an empty dict —
         the honest "not computed" the result object already tolerates.
+        Strings come in order of their first coin pattern, each
+        cbit holding its last writer's bit.
         """
         if self._ideal is not None:
             return self._ideal
@@ -187,13 +205,64 @@ class StabilizerProgram:
                     ).astype(np.uint8)[:, :self.n_coins]
         bits = self.meas_const[np.newaxis, :] \
             ^ ((patterns @ self.meas_coin.T) & 1)
+        strings, counts, first = distinct_strings(
+            trace, bits[:, trace.last_measure_for_cbit])
+        # ``count * p`` is a multiple of a power of two, at most 1, so
+        # it is exact: the sum of ``count`` copies of ``p``.
         p = 1.0 / (1 << self.n_coins)
-        distribution: Dict[str, float] = {}
-        for row in bits:
-            string = _render_string(trace, row)
-            distribution[string] = distribution.get(string, 0.0) + p
-        self._ideal = distribution
-        return distribution
+        self._ideal = {strings[i]: int(counts[i]) * p
+                       for i in np.argsort(first, kind="stable")}
+        return self._ideal
+
+
+def pack_words(bits: np.ndarray) -> np.ndarray:
+    """``(rows, k)`` 0/1 -> ``(rows, ceil(k / 64))`` ``uint64`` words.
+
+    Each row packs with ``np.packbits`` and zero-pads to whole words,
+    so bitwise operations on the words act on the bits and
+    :func:`unpack_words` inverts it.
+    """
+    packed = np.packbits(bits, axis=1)
+    return np.pad(packed, ((0, 0), (0, -packed.shape[1] % 8))).view(np.uint64)
+
+
+def unpack_words(words: np.ndarray, k: int) -> np.ndarray:
+    """``(rows, words)`` packed by :func:`pack_words` -> ``(rows, k)``
+    0/1 ``uint8``."""
+    return np.unpackbits(words.view(np.uint8), axis=1, count=k)
+
+
+def distinct_strings(trace: ProgramTrace, slot_bits: np.ndarray
+                     ) -> Tuple[List[str], np.ndarray, np.ndarray]:
+    """The distinct rows of *slot_bits* as output strings.
+
+    Args:
+        trace: The lowered program (its cbit width and slot cbits).
+        slot_bits: ``(rows, n_slots)`` 0/1, column *j* the value of
+            ``trace.measured_cbits[j]``.
+
+    Returns:
+        ``(strings, counts, first)`` over the distinct rows in
+        ``np.unique(slot_bits, axis=0)``'s lexicographic row order:
+        each row's output string (cbit 0 first, unmeasured cbits
+        ``"0"``), how many rows equal it, and the first of them.
+    """
+    n_slots = slot_bits.shape[1]
+    # Each row packed in big bit order, as one opaque byte key (one
+    # zero byte when nothing is measured): keys compare bytewise, so
+    # sorting them sorts the rows lexicographically, several times
+    # faster than ``np.unique(axis=0)``'s per-column comparisons.
+    packed = np.ascontiguousarray(np.packbits(slot_bits, axis=1)) \
+        if n_slots else np.zeros((len(slot_bits), 1), dtype=np.uint8)
+    keys = packed.view(np.dtype((np.void, packed.shape[1]))).reshape(-1)
+    unique, first, counts = np.unique(keys, return_index=True,
+                                      return_counts=True)
+    chars = np.full((len(unique), trace.n_cbits), ord("0"), dtype=np.uint8)
+    chars[:, trace.measured_cbits] += np.unpackbits(
+        unique.view(np.uint8).reshape(len(unique), -1), axis=1,
+        count=n_slots)
+    strings = chars.view(np.dtype((np.bytes_, trace.n_cbits)))[:, 0]
+    return strings.astype(np.str_).tolist(), counts, first
 
 
 def stabilizer_program(trace: ProgramTrace) -> StabilizerProgram:
@@ -217,47 +286,13 @@ def sample_stabilizer_counts(trace: ProgramTrace, trials: int,
     shared readout-flip sequence.
     """
     program = stabilizer_program(trace)
-    if trace.n_sites:
-        occurred = rng.random((trials, trace.n_sites)) < \
-            trace.site_prob[np.newaxis, :]
-        fired_trial, fired_site = np.nonzero(occurred)
-        uniforms = rng.random(fired_trial.size)
-        fired_choice = (uniforms[:, np.newaxis]
-                        >= trace.site_cum[fired_site, :]).sum(axis=1) \
-            .astype(np.int64)
-    else:
-        fired_trial = fired_site = np.zeros(0, dtype=np.int64)
-        fired_choice = np.zeros(0, dtype=np.int64)
-    if program.n_coins:
-        coins = (rng.random((trials, program.n_coins)) < 0.5
-                 ).astype(np.uint8)
-    else:
-        coins = np.zeros((trials, 0), dtype=np.uint8)
+    occurred = rng.random((trials, trace.n_sites)) < \
+        trace.site_prob[np.newaxis, :]
+    fired_trial, fired_site, fired_choice = draw_choices(trace, occurred,
+                                                         rng)
+    coins = (rng.random((trials, program.n_coins)) < 0.5).astype(np.uint8)
     bits = program.measured_bits(coins, fired_trial, fired_site,
                                  fired_choice, trials)
     rendered = render_readout_bits(trace, bits, rng)
-    return _count_slot_bits(trace, rendered.astype(np.uint8))
-
-
-def _count_slot_bits(trace: ProgramTrace,
-                     rendered: np.ndarray) -> Dict[str, int]:
-    """Collapse ``(trials, n_slots)`` rendered cbit rows to counts."""
-    unique, counts = np.unique(rendered, axis=0, return_counts=True)
-    out: Dict[str, int] = {}
-    for row, count in zip(unique, counts):
-        chars = ["0"] * trace.n_cbits
-        for j, cbit in enumerate(trace.measured_cbits):
-            if row[j]:
-                chars[cbit] = "1"
-        out["".join(chars)] = int(count)
-    return out
-
-
-def _render_string(trace: ProgramTrace, measured: np.ndarray) -> str:
-    """Noise-free classical string from per-measure bits (last writer
-    wins on aliased cbits, matching ``pattern_string``)."""
-    chars = ["0"] * trace.n_cbits
-    for j, cbit in enumerate(trace.measured_cbits):
-        if measured[trace.last_measure_for_cbit[j]]:
-            chars[cbit] = "1"
-    return "".join(chars)
+    strings, counts, _ = distinct_strings(trace, rendered)
+    return dict(zip(strings, counts.tolist()))

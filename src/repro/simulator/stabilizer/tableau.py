@@ -5,22 +5,29 @@ stabilizers) as x/z bit matrices plus a sign bit per row. This variant
 generalizes the sign bit to a **vector over GF(2)**: column 0 is the
 concrete sign, and every further column is the coefficient of one
 symbolic Bernoulli variable — a measurement coin, or one Pauli choice
-of one error site. The payoff is that Pauli error injection only flips
-phase coefficients (never x/z), and CHP's control flow (measurement
-pivots, rowsum ``g``-exponents) depends only on x/z — so **one**
-symbolic pass serves every error plan, and sampling a trial reduces to
-GF(2) dot products between the fired-variable assignment and the
-recorded measurement expressions (:mod:`.program` does that part,
-vectorized over all trials).
+of one error site. A Pauli error only flips phase coefficients (never
+x/z), and CHP's control flow (measurement pivots, rowsum
+``g``-exponents) depends only on x/z — so **one** symbolic pass serves
+every error plan, and sampling a trial reduces to GF(2) dot products
+between the fired-variable assignment and the recorded measurement
+expressions (:mod:`.program` does that part, vectorized over all
+trials).
 
-Rules implemented (phase flips go to the constant column unless noted):
+Gates write only the constant column. The symbolic columns of an error
+site's choices are the rows that anticommute with each choice's Pauli
+at the site's position in the gate walk, read off :meth:`pauli_masks`;
+:mod:`.program` builds them one site at a time and writes them into
+:attr:`SymbolicTableau.r` before the first measurement. No gate reads
+or writes those columns, so their values are final when written.
+
+Rules implemented (phase flips go to the constant column):
 
 * ``h(q)``: ``r ^= x_q & z_q``, then swap the ``x_q``/``z_q`` columns;
 * ``s(q)``: ``r ^= x_q & z_q``; ``z_q ^= x_q``;
 * ``sdg(q)``: ``r ^= x_q & ~z_q``; ``z_q ^= x_q`` (``s`` cubed);
 * ``x/y/z(q)``: phase-only — the conjugation masks ``z_q``,
-  ``x_q ^ z_q``, ``x_q`` respectively (also the Pauli-injection masks,
-  applied to a symbolic column instead of the constant);
+  ``x_q ^ z_q``, ``x_q`` respectively (the rows of
+  :meth:`~SymbolicTableau.pauli_masks`);
 * ``cx(c, t)``: ``r ^= x_c & z_t & ~(x_t ^ z_c)``; ``x_t ^= x_c``;
   ``z_c ^= z_t``;
 * ``cz``/``swap``: composed from ``h``+``cx`` / column swaps;
@@ -39,8 +46,7 @@ from typing import Tuple
 
 import numpy as np
 
-#: Pauli name -> which x/z columns mask its conjugation phase flip.
-_PAULI_MASKS = {"x": "z", "z": "x", "y": "xz"}
+from repro.simulator.trace import PAULI_CODES
 
 
 class SymbolicTableau:
@@ -72,8 +78,8 @@ class SymbolicTableau:
             self._s(qubits[0])
         elif name == "sdg":
             self._sdg(qubits[0])
-        elif name in _PAULI_MASKS:
-            self.r[:, 0] ^= self.pauli_mask(qubits[0], name)
+        elif name in PAULI_CODES:
+            self.r[:, 0] ^= self.pauli_masks(qubits[0])[PAULI_CODES[name]]
         elif name == "cx":
             self._cx(qubits[0], qubits[1])
         elif name == "cz":
@@ -107,21 +113,19 @@ class SymbolicTableau:
         self.x[:, t] ^= self.x[:, c]
         self.z[:, c] ^= self.z[:, t]
 
-    # -- symbolic Pauli injection --------------------------------------
-    def pauli_mask(self, q: int, pauli: str) -> np.ndarray:
-        """Which rows anticommute with *pauli* on qubit *q* — the phase
-        flip its conjugation applies across the tableau."""
-        kind = _PAULI_MASKS[pauli]
-        if kind == "z":
-            return self.z[:, q]
-        if kind == "x":
-            return self.x[:, q]
-        return self.x[:, q] ^ self.z[:, q]
-
-    def inject_pauli(self, q: int, pauli: str, column: int) -> None:
-        """Record a *conditional* Pauli on qubit *q*: rows that
-        anticommute with it pick up the symbolic variable *column*."""
-        self.r[:, column] ^= self.pauli_mask(q, pauli)
+    # -- Pauli conjugation masks ---------------------------------------
+    def pauli_masks(self, q: int) -> np.ndarray:
+        """``(4, 2n)`` masks, row *c* marking the tableau rows that
+        anticommute with the Pauli of code *c* (:data:`PAULI_CODES`;
+        row 0, no Pauli, is zero) on qubit *q*: the phase flip that
+        Pauli's conjugation applies across the tableau."""
+        x = self.x[:, q]
+        z = self.z[:, q]
+        masks = np.zeros((4, 2 * self.n), dtype=np.uint8)
+        masks[PAULI_CODES["x"]] = z
+        masks[PAULI_CODES["y"]] = x ^ z
+        masks[PAULI_CODES["z"]] = x
+        return masks
 
     # -- rowsum --------------------------------------------------------
     @staticmethod

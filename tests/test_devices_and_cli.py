@@ -8,10 +8,11 @@ from pathlib import Path
 import pytest
 
 from repro.backend import get_backend
-from repro.cli import _grid_cells, build_parser, main
+from repro.cli import _VARIANT_OPTIONS, _grid_cells, build_parser, main
 from repro.compiler import ALL_VARIANTS
 from repro.exceptions import TopologyError
 from repro.hardware import ibmq5_topology, ibmq20_topology, linear_topology
+from repro.mitigation import strategy_from_spec
 from repro.simulator.batch import CHUNK_ENV
 
 
@@ -214,6 +215,36 @@ class TestCli:
         assert "1/2 cells failed:" in lines
         assert any(line.startswith("  cell 'BV8'")
                    and "MappingError" in line for line in lines)
+
+    def test_variant_table_covers_every_variant(self):
+        """``--variant`` offers ``ALL_VARIANTS``; each name must have a
+        constructor, or argparse accepts it and the lookup fails."""
+        assert list(_VARIANT_OPTIONS) == list(ALL_VARIANTS)
+        for name, build in _VARIANT_OPTIONS.items():
+            assert build(0.25).variant == name
+        assert _VARIANT_OPTIONS["r-smt*"](0.25).omega == 0.25
+
+    @pytest.mark.parametrize("spec", ["zne", "readout", "readout+zne",
+                                      "readout+readout", " readout + zne"])
+    def test_strategy_accepts_what_the_library_accepts(self, spec):
+        args = build_parser().parse_args(["mitigate", "--strategy", spec])
+        assert args.strategy == spec
+        strategy_from_spec(args.strategy)
+
+    @pytest.mark.parametrize("spec,message", [
+        ("zne+readout", "put it last (e.g. readout+zne, not zne+readout)"),
+        ("zne+zne", "put it last"),
+        ("bogus", "unknown mitigation strategy 'bogus'"),
+        ("readout+", "unknown mitigation strategy ''"),
+    ])
+    def test_strategy_rejects_with_the_library_message(self, capsys, spec,
+                                                       message):
+        with pytest.raises(SystemExit) as exc:
+            self.run_cli("mitigate", "--strategy", spec)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --strategy: " in err and message in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("argv", [
         ("compile", "--benchmark", "HS6", "--time-limit"),
