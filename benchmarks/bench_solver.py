@@ -3,11 +3,13 @@
 Compares three R-SMT* solver configurations on the Figure-11
 random-program ladder (the paper's compile-time scalability sweep):
 
-* **seed** — the pre-fast-path configuration: the generic engine, which
-  bounds each candidate value with its own ``SumObjective`` bound, with
-  an identity warm start;
-* **cold** — the vectorized engine, started cold;
-* **warm** — the compile fast path: vectorized engine + greedy warm
+* **seed** — the pre-fast-path configuration: the generic engine on the
+  reference closure model (``tests/solver_reference.py``), which bounds
+  each candidate value with its own ``SumObjective`` bound, with an
+  identity warm start;
+* **cold** — the vectorized engine on ``reliability_model``'s cost
+  matrices, started cold;
+* **warm** — the compile fast path: the same matrices + greedy warm
   start (what ``ReliabilitySmtMapper`` runs).
 
 Node counts are bit-deterministic and pinned exactly against
@@ -29,7 +31,9 @@ per node.
 
 import json
 import os
+import sys
 import time
+from pathlib import Path
 
 from conftest import SMOKE, record
 
@@ -49,6 +53,9 @@ from repro.hardware import (
 from repro.programs import benchmark_names, get_benchmark, random_circuit
 from repro.solver import BranchAndBoundSolver
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from solver_reference import reliability_sum_model  # noqa: E402
+
 _BASELINE = os.path.join(os.path.dirname(__file__), "solver_baseline.json")
 
 
@@ -58,16 +65,17 @@ def _instance(n_qubits: int, n_gates: int):
     topology = square_topology(max(n_qubits, 4))
     calibration = CalibrationGenerator(topology, seed=2019).snapshot(0)
     tables = ReliabilityTables(calibration)
-    model, search_qubits = reliability_model(circuit, calibration,
-                                             tables, 0.5)
+    model, _ = reliability_sum_model(circuit, calibration, tables, 0.5)
+    mats, search_qubits = reliability_model(circuit, calibration,
+                                            tables, 0.5)
     warm = _greedy_warm_start(circuit, calibration, tables, search_qubits)
     identity = _identity_warm_start(search_qubits)
-    return model, warm, identity
+    return model, mats, warm, identity
 
 
-def _timed(solver, model, **kwargs):
+def _timed(solver, problem, **kwargs):
     start = time.perf_counter()
-    result = solver.solve(model, **kwargs)
+    result = solver.solve(problem, **kwargs)
     return result, time.perf_counter() - start
 
 
@@ -75,15 +83,12 @@ def _run_ladder(points):
     rows = []
     for spec in points:
         cap = spec["node_cap"]
-        model, warm, identity = _instance(spec["qubits"], spec["gates"])
-        seed, t_seed = _timed(
-            BranchAndBoundSolver(engine="generic", node_limit=cap),
-            model, initial=identity)
-        cold, t_cold = _timed(
-            BranchAndBoundSolver(engine="vector", node_limit=cap), model)
-        fast, t_warm = _timed(
-            BranchAndBoundSolver(engine="vector", node_limit=cap),
-            model, initial=warm)
+        model, mats, warm, identity = _instance(spec["qubits"],
+                                                spec["gates"])
+        solver = BranchAndBoundSolver(node_limit=cap)
+        seed, t_seed = _timed(solver, model, initial=identity)
+        cold, t_cold = _timed(solver, mats)
+        fast, t_warm = _timed(solver, mats, initial=warm)
         rows.append({"spec": spec, "seed": seed, "cold": cold,
                      "warm": fast, "t_seed": t_seed, "t_cold": t_cold,
                      "t_warm": t_warm})

@@ -1,12 +1,13 @@
 """Optimization-based mapping (the paper's §4, "Optimal Compilation").
 
-Builds a constraint model per the paper's formulation and hands it to
-the branch-and-bound engine (the Z3 substitute, see the README's
-"Substitutions"):
+Builds the paper's formulation and hands it to the branch-and-bound
+engine (the Z3 substitute, see the README's "Substitutions"): R-SMT*
+as Eq.-12 cost matrices, T-SMT as a model with a makespan objective.
 
 * Constraint 1 — every program qubit maps inside the grid: encoded in
   the variable domains (all hardware qubit ids).
-* Constraint 2 — distinct locations: :class:`AllDifferent`.
+* Constraint 2 — distinct locations: enforced by the solver, which
+  never places two variables on one value.
 * Constraints 3-9 — scheduling/routing: enforced by the deterministic
   list scheduler; the T-SMT objective evaluates it at search leaves,
   bounded below by the dependency-DAG critical path.
@@ -38,14 +39,12 @@ from repro.hardware.reliability import ReliabilityTables
 from repro.ir.circuit import Circuit
 from repro.ir.dag import DependencyDAG
 from repro.solver import (
-    AllDifferent,
+    AssignmentMatrices,
     BranchAndBoundSolver,
     Model,
     Objective,
-    PairTerm,
-    SumObjective,
-    UnaryTerm,
     Variable,
+    assignment_matrices,
 )
 from repro.solver.bnb import SolveResult
 
@@ -70,17 +69,6 @@ def _interacting_qubits(circuit: Circuit) -> List[int]:
                      for q in g.qubits)
     qubits = sorted(degree, key=lambda q: (-degree[q], q))
     return qubits or [0]
-
-
-def _base_model(search_qubits: List[int],
-                calibration: Calibration) -> Model:
-    """Variables (Constraint 1 via domains) + all-different (Constraint 2)."""
-    model = Model()
-    hw = list(calibration.topology.iter_qubits())
-    for q in search_qubits:
-        model.add_variable(_var(q), hw)
-    model.add_constraint(AllDifferent([_var(q) for q in search_qubits]))
-    return model
 
 
 def _identity_warm_start(search_qubits: List[int]) -> Dict[str, int]:
@@ -138,58 +126,47 @@ def _stats_dict(result: SolveResult) -> Optional[Dict[str, object]]:
 
 
 def reliability_model(circuit: Circuit, calibration: Calibration,
-                      tables: ReliabilityTables,
-                      omega: float) -> Tuple[Model, List[int]]:
-    """Build the R-SMT* assignment model (Eq. 12) for *circuit*.
+                      tables: ReliabilityTables, omega: float
+                      ) -> Tuple[AssignmentMatrices, List[int]]:
+    """Build R-SMT*'s Eq.-12 cost matrices for *circuit*.
 
-    Exposed as a module-level helper so the solver benchmarks and
-    tests can drive the exact production model through the generic
-    reference engine (``engine="generic"``) without going through a
-    full compile.
+    One variable per search qubit; column ``h`` is hardware qubit ``h``,
+    open to every variable (Constraint 1). The terms, in this order:
+    ``omega * count * log(readout reliability)``, one per measured
+    search qubit, then ``(1 - omega) * count * log(CNOT reliability)``,
+    one per ordered CNOT pair, read from the snapshot's shared table.
+    Exposed as a module-level helper so the solver benchmarks and tests
+    can drive the exact production matrices without a full compile.
 
     Returns:
-        (model with its objective set, the interacting search qubits).
+        (the cost matrices, the interacting search qubits).
     """
     search_qubits = _interacting_qubits(circuit)
-    model = _base_model(search_qubits, calibration)
-
-    # Dense score tables, computed once per run and shared by every
-    # term: the vector engine compiles them straight into its cost
-    # matrices instead of probing Python closures H^2 times per pair.
-    # The CNOT table is the snapshot's shared log-reliability table.
+    index = {q: i for i, q in enumerate(search_qubits)}
+    hw = list(calibration.topology.iter_qubits())
     readout_logrel = np.array(
         [math.log(max(calibration.readout_reliability(h), _LOG_FLOOR))
-         for h in calibration.topology.iter_qubits()])
+         for h in hw])
     cnot_logrel = tables.log_reliability_table()
-    cnot_rows = cnot_logrel.tolist()
 
-    terms: List = []
+    terms = []
     # Readout terms: one per measurement (Constraint 10). Readouts on
     # non-interacting qubits are optimized by the greedy completion.
     readout_counts = Counter(g.qubits[0] for g in circuit.measurements)
     for q, count in sorted(readout_counts.items()):
-        if q not in search_qubits:
-            continue
-
-        def score(h: int, _count: int = count) -> float:
-            rel = max(calibration.readout_reliability(h), _LOG_FLOOR)
-            return omega * _count * math.log(rel)
-        terms.append(UnaryTerm(_var(q), score,
-                               vector=omega * count * readout_logrel))
+        if q in index:
+            terms.append((index[q], -1, omega * count * readout_logrel))
     # CNOT terms: one per ordered interacting pair, weighted by the
     # number of CNOTs between the pair (Constraint 11 via EC lookups).
     cnot_counts = Counter((g.control, g.target) for g in circuit.cnots)
     for (qc, qt), count in sorted(cnot_counts.items()):
-        def score(hc: int, ht: int, _count: int = count) -> float:
-            if hc == ht:
-                return _count * math.log(_LOG_FLOOR)
-            return (1.0 - omega) * _count * cnot_rows[hc][ht]
-        matrix = (1.0 - omega) * count * cnot_logrel
-        np.fill_diagonal(matrix, count * math.log(_LOG_FLOOR))
-        terms.append(PairTerm(_var(qc), _var(qt), score, matrix=matrix))
+        terms.append((index[qc], index[qt],
+                      (1.0 - omega) * count * cnot_logrel))
 
-    model.objective = SumObjective(terms)
-    return model, search_qubits
+    mats = assignment_matrices(
+        [_var(q) for q in search_qubits], np.array(hw, dtype=np.int64),
+        np.ones((len(search_qubits), len(hw)), dtype=bool), terms)
+    return mats, search_qubits
 
 
 class ReliabilitySmtMapper(Mapper):
@@ -205,13 +182,13 @@ class ReliabilitySmtMapper(Mapper):
     def run(self, circuit: Circuit, calibration: Calibration,
             tables: ReliabilityTables) -> MappingResult:
         self.check_fits(circuit, calibration)
-        model, search_qubits = reliability_model(
+        mats, search_qubits = reliability_model(
             circuit, calibration, tables, self.options.omega)
         solver = BranchAndBoundSolver(
             time_limit=self.options.solver_time_limit)
         start = time.perf_counter()
         result = solver.solve(
-            model,
+            mats,
             initial=_greedy_warm_start(circuit, calibration, tables,
                                        search_qubits))
         elapsed = time.perf_counter() - start
@@ -441,7 +418,9 @@ class TimeSmtMapper(Mapper):
             tables: ReliabilityTables) -> MappingResult:
         self.check_fits(circuit, calibration)
         search_qubits = _interacting_qubits(circuit)
-        model = _base_model(search_qubits, calibration)
+        model = Model()
+        for q in search_qubits:
+            model.add_variable(_var(q), calibration.topology.iter_qubits())
         uniform = self.options.variant == "t-smt"
         if uniform:
             self._break_symmetry(model, search_qubits, calibration)

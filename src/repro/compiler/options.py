@@ -8,6 +8,7 @@ constructors build the exact configurations the paper evaluates.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, fields, replace
 from typing import Optional
 
@@ -40,6 +41,15 @@ ALL_ROUTES = (ROUTE_RECTANGLE, ROUTE_ONE_BEND, ROUTE_BEST_PATH,
               ROUTE_SHORTEST)
 
 
+def _check_positive(name: str, value: float) -> None:
+    """Reject a NaN, infinite, zero or negative budget. A NaN time limit
+    or coherence bound never trips, and T-SMT's critical-path bound
+    assumes nonnegative CNOT times."""
+    if not (math.isfinite(value) and value > 0):
+        raise CompilationError(
+            f"{name} must be finite and positive, got {value!r}")
+
+
 @dataclass(frozen=True)
 class CompilerOptions:
     """Options selecting and tuning a compiler variant.
@@ -48,11 +58,12 @@ class CompilerOptions:
         variant: One of :data:`ALL_VARIANTS`.
         routing: One of :data:`ALL_ROUTES`.
         omega: Readout-vs-CNOT weight of Eq. 12 (R-SMT* only).
-        solver_time_limit: Branch-and-bound budget in seconds.
+        solver_time_limit: Branch-and-bound budget in seconds (finite
+            and positive; ``None`` = unlimited).
         uniform_cnot_slots: CNOT duration assumed by the noise-unaware
-            T-SMT variant, in timeslots.
+            T-SMT variant, in timeslots (finite and positive).
         coherence_slots: Static coherence bound (Constraint 4) for the
-            noise-unaware variant, in timeslots.
+            noise-unaware variant, in timeslots (finite and positive).
         enforce_coherence: Raise on coherence-deadline violations rather
             than only flagging them.
         peephole: Apply adjacent-inverse cancellation to the physical
@@ -78,6 +89,10 @@ class CompilerOptions:
             raise CompilationError(f"unknown routing {self.routing!r}")
         if not 0.0 <= self.omega <= 1.0:
             raise CompilationError("omega must lie in [0, 1]")
+        if self.solver_time_limit is not None:
+            _check_positive("solver_time_limit", self.solver_time_limit)
+        _check_positive("uniform_cnot_slots", self.uniform_cnot_slots)
+        _check_positive("coherence_slots", self.coherence_slots)
 
     @property
     def is_noise_aware(self) -> bool:

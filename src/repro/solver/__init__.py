@@ -1,32 +1,23 @@
-"""Finite-domain constraint optimization (the repo's SMT-solver substrate)."""
+"""Finite-domain optimization (the repo's SMT-solver substrate).
+
+:class:`BranchAndBoundSolver` takes the two problems the mappers pose:
+R-SMT*'s Eq.-12 cost matrices (:func:`assignment_matrices`), solved by
+the vectorized kernel, and T-SMT's :class:`Model`, solved by the
+generic engine.
+"""
 
 from repro.solver.bnb import BranchAndBoundSolver, SolveResult, SolverStats
-from repro.solver.bounds import AssignmentMatrices, compile_assignment
-from repro.solver.constraints import AllDifferent
-from repro.solver.model import Assignment, Constraint, Model, Objective, Variable
-from repro.solver.objective import (
-    CallableObjective,
-    PairTerm,
-    SumObjective,
-    Term,
-    UnaryTerm,
-)
+from repro.solver.bounds import AssignmentMatrices, assignment_matrices
+from repro.solver.model import Assignment, Model, Objective, Variable
 
 __all__ = [
-    "AllDifferent",
     "Assignment",
     "AssignmentMatrices",
-    "compile_assignment",
+    "assignment_matrices",
     "SolverStats",
     "BranchAndBoundSolver",
-    "CallableObjective",
-    "Constraint",
     "Model",
     "Objective",
-    "PairTerm",
     "SolveResult",
-    "SumObjective",
-    "Term",
-    "UnaryTerm",
     "Variable",
 ]

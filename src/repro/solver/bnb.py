@@ -1,14 +1,14 @@
-"""Branch-and-bound search over finite-domain models.
+"""Branch-and-bound search over the two problems the mappers pose.
 
-Depth-first search with forward checking and admissible objective
-pruning. Assignment-shaped models (one AllDifferent over every variable
-plus a decomposable sum objective — the paper's R-SMT* formulation)
-are compiled to numpy cost matrices and solved by the vectorized kernel
-in :mod:`repro.solver.bounds`. Everything else (non-decomposable
-objectives such as the T-SMT makespan, exotic constraints,
-satisfaction problems) runs on the generic engine, which remains the
-semantic reference: at each node it asks the objective once for the
-bounds of every candidate value (:meth:`Objective.probe`), orders the
+Both place every variable on its own value (the paper's Constraint 2)
+and maximize an objective by depth-first search with forward checking
+and admissible objective pruning. :meth:`BranchAndBoundSolver.solve`
+runs the engine the problem's type names. R-SMT*'s Eq.-12 cost matrices
+(:class:`~repro.solver.bounds.AssignmentMatrices`) run on the vectorized
+kernel in :mod:`repro.solver.bounds`. A :class:`Model` (T-SMT's makespan
+objective, and the reference models the tests solve) runs on the
+generic engine: at each node it asks the objective once for the bounds
+of every candidate value (:meth:`Objective.probe`), orders the
 candidates by them and prunes each child on its own bound. Both
 engines prove optimality; on paper-scale mapping
 problems they finish in well under a second, and like the paper's Z3
@@ -20,10 +20,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.exceptions import SolverError
-from repro.solver.bounds import VectorSearch, compile_assignment
+from repro.solver.bounds import AssignmentMatrices, VectorSearch
 from repro.solver.model import Assignment, Model
 
 
@@ -51,7 +51,7 @@ class SolveResult:
 
     Attributes:
         assignment: Best complete assignment found (``None`` if none).
-        objective: Its objective value (``None`` for pure satisfaction).
+        objective: Its objective value (``None`` without an assignment).
         optimal: Whether the search space was exhausted (proof of
             optimality / infeasibility).
         nodes: Search-tree nodes expanded.
@@ -75,63 +75,41 @@ class SolveResult:
 
 @dataclass
 class BranchAndBoundSolver:
-    """Configurable DFS branch-and-bound engine.
+    """Depth-first branch-and-bound engine.
 
     Attributes:
         time_limit: Wall-clock budget in seconds (``None`` = unlimited).
         node_limit: Maximum nodes to expand (``None`` = unlimited).
-        first_solution_only: Stop at the first feasible assignment.
-        engine: ``"auto"`` routes assignment-shaped models to the
-            vectorized kernel and everything else to the generic
-            engine; ``"generic"`` forces the reference engine (the
-            speedup benchmarks pin vector-vs-generic on this knob);
-            ``"vector"`` demands the kernel and raises if the model
-            does not fit it.
     """
 
     time_limit: Optional[float] = None
     node_limit: Optional[int] = None
-    first_solution_only: bool = False
-    engine: str = "auto"
 
-    def solve(self, model: Model,
+    def solve(self, problem: Union[AssignmentMatrices, Model],
               initial: Optional[Assignment] = None) -> SolveResult:
-        """Maximize the model's objective (or find any solution).
+        """Maximize the problem's objective.
 
         Args:
-            model: The problem to solve.
+            problem: Cost matrices (vectorized kernel) or a model with
+                its objective set (generic engine).
             initial: Optional warm-start assignment; if feasible it seeds
-                the incumbent so pruning starts immediately.
+                the incumbent so pruning starts immediately. An
+                infeasible one is dropped and the search starts cold
+                (the contract the mappers rely on).
         """
-        if not model.variables:
-            raise SolverError("model has no variables")
-        if self.engine not in ("auto", "vector", "generic"):
-            raise SolverError(f"unknown solver engine {self.engine!r}")
         start = time.perf_counter()
-        mats = None
-        if self.engine != "generic":
-            mats = compile_assignment(model)
-            if mats is None and self.engine == "vector":
-                raise SolverError(
-                    "model is not assignment-shaped; vector engine "
-                    "cannot run it")
-        if mats is not None:
-            return self._solve_vector(model, mats, initial, start)
-        return self._solve_generic(model, initial, start)
+        if isinstance(problem, AssignmentMatrices):
+            return self._solve_vector(problem, initial, start)
+        return self._solve_generic(problem, initial, start)
 
     # ------------------------------------------------------------------
-    def _solve_vector(self, model: Model, mats, initial,
+    def _solve_vector(self, mats: AssignmentMatrices, initial,
                       start: float) -> SolveResult:
-        search = VectorSearch(
-            mats, time_limit=self.time_limit, node_limit=self.node_limit,
-            first_solution_only=self.first_solution_only, start=start)
-        # An invalid warm start is dropped and the search starts cold
-        # (the contract the mappers rely on); a valid one is seeded with
-        # its exact objective value.
-        if initial is not None and model.validate(initial):
-            col_of = {int(v): c for c, v in enumerate(mats.values)}
-            search.seed([col_of[initial[name]] for name in mats.var_names],
-                        model.objective.value(initial))
+        search = VectorSearch(mats, time_limit=self.time_limit,
+                              node_limit=self.node_limit, start=start)
+        cols = None if initial is None else mats.columns(initial)
+        if cols is not None:
+            search.seed(cols, mats.value(cols))
         completed = search.run()
         elapsed = time.perf_counter() - start
         assignment = None
@@ -153,12 +131,15 @@ class BranchAndBoundSolver:
 
     def _solve_generic(self, model: Model, initial, start: float
                        ) -> SolveResult:
+        if not model.variables:
+            raise SolverError("model has no variables")
+        if model.objective is None:
+            raise SolverError("model has no objective")
         search = _Search(model, self, start)
         if initial is not None and model.validate(initial):
             search.best = dict(initial)
             search.incumbents += 1
-            if model.objective is not None:
-                search.best_value = model.objective.value(initial)
+            search.best_value = model.objective.value(initial)
         domains = {v.name: set(v.domain) for v in model.variables}
         try:
             search.run({}, domains)
@@ -171,7 +152,7 @@ class BranchAndBoundSolver:
                             incumbents=search.incumbents)
         return SolveResult(
             assignment=search.best,
-            objective=search.best_value if model.objective else None,
+            objective=None if search.best is None else search.best_value,
             optimal=not timed_out and not search.truncated,
             nodes=search.nodes,
             elapsed=elapsed,
@@ -198,11 +179,6 @@ class _Search:
         self.best: Optional[Assignment] = None
         self.best_value = -float("inf")
         self.truncated = False
-        # Constraints indexed by variable for fast partial checks.
-        self.by_var: Dict[str, list] = {v.name: [] for v in model.variables}
-        for c in model.constraints:
-            for name in c.scope:
-                self.by_var[name].append(c)
 
     def run(self, assignment: Assignment, domains: Dict[str, set],
             bound: Optional[float] = None) -> None:
@@ -221,7 +197,7 @@ class _Search:
         if not unassigned:
             self._record(assignment)
             return
-        if self.model.objective is not None and self.best is not None:
+        if self.best is not None:
             if bound is None:
                 bound = self.model.objective.bound(assignment, domains)
             if bound <= self.best_value + 1e-12:
@@ -234,16 +210,13 @@ class _Search:
                     and child_bound <= self.best_value + 1e-12):
                 self.prunes += 1
                 continue  # the probe already proves this subtree beaten
-            assignment[var] = value
-            if self._consistent(var, assignment):
-                removed = self._forward_check(var, value, assignment, domains)
-                if removed is not None:
-                    self.run(assignment, domains, bound=child_bound)
-                    for name, val in removed:
-                        domains[name].add(val)
-            del assignment[var]
-            if self.best is not None and self.config.first_solution_only:
-                return
+            removed = self._forward_check(var, value, unassigned, domains)
+            if removed is not None:
+                assignment[var] = value
+                self.run(assignment, domains, bound=child_bound)
+                del assignment[var]
+                for name in removed:
+                    domains[name].add(value)
 
     # ------------------------------------------------------------------
     def _ordered_values(self, var: str, assignment: Assignment,
@@ -258,37 +231,33 @@ class _Search:
         ascending order.
         """
         values = sorted(domains[var])
-        objective = self.model.objective
-        if objective is None or len(values) <= 1:
+        if len(values) <= 1:
             return [(v, None) for v in values]
 
-        bounds = dict(zip(values, objective.probe(var, values, assignment,
-                                                  domains)))
+        bounds = dict(zip(values, self.model.objective.probe(
+            var, values, assignment, domains)))
         values.sort(key=bounds.__getitem__, reverse=True)
         return [(v, bounds[v]) for v in values]
 
-    def _consistent(self, var: str, assignment: Assignment) -> bool:
-        return all(c.check_partial(assignment) for c in self.by_var[var])
-
-    def _forward_check(self, var: str, value: int, assignment: Assignment,
-                       domains: Dict[str, set]
-                       ) -> Optional[List[Tuple[str, int]]]:
-        removed: List[Tuple[str, int]] = []
-        for c in self.by_var[var]:
-            result = c.prune(var, value, assignment, domains)
-            if result is None:
-                for name, val in removed:
-                    domains[name].add(val)
-                return None
-            removed.extend(result)
+    @staticmethod
+    def _forward_check(var: str, value: int, unassigned: List[str],
+                       domains: Dict[str, set]) -> Optional[List[str]]:
+        """Remove *value* from the domain of every other unassigned
+        variable, in model order: the variables whose domains lost it,
+        or ``None``, with every domain restored, when one wipes out."""
+        removed: List[str] = []
+        for name in unassigned:
+            domain = domains[name]
+            if name != var and value in domain:
+                domain.discard(value)
+                removed.append(name)
+                if not domain:
+                    for other in removed:
+                        domains[other].add(value)
+                    return None
         return removed
 
     def _record(self, assignment: Assignment) -> None:
-        if self.model.objective is None:
-            if self.best is None:
-                self.best = dict(assignment)
-                self.incumbents += 1
-            return
         value = self.model.objective.value(assignment)
         if value > self.best_value:
             self.best_value = value

@@ -1,17 +1,16 @@
-"""Vectorized cost matrices and bounds for assignment-shaped models.
+"""Vectorized cost matrices and bounds for assignment problems.
 
-The paper's R-SMT* formulation is an *assignment problem*: one
-``AllDifferent`` over every variable plus a :class:`SumObjective` of
-unary/pair terms (Eq. 12's readout and CNOT log-reliabilities). For that
-shape the branch-and-bound engine does not need per-value Python probes:
-the whole objective compiles into an ``(n, H)`` unary matrix and a
-``(T, H, H)`` pair tensor, and every admissible bound the search needs —
-node bounds, all child bounds of the branching variable, forward-check
-wipeouts — comes from masked reductions of those arrays. On the
-factored (Eq.-12) path the reductions depend only on which columns are
-still free and which variables are still unassigned, so they run once
-per such pair of sets and the rest of each node is Python float
-arithmetic over the branching variable's candidates.
+The paper's R-SMT* formulation is an *assignment problem*: variables
+placed on pairwise distinct columns, maximizing a sum of unary and pair
+terms (Eq. 12's readout and CNOT log-reliabilities).
+:func:`assignment_matrices` sums those terms into an ``(n, H)`` unary
+matrix and a ``(T, H, H)`` pair tensor, and every admissible bound the
+search needs — node bounds, all child bounds of the branching variable,
+forward-check wipeouts — comes from masked reductions of those arrays.
+On the factored (Eq.-12) path the reductions depend only on which
+columns are still free and which variables are still unassigned, so
+they run once per such pair of sets and the rest of each node is Python
+float arithmetic over the branching variable's candidates.
 
 That factored bound maximizes each variable's unary and pair terms
 separately, and it alone orders the children. A child it keeps must
@@ -25,8 +24,6 @@ leaf values it bounds, so it is compared with a margin of
 the rounding of any two summation orders of a leaf, so a dropped child
 never holds a leaf the search would have recorded.
 
-:func:`compile_assignment` detects the shape (returning ``None`` for
-anything else, which keeps the generic engine authoritative), and
 :class:`VectorSearch` runs the depth-first search over column indices.
 It breaks no value symmetries: calibrated noise makes every hardware
 qubit distinct, so no topology automorphism and no pair of columns is
@@ -36,26 +33,22 @@ Apart from the coupled bound's margin, all comparisons are exact (no
 epsilon), and the bounds alone fix the exploration order, so the
 returned assignment is a deterministic function of the model and the
 warm start. It need not be the first leaf in that order attaining the
-float maximum: the warm start's value is summed in the model's term
-order and a leaf's along its search path, and a dense-path bound can
-fall an ulp or two below the path sum of a leaf under it. Which of
-several optima equal to within rounding is returned can therefore
-depend on the warm start.
+float maximum: the warm start's value is summed in term order
+(:meth:`AssignmentMatrices.value`) and a leaf's along its search path,
+and a dense-path bound can fall an ulp or two below the path sum of a
+leaf under it. Which of several optima equal to within rounding is
+returned can therefore depend on the warm start.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import repeat
 from operator import add, itemgetter
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
-
-from repro.solver.constraints import AllDifferent
-from repro.solver.model import Model
-from repro.solver.objective import PairTerm, SumObjective, UnaryTerm
 
 _NEG_INF = -np.inf
 
@@ -74,14 +67,20 @@ MEMO_ENTRIES = 1024
 COUPLED_MARGIN = 1e-9
 
 
+#: One additive score term: ``(i, -1, scores)`` scores variable ``i`` at
+#: column ``c`` as ``scores[c]``; ``(i, j, scores)`` scores variables
+#: ``i`` at ``a`` and ``j`` at ``b`` as ``scores[a, b]``.
+Term = Tuple[int, int, np.ndarray]
+
+
 @dataclass
 class AssignmentMatrices:
-    """Compiled cost structure of an assignment model.
+    """Cost structure of an assignment problem.
 
     Attributes:
-        var_names: Variable names in model (branching-preference) order.
-        values: Sorted union of all domain values; column ``c`` of every
-            matrix corresponds to raw value ``values[c]``.
+        var_names: Variable names in branching-preference order.
+        values: Sorted raw values; column ``c`` of every matrix
+            corresponds to raw value ``values[c]``.
         domain_mask: ``(n, H)`` bool — value ``c`` allowed for var ``i``.
         unary: ``(n, H)`` float — summed unary scores, ``-inf`` outside
             the variable's domain.
@@ -90,8 +89,8 @@ class AssignmentMatrices:
         pair_tensor: ``(T, H, H)`` float — entry ``[t, a, b]`` is the
             summed score of pair ``t`` with var ``i`` at column ``a``
             and var ``j`` at column ``b``. The diagonal and any
-            combination outside the two domains is ``-inf`` (equal
-            values are impossible under the AllDifferent).
+            combination outside the two domains is ``-inf`` (no two
+            variables share a column).
         pair_base / pair_x / pair_y / pair_slack: Optional scaled-base
             factorization of the pair tensor (see
             :func:`_factor_pair_tensor`): every slice satisfies
@@ -104,6 +103,8 @@ class AssignmentMatrices:
             The search then derives all T row/column maxima from the
             ``H x H`` base instead of masking the full ``T x H x H``
             tensor at every node.
+        terms: The :data:`Term` list the matrices were summed from
+            (:func:`assignment_matrices`), which :meth:`value` re-sums.
     """
 
     var_names: List[str]
@@ -116,6 +117,7 @@ class AssignmentMatrices:
     pair_x: Optional[np.ndarray] = None
     pair_y: Optional[np.ndarray] = None
     pair_slack: Optional[np.ndarray] = None
+    terms: List[Term] = field(default_factory=list)
 
     @property
     def n_vars(self) -> int:
@@ -125,77 +127,81 @@ class AssignmentMatrices:
     def n_cols(self) -> int:
         return int(self.values.shape[0])
 
+    def columns(self, assignment: Mapping[str, int]) -> Optional[List[int]]:
+        """The columns of a complete *assignment* of raw values, by
+        variable, or ``None`` when it is infeasible: a variable missing
+        or unknown, a value outside its domain, or two values equal."""
+        col_of = {int(v): c for c, v in enumerate(self.values)}
+        try:
+            cols = [col_of[assignment[name]] for name in self.var_names]
+        except KeyError:
+            return None
+        if (len(assignment) != len(cols) or len(set(cols)) != len(cols)
+                or not self.domain_mask[range(len(cols)), cols].all()):
+            return None
+        return cols
 
-def compile_assignment(model: Model) -> Optional[AssignmentMatrices]:
-    """Compile *model* to matrices, or ``None`` if it isn't assignment-shaped.
+    def value(self, cols: Sequence[int]) -> float:
+        """Objective of the placement *cols*: the terms' scores summed
+        in term order, as Python floats.
 
-    The required shape: a :class:`SumObjective` of unary/pair terms and
-    exactly one :class:`AllDifferent` constraint covering every
-    variable (the paper's Constraints 1-2 + Eq. 12). Anything else —
-    callable objectives, extra constraints, satisfaction-only models —
-    stays on the generic engine.
+        A warm start is seeded with this float. Among optima equal to
+        within rounding it decides which one the search returns (see the
+        module docstring), so it is not read from the merged matrices,
+        whose sum can round differently.
+        """
+        return sum(float(scores[cols[i]] if j < 0
+                         else scores[cols[i], cols[j]])
+                   for i, j, scores in self.terms)
+
+
+def assignment_matrices(var_names: Sequence[str], values: np.ndarray,
+                        domain_mask: np.ndarray,
+                        terms: Sequence[Term]) -> AssignmentMatrices:
+    """Sum score *terms* into the matrices of an assignment problem.
+
+    Args:
+        var_names: Variable names in branching-preference order.
+        values: Sorted raw values, one per column.
+        domain_mask: ``(n, H)`` bool — column ``c`` allowed for var ``i``.
+        terms: Unary and pair :data:`Term` s over those variables and
+            columns (a pair's two variables differ).
+
+    Unary rows start at ``0.0``. Each pair slice is ``-inf`` on its
+    diagonal and outside the two domains, is stored with its lower
+    variable index first (transposed when ``i > j``), and a second slice
+    for the same pair adds its finite entries to the first.
     """
-    if not isinstance(model.objective, SumObjective):
-        return None
-    if len(model.constraints) != 1:
-        return None
-    alldiff = model.constraints[0]
-    if type(alldiff) is not AllDifferent:
-        return None
-    names = [v.name for v in model.variables]
-    if set(alldiff.scope) != set(names) or len(alldiff.scope) != len(names):
-        return None
-    index = {name: i for i, name in enumerate(names)}
-
-    values = np.array(sorted({v for var in model.variables
-                              for v in var.domain}), dtype=np.int64)
-    col_of = {int(v): c for c, v in enumerate(values)}
-    n, H = len(names), len(values)
-    domain_mask = np.zeros((n, H), dtype=bool)
-    for i, var in enumerate(model.variables):
-        for v in var.domain:
-            domain_mask[i, col_of[v]] = True
-
     unary = np.where(domain_mask, 0.0, _NEG_INF)
     pair_slices: Dict[Tuple[int, int], np.ndarray] = {}
-    for term in model.objective.terms:
-        if isinstance(term, UnaryTerm):
-            i = index.get(term.scope[0])
-            if i is None:
-                return None
-            scores = _unary_scores(term, values, domain_mask[i])
+    for i, j, scores in terms:
+        if j < 0:
             unary[i] += np.where(domain_mask[i], scores, 0.0)
-        elif isinstance(term, PairTerm):
-            a, b = term.scope
-            ia, ib = index.get(a), index.get(b)
-            if ia is None or ib is None or ia == ib:
-                return None
-            mat = _pair_scores(term, values, domain_mask[ia],
-                               domain_mask[ib])
-            if ia > ib:
-                ia, ib = ib, ia
-                mat = mat.T
-            key = (ia, ib)
-            if key in pair_slices:
-                pair_slices[key] = pair_slices[key] + np.where(
-                    np.isfinite(mat), mat, 0.0)
-            else:
-                pair_slices[key] = mat
+            continue
+        region = np.logical_and.outer(domain_mask[i], domain_mask[j])
+        np.fill_diagonal(region, False)
+        mat = np.where(region, scores, _NEG_INF)
+        if i > j:
+            i, j = j, i
+            mat = mat.T
+        if (i, j) in pair_slices:
+            pair_slices[i, j] = pair_slices[i, j] + np.where(
+                np.isfinite(mat), mat, 0.0)
         else:
-            return None
-
+            pair_slices[i, j] = mat
     pair_vars = sorted(pair_slices)
     if pair_vars:
         pair_tensor = np.stack([pair_slices[k] for k in pair_vars])
     else:
-        pair_tensor = np.empty((0, H, H))
+        pair_tensor = np.empty((0, len(values), len(values)))
     factored = _factor_pair_tensor(pair_tensor)
     base, xs, ys, slack = factored if factored is not None \
         else (None, None, None, None)
     return AssignmentMatrices(
-        var_names=names, values=values, domain_mask=domain_mask,
+        var_names=list(var_names), values=values, domain_mask=domain_mask,
         unary=unary, pair_vars=pair_vars, pair_tensor=pair_tensor,
-        pair_base=base, pair_x=xs, pair_y=ys, pair_slack=slack)
+        pair_base=base, pair_x=xs, pair_y=ys, pair_slack=slack,
+        terms=list(terms))
 
 
 def _factor_pair_tensor(PT: np.ndarray) -> Optional[Tuple[
@@ -256,49 +262,6 @@ def _factor_pair_tensor(PT: np.ndarray) -> Optional[Tuple[
     return base, xs, ys, slack
 
 
-def _dense_applies(table: Optional[np.ndarray],
-                   values: np.ndarray) -> bool:
-    return (table is not None and int(values.min()) >= 0
-            and table.shape[0] > int(values.max()))
-
-
-def _unary_scores(term: UnaryTerm, values: np.ndarray,
-                  mask: np.ndarray) -> np.ndarray:
-    vector = term.dense_vector()
-    if vector is not None:
-        vec = np.asarray(vector, dtype=float)
-        if _dense_applies(vec, values):
-            return vec[values]
-    out = np.zeros(len(values))
-    for c, v in enumerate(values):
-        if mask[c]:
-            out[c] = term._score(int(v))
-    return out
-
-
-def _pair_scores(term: PairTerm, values: np.ndarray,
-                 mask_a: np.ndarray, mask_b: np.ndarray) -> np.ndarray:
-    H = len(values)
-    region = np.logical_and.outer(mask_a, mask_b)
-    np.fill_diagonal(region, False)
-    matrix = term.dense_matrix()
-    if matrix is not None:
-        dense = np.asarray(matrix, dtype=float)
-        if _dense_applies(dense, values) and dense.shape[1] > int(values.max()):
-            sliced = dense[np.ix_(values, values)]
-            return np.where(region, sliced, _NEG_INF)
-    out = np.full((H, H), _NEG_INF)
-    rows = np.where(mask_a)[0]
-    cols = np.where(mask_b)[0]
-    for a in rows:
-        va = int(values[a])
-        for b in cols:
-            if a == b:
-                continue
-            out[a, b] = term._score(va, int(values[b]))
-    return out
-
-
 class _TimeUp(Exception):
     """Internal: the time or node budget interrupted the search."""
 
@@ -320,12 +283,10 @@ class VectorSearch:
     def __init__(self, mats: AssignmentMatrices,
                  time_limit: Optional[float] = None,
                  node_limit: Optional[int] = None,
-                 first_solution_only: bool = False,
                  start: Optional[float] = None) -> None:
         self.m = mats
         self.time_limit = time_limit
         self.node_limit = node_limit
-        self.first_solution_only = first_solution_only
         self.start = time.perf_counter() if start is None else start
         self.best_cols: Optional[np.ndarray] = None
         self.best_value = _NEG_INF
@@ -462,8 +423,6 @@ class VectorSearch:
         try:
             for col in self.root_candidates().tolist():
                 self._descend(sel, col, assigned, free, 0.0)
-                if self.best_cols is not None and self.first_solution_only:
-                    break
             return True
         except _TimeUp:
             return False
@@ -637,8 +596,6 @@ class VectorSearch:
                 self.prunes += 1
                 continue
             self._descend(sel, col, assigned, free, fixed)
-            if self.best_cols is not None and self.first_solution_only:
-                return
 
     # ------------------------------------------------------------------
     def _edge_maxima(self, free: np.ndarray

@@ -1,10 +1,11 @@
 """Finite-domain constraint-optimization models.
 
 This package is the repo's stand-in for the Z3 SMT solver the paper uses
-(see the README's "Substitutions"): a model holds integer variables with explicit finite
-domains, constraints, and a maximization objective; the branch-and-bound
-engine in :mod:`repro.solver.bnb` searches for a provably optimal
-assignment.
+(see the README's "Substitutions"): a model holds integer variables with
+explicit finite domains, which take pairwise distinct values (the
+paper's Constraint 2), and a maximization objective; the generic
+branch-and-bound engine in :mod:`repro.solver.bnb` searches for a
+provably optimal assignment.
 """
 
 from __future__ import annotations
@@ -29,40 +30,6 @@ class Variable:
             raise SolverError(f"variable {self.name!r} has empty domain")
         if len(set(self.domain)) != len(self.domain):
             raise SolverError(f"variable {self.name!r} has duplicate values")
-
-
-class Constraint:
-    """Base class for constraints.
-
-    Subclasses implement :meth:`is_satisfied` over complete assignments
-    and may override :meth:`prune` to perform forward-checking after a
-    variable is fixed.
-    """
-
-    #: Names of the variables this constraint mentions.
-    scope: Tuple[str, ...] = ()
-
-    def is_satisfied(self, assignment: Assignment) -> bool:
-        """Check the constraint on a complete assignment."""
-        raise NotImplementedError
-
-    def check_partial(self, assignment: Assignment) -> bool:
-        """Check on a partial assignment; default checks only when the
-        full scope is assigned."""
-        if all(v in assignment for v in self.scope):
-            return self.is_satisfied(assignment)
-        return True
-
-    def prune(self, var: str, value: int, assignment: Assignment,
-              domains: Dict[str, set]) -> Optional[List[Tuple[str, int]]]:
-        """Forward-check after ``var := value``.
-
-        Returns:
-            List of (variable, removed value) prunings applied to
-            *domains*, or ``None`` if a domain wiped out (dead end).
-            The solver undoes the prunings on backtrack.
-        """
-        return []
 
 
 class Objective:
@@ -100,16 +67,15 @@ class Objective:
 
 @dataclass
 class Model:
-    """A constraint-optimization problem.
+    """A constraint-optimization problem: variables that take pairwise
+    distinct values, and an objective to maximize.
 
     Attributes:
         variables: Decision variables in branching order preference.
-        constraints: Constraints over those variables.
-        objective: Maximization objective (``None`` = satisfaction only).
+        objective: Maximization objective, set before solving.
     """
 
     variables: List[Variable] = field(default_factory=list)
-    constraints: List[Constraint] = field(default_factory=list)
     objective: Optional[Objective] = None
 
     def add_variable(self, name: str, domain: Sequence[int]) -> Variable:
@@ -120,13 +86,6 @@ class Model:
         self.variables.append(var)
         return var
 
-    def add_constraint(self, constraint: Constraint) -> None:
-        known = {v.name for v in self.variables}
-        missing = [n for n in constraint.scope if n not in known]
-        if missing:
-            raise SolverError(f"constraint references unknown vars {missing}")
-        self.constraints.append(constraint)
-
     def variable(self, name: str) -> Variable:
         for v in self.variables:
             if v.name == name:
@@ -134,10 +93,10 @@ class Model:
         raise SolverError(f"no variable named {name!r}")
 
     def validate(self, assignment: Assignment) -> bool:
-        """Whether a complete assignment satisfies every constraint."""
+        """Whether a complete assignment gives every variable a distinct
+        value from its domain."""
         if set(assignment) != {v.name for v in self.variables}:
             return False
-        for v in self.variables:
-            if assignment[v.name] not in v.domain:
-                return False
-        return all(c.is_satisfied(assignment) for c in self.constraints)
+        if len(set(assignment.values())) != len(assignment):
+            return False
+        return all(assignment[v.name] in v.domain for v in self.variables)

@@ -238,6 +238,25 @@ class TestOptionsValidation:
         with pytest.raises(CompilationError):
             CompilerOptions(omega=1.5)
 
+    @pytest.mark.parametrize("field", ["solver_time_limit",
+                                       "uniform_cnot_slots",
+                                       "coherence_slots"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       float("-inf"), 0.0, -3.0])
+    def test_budgets_finite_and_positive(self, field, value):
+        with pytest.raises(CompilationError):
+            CompilerOptions(**{field: value})
+        with pytest.raises(CompilationError):
+            CompilerOptions.t_smt(routing="1bp").with_(**{field: value})
+
+    def test_in_tree_budgets_accepted(self):
+        for limit in (None, 60, 10.0, 5.0, 3.0, 2.0, 1.0, 1e-9):
+            assert CompilerOptions(solver_time_limit=limit) \
+                .solver_time_limit == limit
+        opts = CompilerOptions.t_smt()
+        assert (opts.uniform_cnot_slots, opts.coherence_slots) \
+            == (3.0, 1000.0)
+
     def test_with_updates(self):
         opts = CompilerOptions.r_smt_star().with_(omega=0.25)
         assert opts.omega == 0.25

@@ -7,16 +7,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import SolverError
-from repro.solver import (
-    AllDifferent,
-    BranchAndBoundSolver,
-    CallableObjective,
-    Model,
-    PairTerm,
-    SumObjective,
-    UnaryTerm,
-    Variable,
-)
+from repro.solver import BranchAndBoundSolver, Model, Objective, Variable
+
+from solver_reference import PairTerm, SumObjective, UnaryTerm
+
+
+class _Unbounded(Objective):
+    """A plain objective with no admissible bound: the search can prune
+    only at leaves, against the incumbent."""
+
+    def __init__(self, value_fn) -> None:
+        self._value = value_fn
+
+    def value(self, assignment):
+        return self._value(assignment)
+
+    def bound(self, assignment, domains):
+        return float("inf")
 
 
 class TestModel:
@@ -34,17 +41,10 @@ class TestModel:
         with pytest.raises(SolverError):
             Variable("x", (1, 1))
 
-    def test_constraint_scope_checked(self):
-        m = Model()
-        m.add_variable("x", [0, 1])
-        with pytest.raises(SolverError):
-            m.add_constraint(AllDifferent(["x", "y"]))
-
     def test_validate(self):
         m = Model()
         m.add_variable("x", [0, 1])
         m.add_variable("y", [0, 1])
-        m.add_constraint(AllDifferent(["x", "y"]))
         assert m.validate({"x": 0, "y": 1})
         assert not m.validate({"x": 0, "y": 0})
         assert not m.validate({"x": 0})
@@ -52,12 +52,14 @@ class TestModel:
 
 
 class TestSatisfaction:
+    """Every model's variables take pairwise distinct values."""
+
     def test_all_different_feasible(self):
         m = Model()
         for name in "abc":
             m.add_variable(name, [0, 1, 2])
-        m.add_constraint(AllDifferent(["a", "b", "c"]))
-        result = BranchAndBoundSolver(first_solution_only=True).solve(m)
+        m.objective = _Unbounded(lambda a: 0.0)
+        result = BranchAndBoundSolver().solve(m)
         assert result.feasible
         values = [result.assignment[n] for n in "abc"]
         assert sorted(values) == [0, 1, 2]
@@ -66,14 +68,21 @@ class TestSatisfaction:
         m = Model()
         for name in "abc":
             m.add_variable(name, [0, 1])
-        m.add_constraint(AllDifferent(["a", "b", "c"]))
+        m.objective = _Unbounded(lambda a: 0.0)
         result = BranchAndBoundSolver().solve(m)
         assert not result.feasible
+        assert result.objective is None
         assert result.optimal  # exhausted => infeasibility proof
 
     def test_no_variables_rejected(self):
         with pytest.raises(SolverError):
             BranchAndBoundSolver().solve(Model())
+
+    def test_no_objective_rejected(self):
+        m = Model()
+        m.add_variable("x", [0, 1])
+        with pytest.raises(SolverError):
+            BranchAndBoundSolver().solve(m)
 
 
 class TestOptimization:
@@ -91,7 +100,6 @@ class TestOptimization:
         m = Model()
         for name in "ab":
             m.add_variable(name, [0, 1, 2])
-        m.add_constraint(AllDifferent(["a", "b"]))
         m.objective = SumObjective(
             [PairTerm("a", "b", lambda x, y: score.get((x, y), 0.0))])
         result = BranchAndBoundSolver().solve(m)
@@ -109,7 +117,6 @@ class TestOptimization:
         m.add_variable("a", [0, 1, 2, 3])
         m.add_variable("b", [0, 1, 2, 3])
         m.add_variable("c", [0, 1, 2, 3])
-        m.add_constraint(AllDifferent(["a", "b", "c"]))
         m.objective = SumObjective([
             UnaryTerm("a", score_a),
             PairTerm("b", "c", score_pair),
@@ -133,7 +140,6 @@ class TestOptimization:
         m = Model()
         m.add_variable("x", [0, 1])
         m.add_variable("y", [0, 1])
-        m.add_constraint(AllDifferent(["x", "y"]))
         m.objective = SumObjective([UnaryTerm("x", float)])
         result = BranchAndBoundSolver().solve(m, initial={"x": 0, "y": 0})
         assert result.feasible
@@ -141,7 +147,7 @@ class TestOptimization:
     def test_callable_objective_without_bound(self):
         m = Model()
         m.add_variable("x", [0, 1, 2, 3])
-        m.objective = CallableObjective(lambda a: -abs(a["x"] - 2))
+        m.objective = _Unbounded(lambda a: -abs(a["x"] - 2))
         result = BranchAndBoundSolver().solve(m)
         assert result.assignment["x"] == 2
 
@@ -149,7 +155,6 @@ class TestOptimization:
         m = Model()
         for i in range(6):
             m.add_variable(f"v{i}", list(range(6)))
-        m.add_constraint(AllDifferent([f"v{i}" for i in range(6)]))
         m.objective = SumObjective(
             [UnaryTerm(f"v{i}", lambda v: float(v)) for i in range(6)])
         result = BranchAndBoundSolver(node_limit=10).solve(m)
@@ -159,8 +164,7 @@ class TestOptimization:
         m = Model()
         for i in range(8):
             m.add_variable(f"v{i}", list(range(8)))
-        m.add_constraint(AllDifferent([f"v{i}" for i in range(8)]))
-        m.objective = CallableObjective(
+        m.objective = _Unbounded(
             lambda a: -sum(a.values()) * 1.0)  # no bound -> exhaustive
         result = BranchAndBoundSolver(time_limit=0.2).solve(m)
         assert result.timed_out
@@ -179,7 +183,6 @@ class TestOptimization:
         m = Model()
         for i in range(3):
             m.add_variable(f"q{i}", range(5))
-        m.add_constraint(AllDifferent([f"q{i}" for i in range(3)]))
         terms = [UnaryTerm(f"q{i}", lambda v, i=i: unary[i][v])
                  for i in range(3)]
         terms.append(PairTerm("q0", "q1", lambda a, b: pair[(a, b)]))

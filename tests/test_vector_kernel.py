@@ -45,11 +45,7 @@ from repro.hardware import (
 from repro.programs import benchmark_names, get_benchmark, random_circuit
 from repro.solver import BranchAndBoundSolver
 from repro.solver import bounds as bounds_mod
-from repro.solver.bounds import (
-    AssignmentMatrices,
-    VectorSearch,
-    compile_assignment,
-)
+from repro.solver.bounds import AssignmentMatrices, VectorSearch
 
 import vector_reference as ref
 
@@ -108,12 +104,10 @@ def _real_mats(topology: str, n_qubits: int, n_gates: int,
     topo = {"sq9": lambda: square_topology(8),
             "sq16": lambda: square_topology(16)}[topology]()
     calibration = CalibrationGenerator(topo, seed=2019).snapshot(0)
-    model, _ = reliability_model(random_circuit(n_qubits, n_gates,
-                                                seed=seed),
-                                 calibration, ReliabilityTables(calibration),
-                                 0.5)
-    mats = compile_assignment(model)
-    assert mats is not None and mats.pair_base is not None
+    mats, _ = reliability_model(random_circuit(n_qubits, n_gates, seed=seed),
+                                calibration, ReliabilityTables(calibration),
+                                0.5)
+    assert mats.pair_base is not None
     return mats
 
 
@@ -247,6 +241,19 @@ def _solve(mats, coupled: bool, seed=None) -> VectorSearch:
     return search
 
 
+class _FirstLeaf(Exception):
+    """Raised by :class:`_FirstLeafSearch` once it holds an incumbent."""
+
+
+class _FirstLeafSearch(VectorSearch):
+    """A search that stops as soon as it records its first leaf."""
+
+    def _leaf(self, assigned, fixed):
+        super()._leaf(assigned, fixed)
+        if self.best_cols is not None:
+            raise _FirstLeaf
+
+
 class TestCoupledBound:
     @given(mats=_factored_models(), data=st.data())
     @settings(max_examples=300, deadline=None)
@@ -263,8 +270,11 @@ class TestCoupledBound:
     @given(mats=_factored_models(), seeded=st.booleans())
     @settings(max_examples=200, deadline=None)
     def test_same_incumbents_as_factored_only(self, mats, seeded):
-        first = VectorSearch(mats, first_solution_only=True)
-        first.run()
+        first = _FirstLeafSearch(mats)
+        try:
+            first.run()
+        except _FirstLeaf:
+            pass
         if first.best_cols is None:
             return
         seed = (first.best_cols, first.best_value) if seeded else None
@@ -287,12 +297,12 @@ class TestMemoCap:
         calibration = CalibrationGenerator(square_topology(n),
                                            seed=2019).snapshot(0)
         tables = ReliabilityTables(calibration)
-        model, search_qubits = reliability_model(circuit, calibration,
-                                                 tables, 0.5)
+        mats, search_qubits = reliability_model(circuit, calibration,
+                                                tables, 0.5)
         warm = _greedy_warm_start(circuit, calibration, tables,
                                   search_qubits)
-        solver = BranchAndBoundSolver(engine="vector")
-        full = solver.solve(model, initial=warm)
+        solver = BranchAndBoundSolver()
+        full = solver.solve(mats, initial=warm)
         monkeypatch.setattr(bounds_mod, "MEMO_ENTRIES", cap)
         coupled = VectorSearch._coupled_bounds
         checked = []
@@ -304,7 +314,7 @@ class TestMemoCap:
             return out
 
         monkeypatch.setattr(VectorSearch, "_coupled_bounds", capped)
-        tiny = solver.solve(model, initial=warm)
+        tiny = solver.solve(mats, initial=warm)
         assert any(checked)
         assert full.optimal and tiny.optimal
         assert tiny.nodes == full.nodes

@@ -128,8 +128,8 @@ def root_candidates(search) -> np.ndarray:
 
 def _oriented(m, i: int, j: int) -> np.ndarray:
     """``[l, k]``: score of the pair of ``i`` and ``j`` with ``i`` at
-    column ``l`` and ``j`` at ``k``; zeros with a -inf diagonal (the
-    AllDifferent) when the model has no such pair."""
+    column ``l`` and ``j`` at ``k``; zeros with a -inf diagonal (no two
+    variables share a column) when the model has no such pair."""
     if (i, j) in m.pair_vars:
         return m.pair_tensor[m.pair_vars.index((i, j))]
     if (j, i) in m.pair_vars:
