@@ -46,11 +46,8 @@ whichever backend produced them.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, replace
 from typing import Dict, Optional, Tuple
-
-import numpy as np
 
 from repro.compiler import (
     CompiledProgram,
@@ -62,7 +59,7 @@ from repro.hardware import Calibration, ReliabilityTables
 from repro.ir.circuit import Circuit
 from repro.runtime.diskcache import DiskStore, ResultJournal, StoreStats
 from repro.simulator import NoiseModel, noise_content_key
-from repro.simulator.trace import ProgramTrace
+from repro.simulator.trace import ProgramTrace, pack_arrays, unpack_arrays
 
 #: (circuit fingerprint, calibration content id, options fingerprint).
 CompileKey = Tuple[str, str, str]
@@ -254,13 +251,15 @@ class TraceCache:
     their own ``trace_key()`` describing their full configuration.
 
     Args:
-        store: Optional disk tier (``"trace"`` kind): traces are saved
-            as compressed ``.npz`` flat arrays (``ProgramTrace.to_arrays``,
-            no pickle on the load path) with their ideal distribution
-            and, on small traces, exact outcome law, so a later process
-            skips lowering and both dense passes. A disk-served trace
-            counts as a hit (the lowering was avoided) and is promoted
-            into memory; an entry that does not decode or fails
+        store: Optional disk tier (``"trace"`` kind): each trace is
+            saved as one flat record of its arrays
+            (:func:`~repro.simulator.trace.pack_arrays` over
+            ``ProgramTrace.to_arrays``, no pickle on the load path)
+            with its ideal distribution and, on small traces, exact
+            outcome law, so a later process skips lowering and both
+            dense passes. A disk-served trace counts as a hit (the
+            lowering was avoided) and is promoted into memory; an entry
+            that fails :func:`~repro.simulator.trace.unpack_arrays` or
             :meth:`ProgramTrace.from_arrays`' checks is a miss. Only
             exact ``ProgramTrace`` instances are stored: trace
             subclasses stay memory-only rather than risk a lossy
@@ -311,8 +310,7 @@ class TraceCache:
         if blob is None:
             return None
         try:
-            with np.load(io.BytesIO(blob), allow_pickle=False) as data:
-                trace = ProgramTrace.from_arrays(dict(data))
+            trace = ProgramTrace.from_arrays(unpack_arrays(blob))
         except Exception:
             return None  # malformed entry: treated as a miss, re-lowered
         self._traces[key] = trace
@@ -326,9 +324,8 @@ class TraceCache:
         self._traces[key] = trace
         if self.store is None or type(trace) is not ProgramTrace:
             return
-        buf = io.BytesIO()
         try:
-            np.savez_compressed(buf, **trace.to_arrays())
+            record = pack_arrays(trace.to_arrays())
         except Exception:
             return
-        self.store.store_blob("trace", repr(key), buf.getvalue())
+        self.store.store_blob("trace", repr(key), record)

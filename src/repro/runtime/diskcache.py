@@ -5,9 +5,10 @@ Without a disk tier, the in-process caches of
 invocation recompiles from scratch. This module holds the small
 **content-addressed directory store** each of them can take as an
 optional disk tier: compiled programs, pipeline stage artifacts and
-completed cell results are pickled, and lowered traces saved as
-``.npz``, under ``<cache-dir>/<namespace>/<kind>/`` and the sha256 of
-their content key, so a repeated ``repro run``/``repro sweep``/``repro
+completed cell results are pickled, and lowered traces saved as flat
+array records (:func:`repro.simulator.trace.pack_arrays`), under
+``<cache-dir>/<namespace>/<kind>/`` and the sha256 of their content
+key, so a repeated ``repro run``/``repro sweep``/``repro
 mitigate`` (or a mitigation sweep's folded pipeline variants) reuses
 them across processes. :class:`ResultJournal` is the store's view of
 completed cells that ``resume=True`` serves.
@@ -59,6 +60,9 @@ class StoreStats:
     only after the in-memory tier missed, so ``hits`` here are
     compilations served across process boundaries (and ``misses``
     are first-ever computations or integrity-check rejections).
+    ``bytes_read`` counts every entry file read, loads and the
+    journal's pre-write checks (:meth:`DiskStore.holds`) alike; those
+    checks count no hit and no miss.
     ``write_errors`` counts failed publishes (full/read-only disk);
     ``degraded`` reports the owning store having given up on the
     filesystem entirely (see :attr:`DiskStore.degraded`), and
@@ -120,8 +124,9 @@ class StoreStats:
         return text
 
 
-#: Entry-format tag; bump on layout changes.
-_FORMAT = "v1"
+#: Entry-format tag; bump on layout changes (v2: traces are flat
+#: array records, not ``.npz``).
+_FORMAT = "v2"
 
 _layout_cache: Optional[str] = None
 
@@ -255,6 +260,23 @@ class DiskStore:
         self.redemptions += 1
         return True
 
+    def _verified(self, kind: str, key: str) -> Optional[bytes]:
+        """*key*'s payload if its entry exists and passes both checks,
+        else ``None``; counts the bytes read and nothing else."""
+        try:
+            blob = self._path(kind, key).read_bytes()
+        except OSError:
+            return None
+        self.stats_for(kind).bytes_read += len(blob)
+        digest, _, rest = blob.partition(b"\n")
+        stored_key, _, payload = rest.partition(b"\n")
+        if stored_key.decode("utf-8", errors="replace") != key:
+            return None
+        if hashlib.sha256(payload).hexdigest() != digest.decode(
+                "ascii", errors="replace"):
+            return None
+        return payload
+
     def load_blob(self, kind: str, key: str) -> Optional[bytes]:
         """The stored raw payload for *key*, or ``None``.
 
@@ -264,24 +286,19 @@ class DiskStore:
         nothing is ever served unverified. A returned payload counts as
         a hit even if the caller's decode subsequently rejects it.
         """
+        payload = self._verified(kind, key)
         stats = self.stats_for(kind)
-        try:
-            blob = self._path(kind, key).read_bytes()
-        except OSError:
+        if payload is None:
             stats.misses += 1
-            return None
-        stats.bytes_read += len(blob)
-        digest, _, rest = blob.partition(b"\n")
-        stored_key, _, payload = rest.partition(b"\n")
-        if stored_key.decode("utf-8", errors="replace") != key:
-            stats.misses += 1
-            return None
-        if hashlib.sha256(payload).hexdigest() != digest.decode(
-                "ascii", errors="replace"):
-            stats.misses += 1
-            return None
-        stats.hits += 1
+        else:
+            stats.hits += 1
         return payload
+
+    def holds(self, kind: str, key: str) -> bool:
+        """Whether *key*'s entry exists and passes :meth:`load_blob`'s
+        digest and key checks. Reads the entry and counts its bytes as
+        read, but counts no hit and no miss: it serves nothing."""
+        return self._verified(kind, key) is not None
 
     def load(self, kind: str, key: str) -> Optional[object]:
         """The stored (pickled) object for *key*, or ``None``.
@@ -377,8 +394,14 @@ class ResultJournal:
         return self.store.load(self.KIND, fingerprint)
 
     def record(self, fingerprint: str, result) -> None:
-        """Journal one completed cell (atomic, idempotent)."""
-        self.store.store(self.KIND, fingerprint, result)
+        """Journal one completed cell (atomic, idempotent).
+
+        A cell's result is a pure function of its fingerprint, so an
+        entry that already passes the store's integrity check is left
+        in place: a plain rerun of a journaled sweep rewrites nothing.
+        A missing, torn or corrupt entry is written afresh."""
+        if not self.store.holds(self.KIND, fingerprint):
+            self.store.store(self.KIND, fingerprint, result)
 
     def entry_path(self, fingerprint: str) -> Path:
         """The entry's on-disk path (fault-injection corruption hook)."""

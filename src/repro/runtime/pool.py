@@ -68,7 +68,7 @@ def _worker_main(conn, batch: Sequence[IndexedCell],
     Sends ``("cell", index, CellResult)`` after each cell and a final
     ``("stats", compile, trace, stage, disk)`` message — the parent
     treats the stats message as the clean-completion marker. With
-    *store_root*, every tier (compile, stage, npz trace) is backed by
+    *store_root*, every tier (compile, stage, trace) is backed by
     a store on that directory (writes are atomic, so workers race
     benignly) and every completed cell is checkpoint-journaled.
     """

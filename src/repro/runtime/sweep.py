@@ -503,7 +503,9 @@ def run_cell_guarded(index: int, cell: SweepCell,
     In-cell exceptions are deterministic (a cell's result is a pure
     function of the cell), so they are never retried. Successful
     results are journaled under the cell's fingerprint when a
-    *journal* is given, before any injected journal corruption fires.
+    *journal* is given (an entry already in place that verifies is
+    kept, see :meth:`~repro.runtime.diskcache.ResultJournal.record`),
+    before any injected journal corruption fires.
     ``KeyboardInterrupt`` always propagates: completed cells are
     already journaled, which is exactly what ``resume=True`` needs.
     """

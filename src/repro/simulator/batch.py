@@ -12,8 +12,9 @@ Two paths, chosen by the trace's qubit count:
 * **Trajectories** (larger traces):
 
   1. the full ``(trials, sites)`` Bernoulli occurrence matrix is drawn
-     in one RNG call against the trace's per-site firing
-     probabilities;
+     against the trace's per-site firing probabilities, in blocks of
+     whole rows that each hold at most 8 MiB of uniforms
+     (:func:`draw_occurrences`; the stream of one RNG call);
   2. every error-free trial is routed through a **single** vectorized
      draw from the ideal output distribution;
   3. the noisy trials' Pauli choices are drawn in one batch, and the
@@ -86,6 +87,10 @@ EXACT_MAX_QUBITS = 7
 #: the gathered ``(trials, 2**n_measures)`` temporaries).
 _DRAW_BUDGET = 1 << 20
 
+#: Float64 uniforms one block of :func:`draw_occurrences` may hold
+#: (8 MiB).
+_OCCURRENCE_BUDGET = 1 << 20
+
 
 def amplitude_budget() -> int:
     """Amplitudes the batched pass may hold per chunk.
@@ -129,8 +134,7 @@ def run_batched(trace: ProgramTrace, trials: int,
                 for c in np.flatnonzero(drawn)}
     codes = np.zeros(trials, dtype=np.int64)
     if trace.n_sites:
-        occurred = rng.random((trials, trace.n_sites)) < \
-            trace.site_prob[np.newaxis, :]
+        occurred = draw_occurrences(trace.site_prob, trials, rng)
         noisy = occurred.any(axis=1)
     else:
         occurred = None
@@ -179,6 +183,30 @@ def _sample_noisy(trace: ProgramTrace, occurred: np.ndarray,
     # `probs / probs.sum()` performed, so the draws are bit-identical.
     patterns /= patterns.sum(axis=1, keepdims=True)
     codes[noisy_rows] = _draw_outcomes(patterns, plan_of_row, rng)
+
+
+def draw_occurrences(site_prob: np.ndarray, trials: int,
+                     rng: np.random.Generator) -> np.ndarray:
+    """The ``(trials, sites)`` occurrence matrix: entry ``(t, s)`` is
+    whether site *s* fires in trial *t*, ``uniform < site_prob[s]``.
+
+    The uniforms come in blocks of whole rows, each the largest
+    power-of-two row count whose float64s fit in 8 MiB, and at least
+    one row (1,024 rows at 963 sites), so the transient does not grow
+    with the shot count. One ``(a + b, sites)`` draw equals an
+    ``(a, sites)`` draw followed by a ``(b, sites)`` one, row for row,
+    so the matrix and the generator's end state are those of a single
+    ``rng.random((trials, sites))`` draw.
+    """
+    sites = site_prob.size
+    occurred = np.empty((trials, sites), dtype=bool)
+    if not sites:
+        return occurred
+    rows = 1 << max(0, (_OCCURRENCE_BUDGET // sites).bit_length() - 1)
+    for start in range(0, trials, rows):
+        block = occurred[start:start + rows]
+        np.less(rng.random(block.shape), site_prob, out=block)
+    return occurred
 
 
 def draw_choices(trace: ProgramTrace, occurred: np.ndarray,

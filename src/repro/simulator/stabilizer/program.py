@@ -24,8 +24,9 @@ order, and one byte matrix of output strings, with the key order the
 per-row rendering had.
 
 The error-occurrence law mirrors the batched engine exactly — the same
-``(trials, sites)`` Bernoulli matrix against ``trace.site_prob``, the
-same one-uniform-per-fired-site conditional Pauli choice against
+``(trials, sites)`` Bernoulli matrix against ``trace.site_prob``
+(:func:`~repro.simulator.batch.draw_occurrences`), the same
+one-uniform-per-fired-site conditional Pauli choice against
 ``trace.site_cum`` (:func:`~repro.simulator.batch.draw_choices`) — and
 readout flips go through the shared
 :func:`~repro.simulator.batch.render_readout_bits` helper, so the
@@ -44,7 +45,8 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.exceptions import SimulationError
-from repro.simulator.batch import draw_choices, render_readout_bits
+from repro.simulator.batch import (draw_choices, draw_occurrences,
+                                   render_readout_bits)
 from repro.simulator.stabilizer.clifford import first_non_clifford
 from repro.simulator.stabilizer.tableau import SymbolicTableau
 from repro.simulator.trace import (_PAIR_CHOICE_PAULIS,
@@ -286,8 +288,7 @@ def sample_stabilizer_counts(trace: ProgramTrace, trials: int,
     shared readout-flip sequence.
     """
     program = stabilizer_program(trace)
-    occurred = rng.random((trials, trace.n_sites)) < \
-        trace.site_prob[np.newaxis, :]
+    occurred = draw_occurrences(trace.site_prob, trials, rng)
     fired_trial, fired_site, fired_choice = draw_choices(trace, occurred,
                                                          rng)
     coins = (rng.random((trials, program.n_coins)) < 0.5).astype(np.uint8)

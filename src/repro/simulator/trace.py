@@ -34,7 +34,9 @@ per-trial loop performs with a single uniform draw.
 
 from __future__ import annotations
 
+import json
 import math
+import re
 from functools import cached_property
 from typing import Dict, List, Sequence, Tuple
 
@@ -248,7 +250,7 @@ class ProgramTrace:
     # Compact serialization (the sweep runtime's disk trace tier).
     # ------------------------------------------------------------------
     def to_arrays(self) -> Dict[str, np.ndarray]:
-        """Flatten the trace into plain numpy arrays (npz-serializable).
+        """Flatten the trace into plain numpy arrays.
 
         Everything a fresh process needs to rebuild the trace without
         re-lowering is captured: the physical gate/time table (from
@@ -258,8 +260,9 @@ class ProgramTrace:
         table, readout flip probabilities, and — only if already
         computed — the two dense members: the ideal output
         distribution, whose statevector simulation is the expensive
-        part of lowering, and the exact outcome law. No object arrays:
-        the format round-trips with ``np.load(allow_pickle=False)``.
+        part of lowering, and the exact outcome law. Every array is
+        ``int64``, ``float64`` or a fixed-width string, the dtypes
+        :func:`pack_arrays` stores as one flat record.
         """
         compact = self.compact
         gates = compact.gates
@@ -558,3 +561,111 @@ def _check_tables(trace: ProgramTrace) -> None:
             raise SimulationError(f"stored {name} leaves [0, 1]")
     if np.any(np.diff(cum, axis=1) < 0.0):
         raise SimulationError("stored site_cum rows decrease")
+
+
+#: Header-length prefix of a :func:`pack_arrays` record.
+_LENGTH_BYTES = 4
+
+#: Numpy 1's dimension limit, so every admitted shape builds anywhere.
+_MAX_DIMS = 32
+
+
+#: The dtypes a record holds: exactly the ones
+#: :meth:`ProgramTrace.to_arrays` writes (``<i8``, ``<f8`` and ``<U<n>``
+#: with n >= 1), so no object, bool, big-endian or void array, and
+#: nothing that unpickles, ever enters or leaves a record.
+_RECORD_DTYPE = re.compile(r"<i8|<f8|<U[1-9][0-9]{0,8}")
+
+
+def _record_dtype(code: str) -> np.dtype:
+    """The dtype *code* names, if a record may hold it.
+
+    Raises:
+        SimulationError: For any dtype :data:`_RECORD_DTYPE` refuses,
+            or a string width numpy cannot hold.
+    """
+    if _RECORD_DTYPE.fullmatch(code):
+        try:
+            return np.dtype(code)
+        except TypeError:
+            pass
+    raise SimulationError(f"trace record dtype {code!r} is not allowed")
+
+
+def pack_arrays(arrays: Dict[str, np.ndarray]) -> bytes:
+    """*arrays* as one flat record (the disk trace tier's format).
+
+    The record is the header's byte length (4 bytes, little-endian),
+    a UTF-8 JSON list of ``[name, dtype.str, shape]`` triples, then
+    each array's C-order bytes back to back, in header order.
+
+    Raises:
+        SimulationError: On a dtype :func:`_record_dtype` refuses.
+    """
+    header, chunks = [], []
+    for name, array in arrays.items():
+        array = np.ascontiguousarray(array)
+        _record_dtype(array.dtype.str)
+        header.append([name, array.dtype.str, list(array.shape)])
+        chunks.append(array.tobytes())
+    head = json.dumps(header).encode("utf-8")
+    return b"".join([len(head).to_bytes(_LENGTH_BYTES, "little"), head,
+                     *chunks])
+
+
+def unpack_arrays(blob: bytes) -> Dict[str, np.ndarray]:
+    """The arrays of a :func:`pack_arrays` record.
+
+    A stored record is input from outside the process, so the whole
+    layout is checked before any array is built: the header lies
+    inside the blob and is a JSON list of ``[str, str, list]``
+    triples with distinct names, every dtype is allowed, every shape
+    holds at most :data:`_MAX_DIMS` non-negative ``int`` entries (no
+    ``bool``), none larger than the blob, and the arrays' sizes add up
+    to exactly the rest of the blob. Sizes are counted in Python
+    integers, so a hostile header fails before anything beyond the
+    blob is allocated. Each array is a writable, aligned copy.
+
+    Raises:
+        SimulationError: On the first check that fails.
+    """
+    def malformed(why: str) -> SimulationError:
+        return SimulationError(f"malformed trace record: {why}")
+
+    end = len(blob)
+    if end < _LENGTH_BYTES:
+        raise malformed("no header length")
+    start = _LENGTH_BYTES + int.from_bytes(blob[:_LENGTH_BYTES], "little")
+    if start > end:
+        raise malformed("header length runs past the end")
+    try:
+        header = json.loads(blob[_LENGTH_BYTES:start].decode("utf-8"))
+    except (UnicodeDecodeError, ValueError, RecursionError):
+        raise malformed("header is not UTF-8 JSON") from None
+    if not isinstance(header, list):
+        raise malformed("header is not a list")
+    layout, names, offset = [], set(), start
+    for entry in header:
+        if not (isinstance(entry, list) and len(entry) == 3
+                and isinstance(entry[0], str) and isinstance(entry[1], str)
+                and isinstance(entry[2], list)):
+            raise malformed("header entry is not a [name, dtype, shape]"
+                            " triple")
+        name, code, shape = entry
+        if name in names:
+            raise malformed(f"array {name!r} appears twice")
+        names.add(name)
+        dtype = _record_dtype(code)
+        if len(shape) > _MAX_DIMS or not all(
+                type(n) is int and 0 <= n <= end for n in shape):
+            raise malformed(f"array {name!r} has shape {shape!r}")
+        count = math.prod(shape)
+        if dtype.itemsize * count > end - offset:
+            raise malformed(f"array {name!r} runs past the end")
+        layout.append((name, dtype, shape, offset))
+        offset += dtype.itemsize * count
+    if offset != end:
+        raise malformed(f"{end - offset} trailing bytes")
+    return {name: np.frombuffer(blob, dtype, count=math.prod(shape),
+                                offset=at).reshape(shape).copy()
+            for name, dtype, shape, at in layout}

@@ -10,7 +10,6 @@ the trace, dropped by rescaled clones, carried by every cache ``put``
 and stored by the disk trace tier.
 """
 
-import io
 import itertools
 
 import numpy as np
@@ -34,6 +33,7 @@ from repro.simulator import (CompactProgram, NoiseModel, ProgramTrace,
 from repro.simulator.batch import (EXACT_MAX_QUBITS,
                                    batch_plan_probabilities, run_batched)
 from repro.simulator.exact import cached_ptm, outcome_law
+from repro.simulator.trace import pack_arrays, unpack_arrays
 
 from batch_reference import plan_matrix
 
@@ -272,13 +272,9 @@ class TestDiskTier:
         def load(tamper=None):
             store = DiskStore(tmp_path)
             if tamper is not None:
-                with np.load(io.BytesIO(store.load_blob("trace", key)),
-                             allow_pickle=False) as data:
-                    arrays = dict(data)
+                arrays = unpack_arrays(store.load_blob("trace", key))
                 tamper(arrays)
-                buf = io.BytesIO()
-                np.savez_compressed(buf, **arrays)
-                store.store_blob("trace", key, buf.getvalue())
+                store.store_blob("trace", key, pack_arrays(arrays))
             return TraceCache(DiskStore(tmp_path)).get(
                 program, noise, cal)
 

@@ -422,6 +422,69 @@ class TestVectorizedDraws:
                                  np.random.default_rng(0))
 
 
+class _RecordingRng:
+    """A generator that records the shape of every ``random`` call."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.shapes = []
+
+    def random(self, shape):
+        self.shapes.append(tuple(shape))
+        return self.rng.random(shape)
+
+
+class TestOccurrenceDraw:
+    """The occurrence matrix, drawn in blocks of whole rows, equals one
+    ``(trials, sites)`` draw: same matrix and the same RNG end state,
+    so the counts of both samplers do not move."""
+
+    @staticmethod
+    def assert_one_draw(site_prob, trials, seed=3):
+        ours = _RecordingRng(seed)
+        theirs = np.random.default_rng(seed)
+        drawn = batch.draw_occurrences(site_prob, trials, ours)
+        expected = theirs.random((trials, site_prob.size)) < site_prob
+        assert drawn.dtype == bool and drawn.shape == expected.shape
+        np.testing.assert_array_equal(drawn, expected)
+        assert ours.rng.bit_generator.state == theirs.bit_generator.state
+        return ours.shapes
+
+    @pytest.mark.parametrize("trials,sites,budget,blocks", [
+        (11, 10, 64, [4, 4, 3]),         # not a multiple of the block
+        (8, 10, 64, [4, 4]),
+        (5, 100, 64, [1] * 5),           # a row is wider than a block
+        (7, 0, 64, []),                  # no sites: nothing is drawn
+        (0, 5, 64, []),                  # no trials
+        (1000, 37, 1 << 20, [1000]),     # one block
+    ])
+    def test_blocks_equal_one_draw(self, monkeypatch, trials, sites,
+                                   budget, blocks):
+        monkeypatch.setattr(batch, "_OCCURRENCE_BUDGET", budget)
+        site_prob = np.random.default_rng(sites).random(sites) * 0.3
+        shapes = self.assert_one_draw(site_prob, trials)
+        assert shapes == [(rows, sites) for rows in blocks]
+
+    def test_block_is_the_most_rows_in_8_mib(self):
+        """963 sites draw 1,024 rows per block, and 2,500 trials end on
+        a partial block; at any width a block is the largest
+        power-of-two row count whose float64s fit in 8 MiB."""
+        shapes = self.assert_one_draw(np.full(963, 0.01), 2500)
+        assert shapes == [(1024, 963), (1024, 963), (452, 963)]
+        for sites in (1, 3, 963, 4096, 100_000):
+            recorder = _RecordingRng(0)
+            batch.draw_occurrences(np.zeros(sites), (1 << 20) // sites + 1,
+                                   recorder)
+            rows = recorder.shapes[0][0]
+            assert rows & (rows - 1) == 0
+            assert rows * sites * 8 <= 8 << 20 < 2 * rows * sites * 8
+
+    def test_more_sites_than_one_block(self):
+        """Past 2**20 sites every block is a single row."""
+        shapes = self.assert_one_draw(np.full((1 << 20) + 1, 0.5), 2)
+        assert shapes == [(1, (1 << 20) + 1)] * 2
+
+
 class TestNoiseMechanisms:
     def test_readout_asymmetry_honored(self, cal, programs):
         """Batched readout flips respect the per-bit probabilities."""

@@ -75,6 +75,13 @@ def baseline(cells):
     return run_sweep(cells)
 
 
+def journal_entries(cache_dir):
+    """Every journal entry file: path -> (bytes, mtime_ns, inode)."""
+    return {path: (path.read_bytes(), path.stat().st_mtime_ns,
+                   path.stat().st_ino)
+            for path in sorted(cache_dir.glob("*/cell/*/*"))}
+
+
 def assert_identical(reference, sweep, except_indexes=()):
     """Surviving cells must be bit-identical to the reference run."""
     for index, (a, b) in enumerate(zip(reference, sweep)):
@@ -296,6 +303,56 @@ class TestCheckpointResume:
         assert resumed.ok
         assert resumed.resumed == len(cells) - 1
         assert resumed.disk_stats["cell"].misses >= 1
+        assert_identical(baseline, resumed)
+
+    def test_plain_rerun_keeps_verified_entries(self, cells, baseline,
+                                                tmp_path):
+        """A plain (not resumed) rerun executes every cell again but
+        leaves each journal entry that verifies in place: same bytes,
+        same file, same mtime. The check reads each entry and counts
+        no hit and no miss, so the journal's hits still mean resumed
+        cells; a resume afterwards serves every cell."""
+        cache_dir = tmp_path / "store"
+        first = run_sweep(cells, cache_dir=cache_dir)
+        entries = journal_entries(cache_dir)
+        assert len(entries) == len(cells)
+        again = run_sweep(cells, cache_dir=cache_dir)
+        assert journal_entries(cache_dir) == entries
+        journal = again.disk_stats["cell"]
+        assert journal.bytes_written == 0 and journal.lookups == 0
+        assert journal.bytes_read == sum(len(data) for data, _, _
+                                         in entries.values())
+        assert_identical(baseline, again)
+        resumed = run_sweep(cells, cache_dir=cache_dir, resume=True)
+        assert resumed.resumed == len(cells)
+        assert_identical(first, resumed)
+
+    @pytest.mark.parametrize("damage", ["corrupt", "torn", "missing"])
+    def test_plain_rerun_rewrites_a_damaged_entry(self, cells, baseline,
+                                                  tmp_path, damage):
+        """A garbage (``FaultPlan``'s ``corrupt:``), truncated or
+        missing entry fails the check, so the next plain run writes
+        that entry, and only it; a resume then serves every cell."""
+        cache_dir = tmp_path / "store"
+        run_sweep(cells, cache_dir=cache_dir,
+                  faults=FaultPlan(corrupt_journal=(1,)
+                                   if damage == "corrupt" else ()))
+        journal = CompileCache(DiskStore(cache_dir)).journal
+        path = journal.entry_path(cell_fingerprint(cells[1]))
+        if damage == "torn":
+            path.write_bytes(path.read_bytes()[:-7])
+        elif damage == "missing":
+            path.unlink()
+        untouched = {p: e for p, e in journal_entries(cache_dir).items()
+                     if p != path}
+        again = run_sweep(cells, cache_dir=cache_dir)
+        entries = journal_entries(cache_dir)
+        assert {p: e for p, e in entries.items() if p != path} == untouched
+        assert again.disk_stats["cell"].bytes_written == len(
+            entries[path][0])
+        assert journal.load(cell_fingerprint(cells[1])) is not None
+        resumed = run_sweep(cells, cache_dir=cache_dir, resume=True)
+        assert resumed.resumed == len(cells)
         assert_identical(baseline, resumed)
 
     def test_pool_sweep_persists_a_passed_caches_store(

@@ -1,6 +1,5 @@
 """Sweep-runtime tests: fingerprints, caches, parallel determinism."""
 
-import io
 from dataclasses import replace
 
 import numpy as np
@@ -26,6 +25,7 @@ from repro.runtime import (
     run_sweep,
 )
 from repro.simulator import NoiseModel, execute
+from repro.simulator.trace import pack_arrays, unpack_arrays
 
 TRIALS = 128
 
@@ -280,13 +280,9 @@ class TestStoredTraceChecks:
         clean = self.run(program, cal, writer)
         key = repr(writer._key(program, noise, cal))
         store = DiskStore(tmp_path)
-        with np.load(io.BytesIO(store.load_blob("trace", key)),
-                     allow_pickle=False) as data:
-            arrays = dict(data)
+        arrays = unpack_arrays(store.load_blob("trace", key))
         self.TAMPERINGS[damage](arrays)
-        buf = io.BytesIO()
-        np.savez_compressed(buf, **arrays)
-        store.store_blob("trace", key, buf.getvalue())
+        store.store_blob("trace", key, pack_arrays(arrays))
         assert TraceCache(DiskStore(tmp_path)).get(program, noise,
                                                    cal) is None
         assert self.run(program, cal, TraceCache(DiskStore(tmp_path))) \
